@@ -12,8 +12,8 @@ certificate loudly instead of being averaged away.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .families import (
     flag_momentum_family,
     flag_shift_family,
     gaudin_family,
-    generic_shift,
     restrict_family,
 )
 from .poisson import (
@@ -132,18 +131,39 @@ def _draw(context, entropy: list[int], domain: str, scale: float) -> np.ndarray:
 
 
 def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
-    if domain == "k":
-        algebra = context if isinstance(context, LieAlgebra) else context.base
-        result = numerical_rank(algebra.ad(X), policy)
-        return not result.marginal and algebra.dim - result.rank == algebra.rank
-    space = context
-    for x in X:
-        result = numerical_rank(space.base.ad(x), policy)
-        if result.marginal or space.base.dim - result.rank != space.base.rank:
+    """Every block is regular; on the product the blocks share no centralizer."""
+    algebra = context if isinstance(context, LieAlgebra) else context.base
+    ads = [algebra.ad(x) for x in np.atleast_2d(X)]
+    for ad in ads:
+        result = numerical_rank(ad, policy)
+        if result.marginal or algebra.dim - result.rank != algebra.rank:
             return False
-    stacked = np.vstack([space.base.ad(x) for x in X])
-    result = numerical_rank(stacked, policy)
-    return not result.marginal and result.rank == space.base.dim
+    if domain == "k":
+        return True
+    result = numerical_rank(np.vstack(ads), policy)
+    return not result.marginal and result.rank == algebra.dim
+
+
+def _gated_draws(
+    context, seed_parts: Iterable[int], domain: str, scale: float, policy: RankPolicy
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Yield (entropy, X) for the seeded draws that pass the genericity gates.
+
+    Draw r uses entropy [*seed_parts, r] for r = 0 .. policy.max_retries; a
+    caller that rejects a yielded point asks for the next one.  Running out
+    of draws raises a GenericityError naming the domain and the entropy.
+    """
+    seed_parts = [int(p) for p in seed_parts]
+    for retry in range(policy.max_retries + 1):
+        entropy = seed_parts + [retry]
+        X = _draw(context, entropy, domain, scale)
+        if _gates_ok(context, X, domain, policy):
+            yield entropy, X
+    pattern = ", ".join(str(p) for p in seed_parts + ["r"])
+    raise GenericityError(
+        f"no generic point in domain {domain!r} was accepted from seed entropy "
+        f"[{pattern}], r = 0..{policy.max_retries}"
+    )
 
 
 def generic_point(
@@ -154,23 +174,11 @@ def generic_point(
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Seeded point passing the genericity gates, resampled as needed."""
-    seed_parts = [int(p) for p in seed_parts]
-    for retry in range(policy.max_retries + 1):
-        X = _draw(context, seed_parts + [retry], domain, scale)
-        if _gates_ok(context, X, domain, policy):
-            return X
-    raise GenericityError("generic point sampling exhausted its retry budget")
+    for _, X in _gated_draws(context, seed_parts, domain, scale, policy):
+        return X
 
 
-def _measure_at_generic_points(
-    context,
-    domain: str,
-    trials: int,
-    seed: int,
-    policy: RankPolicy,
-    scale: float,
-    measure: Callable[[np.ndarray, list[int]], tuple],
-):
+def _measure_at_generic_points(context, domain, trials, seed, policy, scale, measure):
     """Run ``measure`` at one generic point per trial, resampling marginal points.
 
     ``measure`` returns (value, marginal, extra); a marginal result discards
@@ -178,19 +186,12 @@ def _measure_at_generic_points(
     """
     values, witnesses = [], []
     for trial in range(trials):
-        for retry in range(policy.max_retries + 1):
-            entropy = [seed, trial, retry]
-            X = _draw(context, entropy, domain, scale)
-            if not _gates_ok(context, X, domain, policy):
-                continue
+        for entropy, X in _gated_draws(context, [seed, trial], domain, scale, policy):
             value, marginal, extra = measure(X, entropy)
-            if marginal:
-                continue
-            values.append(value)
-            witnesses.append({"trial": trial, "retries": retry, **extra})
-            break
-        else:
-            raise GenericityError(f"trial {trial} exhausted its resampling budget")
+            if not marginal:
+                values.append(value)
+                witnesses.append({"trial": trial, "retries": entropy[-1], **extra})
+                break
     return values, witnesses
 
 
@@ -203,20 +204,19 @@ def _modal(values: list) -> tuple:
 # -- rank estimates -----------------------------------------------------------
 
 
-def _span_matrix(family: PolynomialFamily, X: np.ndarray) -> np.ndarray:
-    grads = family.gradients(X)
-    return grads.reshape(len(family), -1)
+def _kernel_dim(space: ProductSpace, X, span, policy, weights=None) -> tuple[int, bool]:
+    """Kernel dimension of the bivector on the span rows, with the marginal flag.
 
-
-def _bivector_scale(X: np.ndarray, span: np.ndarray) -> float:
-    """Natural magnitude of a bivector matrix over the given span rows.
-
-    Entries are bounded by the point's size times the span rows' sizes, so
-    this anchors the rank cutoff even when the matrix vanishes identically.
+    Bivector entries are bounded by the point's size times the span rows'
+    sizes; that bound anchors the rank cutoff even when the matrix vanishes
+    identically.
     """
     row_norms = np.linalg.norm(span.reshape(span.shape[0], -1), axis=1)
     top = float(row_norms.max()) if row_norms.size else 1.0
-    return float(np.linalg.norm(X)) * max(top, 1e-3) ** 2
+    scale = float(np.linalg.norm(X)) * max(top, 1e-3) ** 2
+    matrix = bivector_on_span(space, X, span, weights).matrix
+    result = numerical_rank(matrix, policy, scale=scale)
+    return span.shape[0] - result.rank, result.marginal
 
 
 def estimate_ddim(
@@ -230,14 +230,13 @@ def estimate_ddim(
     """Modal rank of the family's gradient span at generic points."""
 
     def measure(X, entropy):
-        result = numerical_rank(_span_matrix(family, X), policy)
+        result = numerical_rank(family.gradients(X).reshape(len(family), -1), policy)
         return result.rank, result.marginal, {"rank": result.rank}
 
     values, witnesses = _measure_at_generic_points(
         space, family.domain, trials, seed, policy, scale, measure
     )
-    value, unanimous = _modal(values)
-    return value, unanimous, witnesses
+    return (*_modal(values), witnesses)
 
 
 def estimate_dind(
@@ -252,20 +251,54 @@ def estimate_dind(
     """Modal kernel dimension of the bivector restricted to the gradient span."""
 
     def measure(X, entropy):
-        basis, marginal = row_space(_span_matrix(family, X), policy)
+        basis, marginal = row_space(family.gradients(X).reshape(len(family), -1), policy)
         if marginal:
             return 0, True, {}
         span = basis.reshape(-1, space.n, space.base.dim)
-        matrix = bivector_on_span(space, X, span, weights).matrix
-        result = numerical_rank(matrix, policy, scale=_bivector_scale(X, span))
-        dind = span.shape[0] - result.rank
-        return dind, result.marginal, {"span_dim": span.shape[0], "dind": dind}
+        dind, marginal = _kernel_dim(space, X, span, policy, weights)
+        return dind, marginal, {"span_dim": span.shape[0], "dind": dind}
 
     values, witnesses = _measure_at_generic_points(
         space, family.domain, trials, seed, policy, scale, measure
     )
+    return (*_modal(values), witnesses)
+
+
+# -- reports ------------------------------------------------------------------
+
+
+def _residual_report(space, claim_id, seed, trials, values, tol, witnesses, ok=True) -> CertificateReport:
+    """Worst residual over the trials against a tolerance; ``ok`` can veto a pass."""
+    worst = max(values)
+    return CertificateReport(
+        claim_id=claim_id,
+        algebra=space.base.name,
+        n=space.n,
+        seed=seed,
+        trials=trials,
+        formula_value=0.0,
+        measured_value=worst,
+        tolerance=tol,
+        passed=bool(ok and worst <= tol),
+        witnesses=tuple(witnesses),
+    )
+
+
+def _int_report(space, claim_id, seed, trials, formula, values, witnesses) -> CertificateReport:
+    """Modal integer over the trials against a closed form; trials must agree."""
     value, unanimous = _modal(values)
-    return value, unanimous, witnesses
+    return CertificateReport(
+        claim_id=claim_id,
+        algebra=space.base.name,
+        n=space.n,
+        seed=seed,
+        trials=trials,
+        formula_value=int(formula),
+        measured_value=int(value),
+        tolerance=0.0,
+        passed=unanimous and int(value) == int(formula),
+        witnesses=tuple(witnesses),
+    )
 
 
 # -- involutivity and invariance ------------------------------------------------
@@ -306,19 +339,7 @@ def check_involutive(
     values, witnesses = _measure_at_generic_points(
         space, family.domain, trials, seed, policy, scale, measure
     )
-    worst = max(values)
-    return CertificateReport(
-        claim_id=claim_id,
-        algebra=space.base.name,
-        n=space.n,
-        seed=seed,
-        trials=trials,
-        formula_value=0.0,
-        measured_value=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        witnesses=tuple(witnesses),
-    )
+    return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
 
 
 def check_ad_invariance(
@@ -336,52 +357,22 @@ def check_ad_invariance(
 
     def measure(X, entropy):
         rng = np.random.default_rng(entropy + [7919])
+        base = family.values(X)
         worst = 0.0
         for _ in range(transforms):
             y = space.base.random_element(rng, 0.8)
             moved = space.diagonal_adjoint(y, X)
-            for member in family:
-                base = member.value(X)
-                delta = abs(member.value(moved) - base) / (1.0 + abs(base))
-                worst = max(worst, delta)
+            delta = np.abs(family.values(moved) - base) / (1.0 + np.abs(base))
+            worst = max(worst, float(delta.max()))
         return worst, False, {"residual": worst}
 
     values, witnesses = _measure_at_generic_points(
         space, family.domain, trials, seed, policy, scale, measure
     )
-    worst = max(values)
-    return CertificateReport(
-        claim_id=claim_id,
-        algebra=space.base.name,
-        n=space.n,
-        seed=seed,
-        trials=trials,
-        formula_value=0.0,
-        measured_value=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        witnesses=tuple(witnesses),
-    )
+    return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
 
 
 # -- structural certificates -----------------------------------------------------
-
-
-def _int_report(space, claim_id, seed, trials, formula, values, unanimous, witnesses) -> CertificateReport:
-    value, modal_unanimous = _modal(values)
-    agreed = unanimous and modal_unanimous
-    return CertificateReport(
-        claim_id=claim_id,
-        algebra=space.base.name,
-        n=space.n,
-        seed=seed,
-        trials=trials,
-        formula_value=int(formula),
-        measured_value=int(value),
-        tolerance=0.0,
-        passed=agreed and int(value) == int(formula),
-        witnesses=tuple(witnesses),
-    )
 
 
 def verify_lemma1(
@@ -402,17 +393,15 @@ def verify_lemma1(
         span, marginal = invariant_tangent_span(space, X, policy)
         if marginal:
             return (0, 0), True, {}
-        matrix = bivector_on_span(space, X, span).matrix
-        result = numerical_rank(matrix, policy, scale=_bivector_scale(X, span))
-        dims = (span.shape[0], span.shape[0] - result.rank)
-        return dims, result.marginal, {"ddim": dims[0], "dind": dims[1]}
+        dind, marginal = _kernel_dim(space, X, span, policy)
+        return (span.shape[0], dind), marginal, {"ddim": span.shape[0], "dind": dind}
 
     values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, scale, measure)
-    ddims = [v[0] for v in values]
-    dinds = [v[1] for v in values]
-    report_ddim = _int_report(space, "lemma1.ddim", seed, trials, target_ddim, ddims, True, witnesses)
-    report_dind = _int_report(space, "lemma1.dind", seed, trials, target_dind, dinds, True, witnesses)
-    return report_ddim, report_dind
+    ddims, dinds = zip(*values)
+    return (
+        _int_report(space, "lemma1.ddim", seed, trials, target_ddim, ddims, witnesses),
+        _int_report(space, "lemma1.dind", seed, trials, target_dind, dinds, witnesses),
+    )
 
 
 def verify_completeness(
@@ -436,22 +425,20 @@ def verify_completeness(
         raise ConfigurationError(f"unknown completeness mode {mode!r}")
 
     def measure(X, entropy):
-        basis, marginal = row_space(_span_matrix(family, X), policy)
+        basis, marginal = row_space(family.gradients(X).reshape(len(family), -1), policy)
         if marginal:
             return 0, True, {}
         span_dim = basis.shape[0]
         if mode == "ddim":
             return span_dim, False, {"ddim": span_dim}
         span = basis.reshape(-1, space.n, space.base.dim)
-        matrix = bivector_on_span(space, X, span).matrix
-        result = numerical_rank(matrix, policy, scale=_bivector_scale(X, span))
-        dind = span_dim - result.rank
-        return span_dim + dind, result.marginal, {"ddim": span_dim, "dind": dind}
+        dind, marginal = _kernel_dim(space, X, span, policy)
+        return span_dim + dind, marginal, {"ddim": span_dim, "dind": dind}
 
     values, witnesses = _measure_at_generic_points(
         space, family.domain, trials, seed, policy, scale, measure
     )
-    return _int_report(space, claim_id, seed, trials, target, values, True, witnesses)
+    return _int_report(space, claim_id, seed, trials, target, values, witnesses)
 
 
 def verify_span_inclusion(
@@ -505,19 +492,7 @@ def verify_span_inclusion(
         return (worst if ok else float("inf")), False, extra
 
     values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, scale, measure)
-    worst = max(values)
-    return CertificateReport(
-        claim_id=claim_id,
-        algebra=space.base.name,
-        n=space.n,
-        seed=seed,
-        trials=trials,
-        formula_value=0.0,
-        measured_value=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        witnesses=tuple(witnesses),
-    )
+    return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
 
 
 # -- claims registry ---------------------------------------------------------
@@ -566,7 +541,7 @@ def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
-    shift = generic_shift(ctx.space.base, [ctx.seed, 104729], policy=ctx.policy)
+    shift = generic_point(ctx.space.base, [ctx.seed, 104729], "k", policy=ctx.policy)
     family = flag_momentum_family(ctx.space, shift)
     return [
         verify_completeness(
@@ -623,7 +598,6 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     weights = ctx.weights()
     grid = ctx.gaudin_grid if ctx.gaudin_grid is not None else _default_gaudin_grid(space)
     family = gaudin_family(space, weights, grid)
-    reports = []
 
     def measure(X, entropy):
         ham = dynamics.gaudin_hamiltonian(space, weights)
@@ -635,41 +609,23 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     values, witnesses = _measure_at_generic_points(
         space, "g", 10, ctx.seed, ctx.policy, ctx.scale, measure
     )
-    worst = max(values)
-    reports.append(
-        CertificateReport(
-            claim_id="gaudin.field_identity",
-            algebra=space.base.name,
-            n=space.n,
-            seed=ctx.seed,
-            trials=10,
-            formula_value=0.0,
-            measured_value=worst,
-            tolerance=1e-11,
-            passed=worst <= 1e-11,
-            witnesses=tuple(witnesses),
-        )
-    )
-    reports.append(
+    reports = [
+        _residual_report(space, "gaudin.field_identity", ctx.seed, 10, values, 1e-11, witnesses),
         check_involutive(
             space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
             ctx.policy, scale=ctx.scale, claim_id="gaudin.involutive",
-        )
-    )
-    reports.append(
+        ),
         check_involutive(
             space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
             ctx.policy, weights=np.asarray(weights, dtype=float), scale=ctx.scale,
             claim_id="gaudin.involutive_pencil",
-        )
-    )
-    reports.append(
+        ),
         verify_completeness(
             space, restrict_family(space, family), restricted_rank_target(space),
             ctx.trials, ctx.seed, ctx.policy, ctx.scale, mode="ddim",
             claim_id="gaudin.ddim_restricted",
-        )
-    )
+        ),
+    ]
 
     initial = generic_point(space, [ctx.seed, 271], "g", ctx.scale, ctx.policy)
     flow = dynamics.FlowSpec(
@@ -682,17 +638,10 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     trajectory = dynamics.integrate(flow)
     drift = dynamics.momentum_drift(space, trajectory)
     reports.append(
-        CertificateReport(
-            claim_id="gaudin.momentum_drift",
-            algebra=space.base.name,
-            n=space.n,
-            seed=ctx.seed,
-            trials=1,
-            formula_value=0.0,
-            measured_value=drift,
-            tolerance=1e-8,
-            passed=(drift <= 1e-8) and not trajectory.aborted,
-            witnesses=({"t_end": ctx.flow_t_end, "dt": ctx.flow_dt, "aborted": trajectory.aborted},),
+        _residual_report(
+            space, "gaudin.momentum_drift", ctx.seed, 1, [drift], 1e-8,
+            [{"t_end": ctx.flow_t_end, "dt": ctx.flow_dt, "aborted": trajectory.aborted}],
+            ok=not trajectory.aborted,
         )
     )
     return reports
@@ -733,5 +682,8 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     reports: list[CertificateReport] = []
     for claim in CLAIM_IDS:
         if claim in claim_ids:
-            reports.extend(_REGISTRY[claim](ctx))
+            try:
+                reports.extend(_REGISTRY[claim](ctx))
+            except GenericityError as exc:
+                raise GenericityError(f"claim {claim}: {exc}") from exc
     return reports

@@ -94,7 +94,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)) or float(value) == int(value):
+    # Non-finite values (a failed cross-check reports inf) print as inf / nan.
+    if isinstance(value, (int, np.integer)) or (np.isfinite(value) and float(value) == int(value)):
         return str(int(value))
     return format(float(value), ".3e")
 

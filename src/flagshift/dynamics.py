@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError
-from .families import FamilyMember, PolynomialFamily
+from .families import FamilyMember
 from .product import ProductSpace
 
 __all__ = [

@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .algebra import LieAlgebra
-from .errors import ConfigurationError, GenericityError
+from .errors import ConfigurationError
 from .product import ProductSpace
-from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank
+from .ranks import DEFAULT_POLICY, RankPolicy
 
 __all__ = [
     "FamilyMember",
@@ -41,7 +41,6 @@ __all__ = [
     "coordinate_member",
     "pairing_member",
     "product_member",
-    "generic_shift",
     "member_grad_check",
 ]
 
@@ -393,23 +392,7 @@ def product_member(f: FamilyMember, g: FamilyMember) -> FamilyMember:
     return FamilyMember(f"({f.label})*({g.label})", f.domain, value, gradient)
 
 
-# -- sampling and finite-difference checks ------------------------------------
-
-
-def generic_shift(
-    algebra: LieAlgebra,
-    seed_parts: Iterable[int],
-    scale: float = 1.0,
-    policy: RankPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """Seeded regular shift direction, resampled up to the policy retry budget."""
-    seed_parts = [int(p) for p in seed_parts]
-    for retry in range(policy.max_retries + 1):
-        candidate = algebra.random_element(np.random.default_rng(seed_parts + [retry]), scale)
-        result = numerical_rank(algebra.ad(candidate), policy)
-        if not result.marginal and algebra.dim - result.rank == algebra.rank:
-            return candidate
-    raise GenericityError("could not sample a regular shift direction")
+# -- finite-difference checks ------------------------------------------------
 
 
 def _fd_pairs(fun, x, direction, step):

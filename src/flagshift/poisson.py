@@ -35,23 +35,26 @@ __all__ = [
 ]
 
 
-def _pair_tensor(space: ProductSpace, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def _bivector(algebra: LieAlgebra, X: np.ndarray, gens: np.ndarray, weights=None) -> np.ndarray:
+    """M[a, b] = -sum_i w_i <x_i, [g_a_i, g_b_i]> for a (count, n, dim) stack."""
     # D[i, p, q] = <x_i, [e_p, e_q]>, optionally scaled per block.
-    gx = np.asarray(X, dtype=float) @ space.base.gram
-    tensor = np.einsum("pqk,ik->ipq", space.base.structure, gx)
+    tensor = np.einsum("pqk,ik->ipq", algebra.structure, np.asarray(X, dtype=float) @ algebra.gram)
     if weights is not None:
         tensor = tensor * np.asarray(weights, dtype=float)[:, None, None]
-    return tensor
+    return -np.einsum("ipq,aip,biq->ab", tensor, gens, gens)
 
 
-def _contract(tensor: np.ndarray, gf: np.ndarray, gg: np.ndarray) -> float:
-    return -float(np.einsum("ipq,ip,iq->", tensor, gf, gg))
+def _member_bracket(algebra: LieAlgebra, f, g, X: np.ndarray, weights=None) -> float:
+    # A single-factor point is the one-block case of the product formula.
+    X = np.asarray(X, dtype=float)
+    blocks = X.reshape(-1, algebra.dim)
+    gens = np.stack([f.gradient(X), g.gradient(X)]).reshape(2, *blocks.shape)
+    return float(_bivector(algebra, blocks, gens, weights)[0, 1])
 
 
 def lp_bracket(space: ProductSpace, f: FamilyMember, g: FamilyMember, X: np.ndarray) -> float:
     """Product Lie-Poisson bracket {f, g} at X."""
-    X = np.asarray(X, dtype=float)
-    return _contract(_pair_tensor(space, X), f.gradient(X), g.gradient(X))
+    return _member_bracket(space.base, f, g, X)
 
 
 def v_bracket(
@@ -66,10 +69,9 @@ def v_bracket(
     Gradients of "v" members are already projected; the formula is the same
     contraction as the product bracket.
     """
-    X = np.asarray(X, dtype=float)
-    if not space.in_v(X, tol):
+    if not space.in_v(np.asarray(X, dtype=float), tol):
         raise ValueError("point is not in the zero-block-sum subspace")
-    return _contract(_pair_tensor(space, X), f.gradient(X), g.gradient(X))
+    return _member_bracket(space.base, f, g, X)
 
 
 def pencil_bracket(
@@ -85,16 +87,12 @@ def pencil_bracket(
         raise ConfigurationError(f"need {space.n} pencil weights")
     if np.any(weights == 0.0):
         raise ConfigurationError("pencil weights must be nonzero")
-    X = np.asarray(X, dtype=float)
-    return _contract(_pair_tensor(space, X, weights), f.gradient(X), g.gradient(X))
+    return _member_bracket(space.base, f, g, X, weights)
 
 
 def factor_bracket(algebra: LieAlgebra, f: FamilyMember, g: FamilyMember, x: np.ndarray) -> float:
     """Lie-Poisson bracket on a single factor, for "k" domain members."""
-    x = np.asarray(x, dtype=float)
-    gx = algebra.gram @ x
-    tensor = np.einsum("pqk,k->pq", algebra.structure, gx)
-    return -float(f.gradient(x) @ tensor @ g.gradient(x))
+    return _member_bracket(algebra, f, g, x)
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,7 @@ def bivector_on_span(
     """Assemble M[a, b] = -sum_i w_i <x_i, [g_a_i, g_b_i]> on the given directions."""
     X = np.asarray(X, dtype=float)
     generators = np.asarray(generators, dtype=float)
-    tensor = _pair_tensor(space, X, weights)
-    matrix = -np.einsum("ipq,aip,biq->ab", tensor, generators, generators)
-    return BivectorMatrix(X, generators, matrix)
+    return BivectorMatrix(X, generators, _bivector(space.base, X, generators, weights))
 
 
 def family_bivector(

@@ -22,7 +22,6 @@ from flagshift.families import (
     flag_momentum_family,
     flag_shift_family,
     gaudin_family,
-    generic_shift,
     restrict_family,
 )
 
@@ -62,7 +61,7 @@ def test_criterion_03_completeness_sum(spaces, capsys):
     expected = {("su2", 3): 12, ("su2", 4): 16, ("su3", 3): 30}
     ok, parts = True, []
     for space in spaces:
-        shift = generic_shift(space.base, [42, 104729])
+        shift = generic_point(space.base, [42, 104729], "k")
         family = flag_momentum_family(space, shift)
         report = verify_completeness(
             space, family, completeness_target(space), trials=7, seed=42, mode="sum"

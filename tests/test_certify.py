@@ -24,13 +24,13 @@ from flagshift.certify import (
     verify_lemma1,
     verify_span_inclusion,
 )
+from flagshift.certify import _draw, _measure_at_generic_points
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
     coordinate_member,
     flag_momentum_family,
     flag_shift_family,
-    generic_shift,
     restrict_family,
     restrict_member,
 )
@@ -57,6 +57,37 @@ def test_generic_point_exhausts_retries(su2n3):
     impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
     with pytest.raises(GenericityError):
         generic_point(su2n3, [5, 5], "g", policy=impossible)
+
+
+def test_sampler_resamples_marginal_measurements(su2n3):
+    # The first k gated draws are flagged marginal; the witness records the
+    # burned retries and the accepted point is the draw for [seed, trial, k].
+    k = 3
+    seen = []
+
+    def measure(X, entropy):
+        seen.append((list(entropy), X))
+        return len(seen), len(seen) <= k, {}
+
+    policy = RankPolicy()
+    values, witnesses = _measure_at_generic_points(su2n3, "g", 1, 9, policy, 1.0, measure)
+    assert [entropy for entropy, _ in seen] == [[9, 0, r] for r in range(k + 1)]
+    assert values == [k + 1]
+    assert witnesses == [{"trial": 0, "retries": k}]
+    assert np.array_equal(seen[-1][1], _draw(su2n3, [9, 0, k], "g", 1.0))
+
+
+def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
+    policy = RankPolicy(max_retries=3)
+    seen = []
+
+    def measure(X, entropy):
+        seen.append(list(entropy))
+        return 0, True, {}
+
+    with pytest.raises(GenericityError, match=r"domain 'g'.*\[9, 0, r\], r = 0\.\.3"):
+        _measure_at_generic_points(su2n3, "g", 2, 9, policy, 1.0, measure)
+    assert seen == [[9, 0, r] for r in range(policy.max_retries + 1)]
 
 
 def test_closed_form_targets(su2n3, su2n4, su3n3):
@@ -134,7 +165,7 @@ def test_verify_completeness_modes(su2n3):
     ddim = verify_completeness(su2n3, fam, 5, trials=3, mode="ddim")
     assert ddim.passed
 
-    shift = generic_shift(su2n3.base, [42, 104729])
+    shift = generic_point(su2n3.base, [42, 104729], "k")
     merged = flag_momentum_family(su2n3, shift)
     total = verify_completeness(su2n3, merged, 12, trials=3, mode="sum")
     assert total.passed

@@ -93,6 +93,35 @@ def test_report_orders_failures_first(tmp_path, capsys):
     assert "1/2 certificates passed" in lines[-1]
 
 
+def test_certify_genericity_error_names_claim_and_seed(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    code = main(["certify", "--algebra", "su2", "--n", "3", "--claims", "lemma1",
+                 "--tol-rank", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "claim lemma1" in err
+    assert "[42, 0, r]" in err
+    assert not out.exists()
+
+
+def test_report_prints_non_finite_values(tmp_path, capsys):
+    row = {"claim_id": "thm3.span_inclusion", "algebra": "su2", "n": 3, "seed": 42,
+           "trials": 7, "formula_value": 0.0, "measured_value": float("inf"),
+           "tolerance": 1e-9, "pass": False, "witnesses": []}
+    nan_row = dict(row, claim_id="thm3.nan_probe", measured_value=float("nan"))
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"claims": [row, nan_row]}))
+    assert '"measured_value": Infinity' in doc.read_text()
+
+    assert main(["report", str(doc)]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line]
+    assert lines[2].startswith("thm3.nan_probe")
+    assert lines[2].split()[3] == "nan" and lines[2].endswith("FAIL")
+    assert lines[3].startswith("thm3.span_inclusion")
+    assert lines[3].split()[3] == "inf" and lines[3].endswith("FAIL")
+    assert "0/2 certificates passed" in lines[-1]
+
+
 def test_report_all_passing(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", "--claims", "lemma1", "--out", str(out)]) == 0

@@ -23,7 +23,6 @@ from flagshift.families import (
     flag_momentum_family,
     flag_shift_family,
     gaudin_family,
-    generic_shift,
     member_grad_check,
     mf_shift_family,
     momentum_coordinates,
@@ -80,7 +79,7 @@ def test_flag_coefficients_resum_to_shifted_invariant(seed, t):
 
 
 def test_shift_coefficients_resum_on_single_factor(su2):
-    shift = generic_shift(su2, [42, 7])
+    shift = generic_point(su2, [42, 7], "k")
     fam = mf_shift_family(su2, shift)
     rng = np.random.default_rng(1)
     x = su2.random_element(rng)
@@ -107,7 +106,7 @@ def test_restriction_identity_on_zero_momentum_slice(spaces):
 
 def test_single_factor_shift_family_rank(su2):
     # functional dimension (dim + rank)/2 = 2 for su(2)
-    shift = generic_shift(su2, [42, 7])
+    shift = generic_point(su2, [42, 7], "k")
     fam = mf_shift_family(su2, shift)
     rng = np.random.default_rng(2)
     grads = np.stack([m.gradient(su2.random_element(rng)) for m in fam])
@@ -122,7 +121,7 @@ def test_degenerate_shift_direction_warns(su3):
 
 
 def test_gradient_checks_across_families(su2n3, su3n3, su2):
-    shift = generic_shift(su2, [42, 7])
+    shift = generic_point(su2, [42, 7], "k")
     cases = [
         (su2n3, flag_shift_family(su2n3)),
         (su3n3, flag_shift_family(su3n3)),
@@ -173,7 +172,7 @@ def test_momentum_coordinates(su2n3, su2):
 
 
 def test_momentum_pullback_values(su2n3, su2):
-    shift = generic_shift(su2, [42, 7])
+    shift = generic_point(su2, [42, 7], "k")
     pulled = momentum_pullback(su2n3, mf_shift_family(su2, shift))
     rng = np.random.default_rng(5)
     X = su2n3.random_point(rng)
@@ -184,7 +183,7 @@ def test_momentum_pullback_values(su2n3, su2):
 
 
 def test_flag_momentum_family_size(su2n3):
-    shift = generic_shift(su2n3.base, [42, 7])
+    shift = generic_point(su2n3.base, [42, 7], "k")
     fam = flag_momentum_family(su2n3, shift)
     assert len(fam) == 9 + 3 + 3
     assert len(set(fam.labels)) == len(fam)
@@ -204,7 +203,7 @@ def test_restrict_family_gradients_live_in_v(su2n3):
 
 
 def test_restrict_member_rejects_wrong_domain(su2n3, su2):
-    shifted = mf_shift_family(su2, generic_shift(su2, [42, 7])).members[0]
+    shifted = mf_shift_family(su2, generic_point(su2, [42, 7], "k")).members[0]
     with pytest.raises(ConfigurationError):
         restrict_member(su2n3, shifted)
 
@@ -246,9 +245,9 @@ def test_merge_rejects_mixed_domains(su2n3):
 
 
 def test_generic_shift_is_deterministic_and_gated(su2):
-    a = generic_shift(su2, [1, 2])
-    b = generic_shift(su2, [1, 2])
+    a = generic_point(su2, [1, 2], "k")
+    b = generic_point(su2, [1, 2], "k")
     assert np.array_equal(a, b)
     impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
     with pytest.raises(GenericityError):
-        generic_shift(su2, [1, 2], policy=impossible)
+        generic_point(su2, [1, 2], "k", policy=impossible)

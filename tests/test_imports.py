@@ -1,0 +1,61 @@
+"""Import hygiene: every name a package module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import flagshift
+
+PACKAGE = Path(flagshift.__file__).parent
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        # Names listed in __all__ are re-exports and count as used.
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(_imported_names(tree).items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_package_has_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unused = [entry for path in modules for entry in unused_imports(path)]
+    assert unused == []
+
+
+def test_checker_flags_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Iterable, Sequence\n"
+        "__all__ = ['Sequence']\n"
+        "def f(x: os.PathLike):\n"
+        "    return x\n"
+    )
+    assert unused_imports(probe) == ["probe.py:3: Iterable"]

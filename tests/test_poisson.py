@@ -19,7 +19,6 @@ from flagshift.families import (
     coordinate_member,
     flag_shift_family,
     mf_shift_family,
-    generic_shift,
     pairing_member,
     product_member,
     restrict_family,
@@ -137,7 +136,7 @@ def test_noncommuting_control(su2n3):
 
 
 def test_factor_bracket_shift_family_commutes(su2):
-    shift = generic_shift(su2, [42, 7])
+    shift = generic_point(su2, [42, 7], "k")
     fam = mf_shift_family(su2, shift)
     rng = np.random.default_rng(6)
     x = su2.random_element(rng)
