@@ -129,7 +129,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     tolerances = Tolerances(
         rank_rel=float(_pick(args.tol_rank, config, "tol_rank", 1e-8)),
         bracket_rel=float(_pick(args.tol_bracket, config, "tol_bracket", 1e-9)),
-        drift=float(_pick(args.tol_drift, config, "tol_drift", 1e-7)),
     )
     space = _build_space(algebra, n)
     weights = config.get("gaudin_weights")
@@ -142,6 +141,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     )
     reports = run_claims(ctx, claims)
     rows = [report.to_dict() for report in reports]
+    for report in reports:
+        if report.error is not None:
+            print(f"genericity failure: {report.error}", file=sys.stderr)
 
     document = {
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -153,7 +155,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "claims": list(claims) if claims != ["all"] else list(CLAIM_IDS),
             "tol_rank": tolerances.rank_rel,
             "tol_bracket": tolerances.bracket_rel,
-            "tol_drift": tolerances.drift,
         },
         "claims": rows,
     }
@@ -228,7 +229,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         t_end=t_end,
         dt=dt,
         stride=stride,
-        monitors=tuple(monitor_family),
+        monitors=monitor_family,
     )
     trajectory = dynamics.integrate(flow)
 
@@ -253,11 +254,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if hamiltonian.kind == "einstein" and restrict_v:
         u_coef = hamiltonian.params["u_coef"]
         v_coef = hamiltonian.params["v_coef"]
-        residual = 0.0
-        for t, state in zip(trajectory.times, trajectory.states):
-            closed = dynamics.enr_closed_form(space, initial, u_coef, v_coef, t)
-            residual = max(residual, space.norm(state - closed) / (1.0 + space.norm(closed)))
-        summary["closed_form_residual"] = residual
+        closed = dynamics.enr_closed_form(space, initial, u_coef, v_coef, trajectory.times)
+        residuals = space.norms(trajectory.states - closed) / (1.0 + space.norms(closed))
+        summary["closed_form_residual"] = float(residuals.max())
         summary["momentum_norm_max"] = dynamics.momentum_norm_max(space, trajectory)
 
     if args.csv:
@@ -319,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--config", help="JSON config file; flags override it")
     certify.add_argument("--tol-rank", type=float, dest="tol_rank")
     certify.add_argument("--tol-bracket", type=float, dest="tol_bracket")
-    certify.add_argument("--tol-drift", type=float, dest="tol_drift")
     certify.set_defaults(func=_cmd_certify)
 
     flow = sub.add_parser("flow", help="integrate a quadratic flow")

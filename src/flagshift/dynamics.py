@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError
-from .families import FamilyMember
+from .families import PolynomialFamily
 from .product import ProductSpace
 
 __all__ = [
@@ -221,17 +220,17 @@ class FlowSpec:
     t_end: float
     dt: float = 1e-3
     stride: int = 10
-    monitors: tuple[FamilyMember, ...] = ()
+    monitors: PolynomialFamily | None = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
         if self.stride < 1:
             raise ConfigurationError("stride must be at least 1")
+        if self.monitors is not None and not isinstance(self.monitors, PolynomialFamily):
+            raise ConfigurationError("monitors must be a PolynomialFamily")
         initial = np.asarray(self.initial, dtype=float)
         object.__setattr__(self, "initial", initial)
-        monitors = tuple(self.monitors)
-        object.__setattr__(self, "monitors", monitors)
 
 
 @dataclass(frozen=True)
@@ -257,15 +256,18 @@ class Trajectory:
         return out
 
 
-def _monitor_row(hamiltonian, monitors, X) -> list[float]:
-    return [hamiltonian.value(X)] + [m.value(X) for m in monitors]
+def _monitor_row(hamiltonian, monitors, X) -> np.ndarray:
+    energy = [hamiltonian.value(X)]
+    return np.asarray(energy) if monitors is None else np.concatenate([energy, monitors.values(X)])
 
 
 def integrate(flow: FlowSpec) -> Trajectory:
     """Classical RK4 with fixed step.
 
-    The energy is always the first monitor, labeled "energy".  A non-finite
-    state aborts the run and the trajectory keeps the last valid record.
+    The energy is always the first monitor, labeled "energy"; the family in
+    ``flow.monitors``, if any, is evaluated in one pass per recorded state.
+    A non-finite state aborts the run and the trajectory keeps the last
+    valid record.
     """
     space, h = flow.space, flow.hamiltonian
     X = flow.initial.copy()
@@ -276,7 +278,7 @@ def integrate(flow: FlowSpec) -> Trajectory:
         xi = h.coeff @ Y
         return np.einsum("bp,pqk,bq->bk", Y, space.base.structure, xi)
 
-    labels = ("energy",) + tuple(m.label for m in flow.monitors)
+    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
     times = [0.0]
     states = [X.copy()]
     series = [_monitor_row(h, flow.monitors, X)]
@@ -313,25 +315,30 @@ def enr_closed_form(
     X0: np.ndarray,
     u_coef: float,
     v_coef: float,
-    t: float,
+    t: float | np.ndarray,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Closed-form reduced flow on the zero-block-sum subspace.
 
     The first n - 1 blocks rotate by Ad_{exp(t xi)} with
     xi = (v_coef - u_coef) (x_1 + .. + x_{n-1}), the last block is constant.
-    Degenerate couplings u_coef = v_coef freeze the whole state.
+    Degenerate couplings u_coef = v_coef freeze the whole state.  ``t`` is
+    one time, giving one (n, dim) state, or an array of times, giving one
+    state per time; every rotation comes from one eigendecomposition of the
+    anti-Hermitian rho(xi) = i H, as exp(t rho(xi)) = V exp(i t lambda) V^*.
     """
     X0 = np.asarray(X0, dtype=float)
     if not space.in_v(X0, tol):
         raise ValueError("closed-form reduced flow needs an initial state with zero block sum")
-    xi = (v_coef - u_coef) * X0[: space.n - 1].sum(axis=0)
-    u = expm(space.base.to_matrix(t * xi))
-    mats = space.base.to_matrices(X0[: space.n - 1])
-    rotated = space.base._expand_stack(np.einsum("pq,iqr,rs->ips", u, mats, u.conj().T))
-    out = np.empty_like(X0)
-    out[: space.n - 1] = rotated
-    out[space.n - 1] = X0[space.n - 1]
+    algebra, k = space.base, space.n - 1
+    xi = (v_coef - u_coef) * X0[:k].sum(axis=0)
+    lam, vecs = np.linalg.eigh(-1j * algebra.to_matrix(xi))
+    phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), lam))
+    u = np.einsum("pj,...j,qj->...pq", vecs, phases, vecs.conj())[..., None, :, :]
+    rotated = algebra._expand_stack(u @ algebra.to_matrices(X0[:k]) @ np.conj(np.swapaxes(u, -1, -2)))
+    out = np.empty(rotated.shape[:-2] + X0.shape)
+    out[..., :k, :] = rotated
+    out[..., k, :] = X0[k]
     return out
 
 

@@ -9,14 +9,17 @@ integer nodes t = 0 .. deg, which is exact for polynomials of degree deg up
 to round-off, and the same node weights apply to gradients because the
 gradient of a polynomial in t is again a polynomial in t of no higher
 degree.  Constant coefficients (degree-zero members) are kept; they simply
-contribute zero gradients wherever ranks or brackets are measured.
+contribute zero gradients wherever ranks or brackets are measured.  The
+built-in families are data, evaluated in one batched pass (``_TracePowers``).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -27,21 +30,9 @@ from .product import ProductSpace
 from .ranks import DEFAULT_POLICY, RankPolicy
 
 __all__ = [
-    "FamilyMember",
-    "PolynomialFamily",
-    "casimir_family",
-    "mf_shift_family",
-    "flag_shift_family",
-    "restrict_member",
-    "restrict_family",
-    "gaudin_family",
-    "momentum_coordinates",
-    "momentum_pullback",
-    "flag_momentum_family",
-    "coordinate_member",
-    "pairing_member",
-    "product_member",
-    "member_grad_check",
+    "FamilyMember", "PolynomialFamily", "casimir_family", "mf_shift_family", "flag_shift_family",
+    "restrict_member", "restrict_family", "gaudin_family", "momentum_coordinates", "momentum_pullback",
+    "flag_momentum_family", "coordinate_member", "pairing_member", "product_member", "member_grad_check",
 ]
 
 DOMAINS = ("k", "g", "v")
@@ -55,31 +46,50 @@ class FamilyMember:
     coordinate vectors), "g" for functions on the full product and "v" for
     functions restricted to the zero-block-sum subspace (arguments are
     (n, dim) arrays in both cases; "v" gradients are already projected).
+
+    Members of the built-in families are views: ``value`` and ``gradient``
+    read row ``row`` of the batched ``kernel`` that evaluates the whole
+    family.  A member built from its own callables is its own kernel.
     """
 
     label: str
     domain: str
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    kernel: object = field(default=None, repr=False, compare=False)
+    row: int = 0
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ConfigurationError(f"unknown member domain {self.domain!r}")
+        if self.kernel is None:
+            object.__setattr__(self, "kernel", self)
+
+    size = 1
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.value(X)], dtype=float)
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(self.gradient(X), dtype=float)[None]
 
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """Nonempty list of members sharing one domain."""
+    """Nonempty list of members sharing one domain; each kernel behind them is evaluated once."""
 
     name: str
     domain: str
     members: tuple[FamilyMember, ...]
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
             raise ConfigurationError(f"family {self.name!r} has no members")
         if any(m.domain != self.domain for m in self.members):
             raise ConfigurationError(f"family {self.name!r} mixes member domains")
+        runs = groupby(self.members, key=attrgetter("kernel"))
+        object.__setattr__(self, "_groups", tuple((kernel, [m.row for m in run]) for kernel, run in runs))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -92,10 +102,12 @@ class PolynomialFamily:
         return tuple(m.label for m in self.members)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([m.value(X) for m in self.members])
+        X = np.asarray(X, dtype=float)
+        return np.concatenate([kernel.values(X)[rows] for kernel, rows in self._groups])
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([m.gradient(X) for m in self.members])
+        X = np.asarray(X, dtype=float)
+        return np.concatenate([kernel.gradients(X)[rows] for kernel, rows in self._groups])
 
     @staticmethod
     def merge(name: str, *families: "PolynomialFamily") -> "PolynomialFamily":
@@ -117,35 +129,127 @@ def _coefficient_weights(degree: int) -> np.ndarray:
     return weights
 
 
-_NODES = lambda degree: np.arange(degree + 1, dtype=float)  # noqa: E731
+# -- kernels: every member of a family in one pass ----------------------------
+
+
+class _TracePowers:
+    """Members sum_p (sum_alpha weight[f, p, alpha] f_alpha(y_p) + <y_p, linear[f, p]>).
+
+    The points are y_p = combo[p] @ X + shift[p] for a coordinate vector X
+    (``combo`` has one column) or an (n, dim) product element X.  All
+    invariants at all points come from one batched pass of trace powers;
+    gradients follow by the chain rule through combo.
+    """
+
+    def __init__(self, algebra: LieAlgebra, combo, shift, weight, linear):
+        self.algebra, self.combo, self.shift, self.weight, self.linear = algebra, combo, shift, weight, linear
+        self.size, dim = weight.shape[0], algebra.dim
+        self._value_map, self._linear_map = weight.reshape(self.size, -1), linear.reshape(self.size, -1)
+        # Row (f, i) weighs invariant gradient (p, alpha) into block i of member f;
+        # the linear members' gradients are constant.
+        self._gradient_map = np.einsum("fpr,pi->fipr", weight, combo).reshape(-1, weight[0].size)
+        self._linear_gradient = np.einsum("fpd,pi->fid", linear, combo).reshape(-1, dim)
+
+    def _points(self, X: np.ndarray) -> np.ndarray:
+        return self.combo @ X.reshape(-1, self.algebra.dim) + self.shift
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        points = self._points(X)
+        pairings = (points @ self.algebra.gram).ravel()
+        return self._value_map @ self.algebra.invariant_values(points).ravel() + self._linear_map @ pairings
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        grads = self.algebra.invariant_gradients(self._points(X)).reshape(-1, self.algebra.dim)
+        return (self._gradient_map @ grads + self._linear_gradient).reshape(self.size, *X.shape)
+
+    def pulled_back(self, n: int) -> "_TracePowers":
+        """The same members composed with the momentum x_1 + .. + x_n."""
+        return _TracePowers(self.algebra, np.repeat(self.combo, n, 1), self.shift, self.weight, self.linear)
+
+
+class _Projected:
+    """A kernel restricted to the zero-block-sum subspace: gradients projected."""
+
+    def __init__(self, space: ProductSpace, kernel):
+        self.space, self.kernel, self.size = space, kernel, kernel.size
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return self.kernel.values(X)
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        return self.space.proj_v(self.kernel.gradients(X))
+
+
+def _row(method: str, kernel, row: int, X: np.ndarray):
+    return getattr(kernel, method)(np.asarray(X, dtype=float))[row]
+
+
+def _view(label: str, domain: str, kernel, row: int) -> FamilyMember:
+    value, gradient = partial(_row, "values", kernel, row), partial(_row, "gradients", kernel, row)
+    return FamilyMember(label, domain, value, gradient, kernel, row)
+
+
+def _remap(family: PolynomialFamily, name: str, domain: str, relabel, transform) -> PolynomialFamily:
+    """The family's members read through ``transform`` of each kernel behind them."""
+    kernels = {id(kernel): transform(kernel) for kernel, _ in family._groups}
+    members = tuple(_view(relabel(m.label), domain, kernels[id(m.kernel)], m.row) for m in family)
+    return PolynomialFamily(name, domain, members)
+
+
+class _Builder:
+    """Evaluation points and member weights, collected into one _TracePowers kernel."""
+
+    def __init__(self, algebra: LieAlgebra, blocks: int):
+        self.algebra, self.blocks = algebra, blocks
+        self.combo, self.shift, self.terms, self.linear, self.labels = [], [], [], [], []
+
+    def point(self, combo, shift=0.0) -> int:
+        """Add the point combo @ X + shift; returns its index."""
+        self.combo.append(np.broadcast_to(np.asarray(combo, dtype=float), (self.blocks,)))
+        self.shift.append(np.broadcast_to(np.asarray(shift, dtype=float), (self.algebra.dim,)))
+        return len(self.combo) - 1
+
+    def member(self, label: str, terms=(), linear=()) -> None:
+        """Add sum weight * f_alpha(point) over terms plus sum <point, u> over linear terms."""
+        self.labels.append(label)
+        self.terms.append(list(terms))
+        self.linear.append(list(linear))
+
+    def t_coefficients(self, label: str, points: list[int]) -> None:
+        """Add the t-coefficients of every invariant along the points for t = 0, 1, ..."""
+        for alpha in range(1, self.algebra.rank + 1):
+            deg = self.algebra.invariant_degree(alpha)
+            for k, weights in enumerate(_coefficient_weights(deg)):
+                self.member(f"{label}inv={alpha},k={k}]", zip(points, [alpha] * (deg + 1), weights))
+
+    def family(self, name: str, domain: str) -> PolynomialFamily:
+        shape = (len(self.labels), len(self.combo))
+        weight, linear = np.zeros(shape + (self.algebra.rank,)), np.zeros(shape + (self.algebra.dim,))
+        for f, (terms, pairings) in enumerate(zip(self.terms, self.linear)):
+            for p, alpha, w in terms:
+                weight[f, p, alpha - 1] += w
+            for p, u in pairings:
+                linear[f, p] += u
+        kernel = _TracePowers(self.algebra, np.array(self.combo), np.array(self.shift), weight, linear)
+        members = tuple(_view(label, domain, kernel, f) for f, label in enumerate(self.labels))
+        return PolynomialFamily(name, domain, members)
 
 
 # -- basic families ----------------------------------------------------------
 
 
-def _casimir_member(space: ProductSpace, block: int, alpha: int) -> FamilyMember:
-    algebra = space.base
-
-    def value(X, block=block, alpha=alpha):
-        return algebra.invariant_value(alpha, np.asarray(X)[block])
-
-    def gradient(X, block=block, alpha=alpha):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        out[block] = algebra.invariant_gradient(alpha, X[block])
-        return out
-
-    return FamilyMember(f"casimir[block={block},inv={alpha}]", "g", value, gradient)
+def _add_casimirs(builder: _Builder) -> None:
+    for block, combo in enumerate(np.eye(builder.blocks)):
+        p = builder.point(combo)
+        for alpha in range(1, builder.algebra.rank + 1):
+            builder.member(f"casimir[block={block},inv={alpha}]", [(p, alpha, 1.0)])
 
 
 def casimir_family(space: ProductSpace) -> PolynomialFamily:
     """Blockwise invariants; central for the product Lie-Poisson bracket."""
-    members = tuple(
-        _casimir_member(space, block, alpha)
-        for block in range(space.n)
-        for alpha in range(1, space.base.rank + 1)
-    )
-    return PolynomialFamily("casimirs", "g", members)
+    builder = _Builder(space.base, space.n)
+    _add_casimirs(builder)
+    return builder.family("casimirs", "g")
 
 
 def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> PolynomialFamily:
@@ -161,53 +265,9 @@ def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray, policy: RankPolicy =
     if algebra.isotropy_dim(shift, policy) != algebra.rank:
         warnings.warn("argument-shift direction is not regular; family may degenerate", stacklevel=2)
 
-    members = []
-    for alpha in range(1, algebra.rank + 1):
-        deg = algebra.invariant_degree(alpha)
-        weights, nodes = _coefficient_weights(deg), _NODES(deg)
-        for k in range(deg + 1):
-
-            def value(x, alpha=alpha, k=k, weights=weights, nodes=nodes):
-                vals = [algebra.invariant_value(alpha, np.asarray(x, dtype=float) + t * shift) for t in nodes]
-                return float(weights[k] @ vals)
-
-            def gradient(x, alpha=alpha, k=k, weights=weights, nodes=nodes):
-                x = np.asarray(x, dtype=float)
-                out = np.zeros(algebra.dim)
-                for wt, t in zip(weights[k], nodes):
-                    if wt != 0.0:
-                        out += wt * algebra.invariant_gradient(alpha, x + t * shift)
-                return out
-
-            members.append(FamilyMember(f"shift[inv={alpha},k={k}]", "k", value, gradient))
-    return PolynomialFamily("argument_shift", "k", tuple(members))
-
-
-def _flag_member(space: ProductSpace, prefix: int, alpha: int, k: int) -> FamilyMember:
-    algebra = space.base
-    deg = algebra.invariant_degree(alpha)
-    weights, nodes = _coefficient_weights(deg), _NODES(deg)
-
-    def shifted(X, t, prefix=prefix):
-        return X[:prefix].sum(axis=0) + t * X[prefix]
-
-    def value(X, alpha=alpha, k=k, weights=weights, nodes=nodes):
-        X = np.asarray(X, dtype=float)
-        vals = [algebra.invariant_value(alpha, shifted(X, t)) for t in nodes]
-        return float(weights[k] @ vals)
-
-    def gradient(X, alpha=alpha, k=k, weights=weights, nodes=nodes, prefix=prefix):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        for wt, t in zip(weights[k], nodes):
-            if wt == 0.0:
-                continue
-            g = algebra.invariant_gradient(alpha, shifted(X, t))
-            out[:prefix] += wt * g
-            out[prefix] += (wt * t) * g
-        return out
-
-    return FamilyMember(f"flag[i={prefix},inv={alpha},k={k}]", "g", value, gradient)
+    builder = _Builder(algebra, 1)
+    builder.t_coefficients("shift[", [builder.point(1.0, t * shift) for t in range(algebra.m + 1)])
+    return builder.family("argument_shift", "k")
 
 
 def flag_shift_family(space: ProductSpace) -> PolynomialFamily:
@@ -217,30 +277,25 @@ def flag_shift_family(space: ProductSpace) -> PolynomialFamily:
     x_1 + .. + x_i + t x_{i+1} are expanded in t, and the blockwise
     invariants are appended, so the family contains the Casimirs.
     """
-    members = [
-        _flag_member(space, prefix, alpha, k)
-        for prefix in range(1, space.n)
-        for alpha in range(1, space.base.rank + 1)
-        for k in range(space.base.invariant_degree(alpha) + 1)
-    ]
-    members.extend(casimir_family(space).members)
-    return PolynomialFamily("flag_shift", "g", tuple(members))
+    n = space.n
+    builder = _Builder(space.base, n)
+    for prefix in range(1, n):
+        combos = [np.r_[np.ones(prefix), t, np.zeros(n - prefix - 1)] for t in range(space.base.m + 1)]
+        builder.t_coefficients(f"flag[i={prefix},", [builder.point(combo) for combo in combos])
+    _add_casimirs(builder)
+    return builder.family("flag_shift", "g")
 
 
 def restrict_member(space: ProductSpace, member: FamilyMember) -> FamilyMember:
     """Restriction to the zero-block-sum subspace; gradients get projected."""
-    if member.domain != "g":
-        raise ConfigurationError("only product-domain members can be restricted")
-
-    def gradient(X, member=member):
-        return space.proj_v(member.gradient(X))
-
-    return FamilyMember(member.label + "|v", "v", member.value, gradient)
+    return restrict_family(space, PolynomialFamily(member.label, member.domain, (member,))).members[0]
 
 
 def restrict_family(space: ProductSpace, family: PolynomialFamily) -> PolynomialFamily:
-    members = tuple(restrict_member(space, m) for m in family.members)
-    return PolynomialFamily(family.name + "_v", "v", members)
+    """Every member restricted; each kernel's gradient stack is projected at once."""
+    if family.domain != "g":
+        raise ConfigurationError("only product-domain members can be restricted")
+    return _remap(family, family.name + "_v", "v", lambda label: label + "|v", lambda k: _Projected(space, k))
 
 
 def gaudin_family(
@@ -263,29 +318,17 @@ def gaudin_family(
         grid = [(1.0, s) for s in (0.0, 0.5, 1.0, 2.0, 3.0)]
     grid = [(float(t1), float(t2)) for t1, t2 in grid]
 
-    algebra = space.base
-    members = []
+    builder = _Builder(space.base, space.n)
     for t1, t2 in grid:
         if t1 * t1 + t2 * t2 == 0.0:
             raise ConfigurationError("grid node (0, 0) is not allowed")
         denom = t1 + a * t2
         if np.any(np.abs(denom) < 1e-12):
             raise ConfigurationError(f"grid node ({t1}, {t2}) hits a pole of the spectral weights")
-        w = 1.0 / denom
-        for alpha in range(1, algebra.rank + 1):
-
-            def value(X, alpha=alpha, w=w):
-                X = np.asarray(X, dtype=float)
-                return algebra.invariant_value(alpha, w @ X)
-
-            def gradient(X, alpha=alpha, w=w):
-                X = np.asarray(X, dtype=float)
-                return np.outer(w, algebra.invariant_gradient(alpha, w @ X))
-
-            members.append(
-                FamilyMember(f"spectral[inv={alpha},node=({t1:g},{t2:g})]", "g", value, gradient)
-            )
-    return PolynomialFamily("gaudin", "g", tuple(members))
+        p = builder.point(1.0 / denom)
+        for alpha in range(1, space.base.rank + 1):
+            builder.member(f"spectral[inv={alpha},node=({t1:g},{t2:g})]", [(p, alpha, 1.0)])
+    return builder.family("gaudin", "g")
 
 
 # -- momentum-built members ---------------------------------------------------
@@ -293,48 +336,31 @@ def gaudin_family(
 
 def momentum_coordinates(space: ProductSpace) -> PolynomialFamily:
     """Pairings of the momentum with each basis element."""
-    algebra = space.base
-    members = []
-    for a in range(algebra.dim):
-        unit = np.zeros(algebra.dim)
-        unit[a] = 1.0
-
-        def value(X, unit=unit):
-            return float(space.momentum(X) @ algebra.gram @ unit)
-
-        def gradient(X, unit=unit):
-            X = np.asarray(X, dtype=float)
-            return np.tile(unit, (space.n, 1))
-
-        members.append(FamilyMember(f"momentum[coord={a}]", "g", value, gradient))
-    return PolynomialFamily("momentum_coords", "g", tuple(members))
+    builder = _Builder(space.base, space.n)
+    momentum = builder.point(1.0)
+    for a, unit in enumerate(np.eye(space.base.dim)):
+        builder.member(f"momentum[coord={a}]", linear=[(momentum, unit)])
+    return builder.family("momentum_coords", "g")
 
 
 def momentum_pullback(space: ProductSpace, family: PolynomialFamily) -> PolynomialFamily:
-    """Compose single-factor members with the momentum map."""
+    """Compose single-factor members with the momentum map.
+
+    The members must come from a built-in family, such as the argument-shift
+    family: their evaluation points become affine in the momentum.
+    """
     if family.domain != "k":
         raise ConfigurationError("momentum pullback needs a single-factor family")
-    members = []
-    for member in family.members:
-
-        def value(X, member=member):
-            return member.value(space.momentum(X))
-
-        def gradient(X, member=member):
-            return np.tile(member.gradient(space.momentum(X)), (space.n, 1))
-
-        members.append(FamilyMember(f"mu*{member.label}", "g", value, gradient))
-    return PolynomialFamily(f"mu*{family.name}", "g", tuple(members))
+    if not all(isinstance(m.kernel, _TracePowers) for m in family):
+        raise ConfigurationError("momentum pullback needs members of a built-in family")
+    pulled = partial(_TracePowers.pulled_back, n=space.n)
+    return _remap(family, f"mu*{family.name}", "g", lambda label: "mu*" + label, pulled)
 
 
 def flag_momentum_family(space: ProductSpace, shift: np.ndarray) -> PolynomialFamily:
     """Flag-shift family extended by momentum coordinates and shifted momentum invariants."""
-    return PolynomialFamily.merge(
-        "flag_momentum",
-        flag_shift_family(space),
-        momentum_coordinates(space),
-        momentum_pullback(space, mf_shift_family(space.base, shift)),
-    )
+    pulled = momentum_pullback(space, mf_shift_family(space.base, shift))
+    return PolynomialFamily.merge("flag_momentum", flag_shift_family(space), momentum_coordinates(space), pulled)
 
 
 # -- ad-hoc members for controls and spot checks -----------------------------
@@ -342,23 +368,11 @@ def flag_momentum_family(space: ProductSpace, shift: np.ndarray) -> PolynomialFa
 
 def coordinate_member(space: ProductSpace, block: int, direction: np.ndarray | int) -> FamilyMember:
     """Linear member <x_block, u>; not Ad-invariant, useful as a control."""
-    algebra = space.base
-    if isinstance(direction, (int, np.integer)):
-        u = np.zeros(algebra.dim)
-        u[int(direction)] = 1.0
-    else:
-        u = np.asarray(direction, dtype=float)
-
-    def value(X, u=u, block=block):
-        return float(np.asarray(X, dtype=float)[block] @ algebra.gram @ u)
-
-    def gradient(X, u=u, block=block):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        out[block] = u
-        return out
-
-    return FamilyMember(f"coord[block={block}]", "g", value, gradient)
+    unit = isinstance(direction, (int, np.integer))
+    u = np.eye(space.base.dim)[int(direction)] if unit else np.asarray(direction, dtype=float)
+    builder = _Builder(space.base, space.n)
+    builder.member(f"coord[block={block}]", linear=[(builder.point(np.eye(space.n)[block]), u)])
+    return builder.family("coordinate", "g").members[0]
 
 
 def pairing_member(space: ProductSpace, i: int, j: int) -> FamilyMember:
@@ -395,10 +409,6 @@ def product_member(f: FamilyMember, g: FamilyMember) -> FamilyMember:
 # -- finite-difference checks ------------------------------------------------
 
 
-def _fd_pairs(fun, x, direction, step):
-    return (fun(x + step * direction) - fun(x - step * direction)) / (2.0 * step)
-
-
 def member_grad_check(
     context: ProductSpace | LieAlgebra,
     member: FamilyMember,
@@ -412,33 +422,18 @@ def member_grad_check(
     an orthonormal basis of the zero-block-sum subspace.
     """
     X = np.asarray(X, dtype=float)
-    if member.domain == "k":
-        algebra = context if isinstance(context, LieAlgebra) else context.base
-        w = np.zeros(algebra.dim)
-        for b in range(algebra.dim):
-            unit = np.zeros(algebra.dim)
-            unit[b] = 1.0
-            w[b] = _fd_pairs(member.value, X, unit, step)
-        fd = algebra.gram_inv @ w
-    elif member.domain == "g":
-        space = context
-        w = np.zeros_like(X)
-        for i in range(space.n):
-            for b in range(space.base.dim):
-                unit = np.zeros_like(X)
-                unit[i, b] = 1.0
-                w[i, b] = _fd_pairs(member.value, X, unit, step)
-        fd = w @ space.base.gram_inv.T
+    algebra = context if isinstance(context, LieAlgebra) else context.base
+    if member.domain == "v":
+        units = np.eye(algebra.dim)
+        directions = [np.outer(nu, unit) for nu in context.module_directions() for unit in units]
     else:
-        space = context
-        euclid = np.zeros_like(X)
-        for nu in space.module_directions():
-            for b in range(space.base.dim):
-                unit = np.zeros(space.base.dim)
-                unit[b] = 1.0
-                direction = np.outer(nu, unit)
-                euclid += _fd_pairs(member.value, X, direction, step) * direction
-        fd = space.proj_v(euclid @ space.base.gram_inv.T)
+        directions = np.eye(X.size).reshape(X.size, *X.shape)
+    euclid = sum(
+        d * (member.value(X + step * d) - member.value(X - step * d)) / (2.0 * step) for d in directions
+    )
+    fd = euclid @ algebra.gram_inv.T
+    if member.domain == "v":
+        fd = context.proj_v(fd)
 
     analytic = member.gradient(X)
     scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)))

@@ -39,12 +39,12 @@ class ProductSpace:
     def dim_v(self) -> int:
         return (self.n - 1) * self.base.dim
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
+    def _check(self, X: np.ndarray, stack: bool = False) -> np.ndarray:
+        """X as a float array of shape (n, dim), or (..., n, dim) with ``stack``."""
         X = np.asarray(X, dtype=float)
-        if X.shape != (self.n, self.base.dim):
-            raise ValueError(
-                f"expected product element of shape ({self.n}, {self.base.dim}), got {X.shape}"
-            )
+        if X.shape[-2:] != (self.n, self.base.dim) or (X.ndim != 2 and not stack):
+            shape = f"{'..., ' if stack else ''}{self.n}, {self.base.dim}"
+            raise ValueError(f"expected product element of shape ({shape}), got {X.shape}")
         return X
 
     # -- projections and momentum -------------------------------------------
@@ -60,11 +60,15 @@ class ProductSpace:
         return self._check(X).sum(axis=0)
 
     def proj_h(self, X: np.ndarray) -> np.ndarray:
-        mean = self.momentum(X) / self.n
-        return np.tile(mean, (self.n, 1))
+        """Diagonal part of an element or of each element of a (..., n, dim) stack."""
+        X = self._check(X, stack=True)
+        mean = X.sum(axis=-2, keepdims=True) / self.n
+        return np.broadcast_to(mean, X.shape).copy()
 
     def proj_v(self, X: np.ndarray) -> np.ndarray:
-        return self._check(X) - self.proj_h(X)
+        """Zero-block-sum part of an element or of each element of a (..., n, dim) stack."""
+        X = self._check(X, stack=True)
+        return X - self.proj_h(X)
 
     def in_v(self, X: np.ndarray, tol: float = 1e-10) -> bool:
         return self.base.norm(self.momentum(X)) <= tol
@@ -77,6 +81,11 @@ class ProductSpace:
 
     def norm(self, X: np.ndarray) -> float:
         return float(np.sqrt(max(self.pair(X, X), 0.0)))
+
+    def norms(self, X: np.ndarray) -> np.ndarray:
+        """Pairing norm of each element of a (..., n, dim) stack."""
+        X = self._check(X, stack=True)
+        return np.sqrt(np.clip(np.einsum("...ia,ab,...ib->...", X, self.base.gram, X), 0.0, None))
 
     # -- module directions ------------------------------------------------
 

@@ -121,7 +121,7 @@ def test_criterion_07_einstein_flow_conservation(su2n3, capsys):
     initial = generic_point(su2n3, [42, 17], "v")
     flow = dynamics.FlowSpec(
         su2n3, hamiltonian, initial, t_end=10.0, dt=1e-3, stride=10,
-        monitors=tuple(flag_shift_family(su2n3)),
+        monitors=flag_shift_family(su2n3),
     )
     trajectory = dynamics.integrate(flow)
     drifts = trajectory.drift()

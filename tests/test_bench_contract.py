@@ -1,0 +1,57 @@
+"""Names the traced benchmark patches from outside the package must exist.
+
+``perfbench/spans.py`` replaces functions and methods of ``flagshift`` by
+name and wraps family members as they are constructed.  A refactor that
+renames one of those targets would break the traced benchmark; these
+checks make it fail here instead.  The spans module is only loaded, never
+edited.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from flagshift import ProductSpace, build_algebra
+from flagshift.families import FamilyMember, flag_shift_family
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_resolves():
+    spans = _spans()
+    for module_name, fn_name in spans.FUNCTIONS:
+        module = importlib.import_module(f"flagshift.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+    for module_name, cls_name, method, _ in spans.METHODS:
+        cls = getattr(importlib.import_module(f"flagshift.{module_name}"), cls_name)
+        assert callable(vars(cls).get(method)), f"{cls_name}.{method}"
+
+
+def test_family_member_defines_its_own_post_init():
+    assert "__post_init__" in vars(FamilyMember)
+
+
+def test_spans_install_count_and_uninstall():
+    spans = _spans()
+    tracer = spans.Tracer()
+    installed = spans.install(tracer)
+    try:
+        space = ProductSpace(build_algebra("su", 2), 3)
+        family = flag_shift_family(space)
+        X = space.random_point(np.random.default_rng(0))
+        family.members[0].value(X)
+        family.gradients(X)
+    finally:
+        installed.uninstall()
+    assert tracer.calls["families.member_value"] == 1
+    assert tracer.calls["families.gradients"] == 1
+    assert not hasattr(FamilyMember.__post_init__, "perfbench_span")

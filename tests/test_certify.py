@@ -227,6 +227,23 @@ def test_run_claims_is_deterministic(su2n3):
     assert first == second
 
 
+def test_run_claims_turns_a_claim_error_into_a_fail_record(su2n3, monkeypatch):
+    from flagshift import certify
+
+    def no_point(ctx):
+        raise GenericityError("no generic point in domain 'g' was accepted from seed entropy [42, 0, r]")
+
+    monkeypatch.setitem(certify._REGISTRY, "dimB", no_point)
+    reports = run_claims(ClaimContext(space=su2n3, trials=3), ["lemma1", "dimB", "thm2i"])
+    assert [r.claim_id for r in reports] == [
+        "lemma1.ddim", "lemma1.dind", "thm2i.involutive", "thm2i.ad_invariance", "dimB",
+    ]
+    failed = reports[-1].to_dict()
+    assert failed["pass"] is False
+    assert failed["error"].startswith("claim dimB: no generic point")
+    assert all(r.passed and "error" not in r.to_dict() for r in reports if r.claim_id != "dimB")
+
+
 def test_tolerances_feed_policy():
     space = ProductSpace(build_algebra("su", 2), 3)
     ctx = ClaimContext(space=space, tolerances=Tolerances(rank_rel=1e-6))

@@ -101,7 +101,18 @@ def test_certify_genericity_error_names_claim_and_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "claim lemma1" in err
     assert "[42, 0, r]" in err
-    assert not out.exists()
+    # The failed claim is a FAIL record in a written document.
+    (row,) = json.loads(out.read_text())["claims"]
+    assert row["claim_id"] == "lemma1" and row["pass"] is False
+    assert "[42, 0, r]" in row["error"]
+
+
+def test_tol_drift_flag_is_gone(tmp_path):
+    # No certificate read it; the flag and its config echo are removed.
+    assert main(["certify", "--claims", "lemma1", "--tol-drift", "1e-7"]) == 2
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--claims", "lemma1", "--out", str(out)]) == 0
+    assert "tol_drift" not in json.loads(out.read_text())["config"]
 
 
 def test_report_prints_non_finite_values(tmp_path, capsys):

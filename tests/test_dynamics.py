@@ -187,7 +187,7 @@ def test_integrate_records_and_conserves(su2n3):
     ham = novi_hamiltonian(su2n3, (1.0, 1.0), (0.5, 0.5))
     X0 = generic_point(su2n3, [42, 17], "v")
     flow = FlowSpec(su2n3, ham, X0, t_end=2.0, dt=1e-3, stride=10,
-                    monitors=tuple(flag_shift_family(su2n3)))
+                    monitors=flag_shift_family(su2n3))
     traj = integrate(flow)
     assert not traj.aborted
     assert traj.monitor_labels[0] == "energy"
@@ -220,6 +220,9 @@ def test_flow_spec_validation(su2n3):
         FlowSpec(su2n3, ham, X, t_end=1.0, dt=-1e-3)
     with pytest.raises(ConfigurationError):
         FlowSpec(su2n3, ham, X, t_end=1.0, stride=0)
+    with pytest.raises(ConfigurationError):
+        # monitors are a family, evaluated in one pass, not a tuple of members
+        FlowSpec(su2n3, ham, X, t_end=1.0, monitors=tuple(flag_shift_family(su2n3)))
 
 
 def test_closed_form_rotation_matches_integrator(su2n3):
@@ -234,6 +237,24 @@ def test_closed_form_rotation_matches_integrator(su2n3):
         closed = enr_closed_form(su2n3, X0, u, v, t)
         worst = max(worst, su2n3.norm(state - closed) / (1.0 + su2n3.norm(closed)))
     assert worst < 1e-9
+
+
+def test_closed_form_over_an_array_of_times(su3n3):
+    # reference: one matrix exponential per time, as the rotation is defined
+    from scipy.linalg import expm
+
+    k = su3n3.base
+    X0 = generic_point(su3n3, [42, 19], "v")
+    u, v = 0.3, 1.1
+    times = np.array([0.0, 0.25, 1.0, 4.5, 10.0])
+    batch = enr_closed_form(su3n3, X0, u, v, times)
+    assert batch.shape == (times.size, 3, k.dim)
+    xi = (v - u) * X0[:2].sum(axis=0)
+    for t, state in zip(times, batch):
+        rot = expm(k.to_matrix(t * xi))
+        expect = [k.from_matrix(rot @ k.to_matrix(x) @ rot.conj().T) for x in X0[:2]] + [X0[2]]
+        assert np.abs(state - np.array(expect)).max() < 1e-12 * (1.0 + np.abs(X0).max())
+        assert np.array_equal(enr_closed_form(su3n3, X0, u, v, t), state)
 
 
 def test_closed_form_requires_slice(su2n3):
@@ -278,7 +299,7 @@ def test_csv_round_trip(tmp_path, su2n3):
     ham = novi_hamiltonian(su2n3, (1.0, 1.0), (0.5, 0.5))
     X0 = generic_point(su2n3, [42, 17], "v")
     flow = FlowSpec(su2n3, ham, X0, t_end=0.05, dt=1e-3, stride=10,
-                    monitors=tuple(flag_shift_family(su2n3)))
+                    monitors=flag_shift_family(su2n3))
     traj = integrate(flow)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)

@@ -3,7 +3,9 @@
 The flag and shift members store t-coefficients, so the main oracle is
 re-summation: the coefficients must reassemble the shifted invariant at
 arbitrary parameter values.  Restriction identities on the zero-momentum
-slice use the binomial closed form.
+slice use the binomial closed form.  The batched evaluator behind every
+built-in family is checked member by member against node sums of
+``invariant_value`` / ``invariant_gradient``.
 """
 
 import warnings
@@ -17,7 +19,9 @@ from flagshift import ProductSpace, build_algebra
 from flagshift.certify import generic_point
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
+    FamilyMember,
     PolynomialFamily,
+    _coefficient_weights,
     casimir_family,
     coordinate_member,
     flag_momentum_family,
@@ -125,6 +129,8 @@ def test_gradient_checks_across_families(su2n3, su3n3, su2):
     cases = [
         (su2n3, flag_shift_family(su2n3)),
         (su3n3, flag_shift_family(su3n3)),
+        (su3n3, casimir_family(su3n3)),
+        (su2n3, momentum_pullback(su2n3, mf_shift_family(su2, shift))),
         (su2n3, gaudin_family(su2n3, (1.0, 2.0, 3.0))),
         (su2n3, restrict_family(su2n3, flag_shift_family(su2n3))),
         (su2n3, momentum_coordinates(su2n3)),
@@ -251,3 +257,154 @@ def test_generic_shift_is_deterministic_and_gated(su2):
     impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
     with pytest.raises(GenericityError):
         generic_point(su2, [1, 2], "k", policy=impossible)
+
+
+# -- the batched evaluator against node sums of the single-point invariants ---
+
+
+def _row(label, terms):
+    """Reference member from (value, gradient) terms; the scales are the terms' sizes."""
+    values, grads = zip(*terms)
+    return (label, sum(values), sum(grads), sum(abs(v) for v in values),
+            sum(float(np.linalg.norm(g)) for g in grads))
+
+
+def _coefficient_rows(k, label, point, lift):
+    # t-coefficients of f_alpha(point(t)) from the nodes t = 0 .. deg
+    rows = []
+    for alpha in range(1, k.rank + 1):
+        deg = k.invariant_degree(alpha)
+        nodes = [
+            (k.invariant_value(alpha, point(t)), lift(t, k.invariant_gradient(alpha, point(t))))
+            for t in range(deg + 1)
+        ]
+        for kk, weights in enumerate(_coefficient_weights(deg)):
+            terms = [(w * value, w * grad) for w, (value, grad) in zip(weights, nodes)]
+            rows.append(_row(f"{label}inv={alpha},k={kk}]", terms))
+    return rows
+
+
+def _in_block(X, block, g):
+    out = np.zeros_like(X)
+    out[block] = g
+    return out
+
+
+def _casimir_rows(space, X):
+    k = space.base
+    return [
+        _row(f"casimir[block={b},inv={alpha}]",
+             [(k.invariant_value(alpha, X[b]), _in_block(X, b, k.invariant_gradient(alpha, X[b])))])
+        for b in range(space.n)
+        for alpha in range(1, k.rank + 1)
+    ]
+
+
+def _flag_rows(space, X):
+    rows = []
+    for i in range(1, space.n):
+        rows += _coefficient_rows(
+            space.base, f"flag[i={i},",
+            lambda t, i=i: X[:i].sum(axis=0) + t * X[i],
+            lambda t, g, i=i: _in_block(X, slice(0, i), g) + _in_block(X, i, t * g),
+        )
+    return rows + _casimir_rows(space, X)
+
+
+def _pullback_rows(space, a, X):
+    mu = X.sum(axis=0)
+    rows = _coefficient_rows(space.base, "shift[", lambda t: mu + t * a, lambda t, g: np.tile(g, (space.n, 1)))
+    return [("mu*" + label, *rest) for label, *rest in rows]
+
+
+def _momentum_rows(space, X):
+    gram = space.base.gram
+    return [
+        _row(f"momentum[coord={a}]", [((x @ gram)[a], _in_block(X, i, unit)) for i, x in enumerate(X)])
+        for a, unit in enumerate(np.eye(space.base.dim))
+    ]
+
+
+def _gaudin_rows(space, weights, grid, X):
+    k, a = space.base, np.asarray(weights)
+    rows = []
+    for t1, t2 in grid:
+        w = 1.0 / (t1 + a * t2)
+        y = w @ X
+        for alpha in range(1, k.rank + 1):
+            term = (k.invariant_value(alpha, y), np.outer(w, k.invariant_gradient(alpha, y)))
+            rows.append(_row(f"spectral[inv={alpha},node=({t1:g},{t2:g})]", [term]))
+    return rows
+
+
+def _adhoc_rows(space, u, X):
+    k = space.base
+    p01, p12, p02 = k.pair(X[0], X[1]), k.pair(X[1], X[2]), k.pair(X[0], X[2])
+    g01 = _in_block(X, 0, X[1]) + _in_block(X, 1, X[0])
+    g12 = _in_block(X, 1, X[2]) + _in_block(X, 2, X[1])
+    return [
+        _row("pairing[0,2]", [(p02, _in_block(X, 0, X[2]) + _in_block(X, 2, X[0]))]),
+        _row("coord[block=1]", [(k.pair(X[1], u), _in_block(X, 1, u))]),
+        _row("(pairing[0,1])*(pairing[1,2])", [(p01 * p12, p01 * g12 + p12 * g01)]),
+    ]
+
+
+def _assert_matches(family, rows, X):
+    labels, values, grads, value_scales, grad_scales = zip(*rows)
+    assert family.labels == labels
+    value_err = np.abs(family.values(X) - np.array(values))
+    grad_err = np.linalg.norm((family.gradients(X) - np.array(grads)).reshape(len(rows), -1), axis=1)
+    assert np.all(value_err <= 1e-12 * np.array(value_scales)), f"{family.name}: {value_err.max():.2e}"
+    assert np.all(grad_err <= 1e-12 * np.array(grad_scales)), f"{family.name}: {grad_err.max():.2e}"
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (3, 4), (4, 3)])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_families_match_node_sums(m, n, seed):
+    space = ProductSpace(build_algebra("su", m), n)
+    k = space.base
+    rng = np.random.default_rng(seed)
+    X, a, x = space.random_point(rng), k.random_element(rng), k.random_element(rng)
+    V = space.proj_v(X)
+    weights, grid = (1.0, 2.0, 3.0) + tuple(range(4, n + 1)), [(1.0, 0.0), (1.0, 0.5), (2.0, 3.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a random shift is regular almost surely
+        shift_family = mf_shift_family(k, a)
+
+    _assert_matches(flag_shift_family(space), _flag_rows(space, X), X)
+    _assert_matches(casimir_family(space), _casimir_rows(space, X), X)
+    _assert_matches(shift_family, _coefficient_rows(k, "shift[", lambda t: x + t * a, lambda t, g: g), x)
+    _assert_matches(gaudin_family(space, weights, grid), _gaudin_rows(space, weights, grid, X), X)
+    _assert_matches(momentum_pullback(space, shift_family), _pullback_rows(space, a, X), X)
+    flag_momentum = _flag_rows(space, X) + _momentum_rows(space, X) + _pullback_rows(space, a, X)
+    _assert_matches(flag_momentum_family(space, a), flag_momentum, X)
+    restricted = [(label + "|v", v, space.proj_v(g), sv, sg) for label, v, g, sv, sg in _flag_rows(space, V)]
+    _assert_matches(restrict_family(space, flag_shift_family(space)), restricted, V)
+
+    u = k.random_element(rng)
+    adhoc = PolynomialFamily("adhoc", "g", (
+        pairing_member(space, 0, 2),
+        coordinate_member(space, 1, u),
+        product_member(pairing_member(space, 0, 1), pairing_member(space, 1, 2)),
+    ))
+    merged = PolynomialFamily.merge("merged", flag_shift_family(space), adhoc)
+    _assert_matches(merged, _flag_rows(space, X) + _adhoc_rows(space, u, X), X)
+
+
+def test_member_views_read_the_family_kernel(su3n3):
+    fam = restrict_family(su3n3, flag_shift_family(su3n3))
+    X = generic_point(su3n3, [42, 3], "v")
+    values, grads = fam.values(X), fam.gradients(X)
+    assert len({id(m.kernel) for m in fam}) == 1
+    for row, member in enumerate(fam):
+        assert member.value(X) == values[row]
+        assert np.array_equal(member.gradient(X), grads[row])
+
+
+def test_momentum_pullback_rejects_ad_hoc_members(su2n3, su2):
+    unit = np.zeros(3)
+    unit[0] = 1.0
+    adhoc = PolynomialFamily("adhoc", "k", (FamilyMember("x", "k", lambda x: x[0], lambda x: unit),))
+    with pytest.raises(ConfigurationError):
+        momentum_pullback(su2n3, adhoc)
