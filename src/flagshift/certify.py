@@ -40,8 +40,6 @@ __all__ = [
     "Tolerances",
     "CertificateReport",
     "generic_point",
-    "estimate_ddim",
-    "estimate_dind",
     "check_involutive",
     "check_ad_invariance",
     "verify_lemma1",
@@ -127,14 +125,14 @@ def completeness_target(space: ProductSpace) -> int:
 # -- generic point sampling ------------------------------------------------------
 
 
-def _draw(context, entropy: list[int], domain: str, scale: float) -> np.ndarray:
+def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
     rng = np.random.default_rng(entropy)
     if domain == "k":
         algebra = context if isinstance(context, LieAlgebra) else context.base
-        return algebra.random_element(rng, scale)
+        return algebra.random_element(rng)
     if domain == "g":
-        return context.random_point(rng, scale)
-    return context.random_v_point(rng, scale)
+        return context.random_point(rng)
+    return context.random_v_point(rng)
 
 
 def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
@@ -152,7 +150,7 @@ def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
 
 
 def _gated_draws(
-    context, seed_parts: Iterable[int], domain: str, scale: float, policy: RankPolicy
+    context, seed_parts: Iterable[int], domain: str, policy: RankPolicy
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """Yield (entropy, X) for the seeded draws that pass the genericity gates.
 
@@ -163,7 +161,7 @@ def _gated_draws(
     seed_parts = [int(p) for p in seed_parts]
     for retry in range(policy.max_retries + 1):
         entropy = seed_parts + [retry]
-        X = _draw(context, entropy, domain, scale)
+        X = _draw(context, entropy, domain)
         if _gates_ok(context, X, domain, policy):
             yield entropy, X
     pattern = ", ".join(str(p) for p in seed_parts + ["r"])
@@ -177,15 +175,14 @@ def generic_point(
     context,
     seed_parts: Iterable[int],
     domain: str = "g",
-    scale: float = 1.0,
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Seeded point passing the genericity gates, resampled as needed."""
-    for _, X in _gated_draws(context, seed_parts, domain, scale, policy):
+    for _, X in _gated_draws(context, seed_parts, domain, policy):
         return X
 
 
-def _measure_at_generic_points(context, domain, trials, seed, policy, scale, measure):
+def _measure_at_generic_points(context, domain, trials, seed, policy, measure):
     """Run ``measure`` at one generic point per trial, resampling marginal points.
 
     ``measure`` returns (value, marginal, extra); a marginal result discards
@@ -193,7 +190,7 @@ def _measure_at_generic_points(context, domain, trials, seed, policy, scale, mea
     """
     values, witnesses = [], []
     for trial in range(trials):
-        for entropy, X in _gated_draws(context, [seed, trial], domain, scale, policy):
+        for entropy, X in _gated_draws(context, [seed, trial], domain, policy):
             value, marginal, extra = measure(X, entropy)
             if not marginal:
                 values.append(value)
@@ -208,10 +205,10 @@ def _modal(values: list) -> tuple:
     return value, len(counts) == 1
 
 
-# -- rank estimates -----------------------------------------------------------
+# -- bivector kernel -----------------------------------------------------------
 
 
-def _kernel_dim(space: ProductSpace, X, span, policy, weights=None) -> tuple[int, bool]:
+def _kernel_dim(space: ProductSpace, X, span, policy) -> tuple[int, bool]:
     """Kernel dimension of the bivector on the span rows, with the marginal flag.
 
     Bivector entries are bounded by the point's size times the span rows'
@@ -221,54 +218,9 @@ def _kernel_dim(space: ProductSpace, X, span, policy, weights=None) -> tuple[int
     row_norms = np.linalg.norm(span.reshape(span.shape[0], -1), axis=1)
     top = float(row_norms.max()) if row_norms.size else 1.0
     scale = float(np.linalg.norm(X)) * max(top, 1e-3) ** 2
-    matrix = bivector_on_span(space, X, span, weights).matrix
+    matrix = bivector_on_span(space, X, span)
     result = numerical_rank(matrix, policy, scale=scale)
     return span.shape[0] - result.rank, result.marginal
-
-
-def estimate_ddim(
-    space,
-    family: PolynomialFamily,
-    trials: int = 7,
-    seed: int = 42,
-    policy: RankPolicy = DEFAULT_POLICY,
-    scale: float = 1.0,
-) -> tuple[int, bool, list[dict]]:
-    """Modal rank of the family's gradient span at generic points."""
-
-    def measure(X, entropy):
-        result = numerical_rank(family.gradients(X).reshape(len(family), -1), policy)
-        return result.rank, result.marginal, {"rank": result.rank}
-
-    values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, scale, measure
-    )
-    return (*_modal(values), witnesses)
-
-
-def estimate_dind(
-    space: ProductSpace,
-    family: PolynomialFamily,
-    trials: int = 7,
-    seed: int = 42,
-    policy: RankPolicy = DEFAULT_POLICY,
-    scale: float = 1.0,
-    weights: np.ndarray | None = None,
-) -> tuple[int, bool, list[dict]]:
-    """Modal kernel dimension of the bivector restricted to the gradient span."""
-
-    def measure(X, entropy):
-        basis, marginal = row_space(family.gradients(X).reshape(len(family), -1), policy)
-        if marginal:
-            return 0, True, {}
-        span = basis.reshape(-1, space.n, space.base.dim)
-        dind, marginal = _kernel_dim(space, X, span, policy, weights)
-        return dind, marginal, {"span_dim": span.shape[0], "dind": dind}
-
-    values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, scale, measure
-    )
-    return (*_modal(values), witnesses)
 
 
 # -- reports ------------------------------------------------------------------
@@ -319,7 +271,7 @@ def _involutivity_residual(
 ) -> float:
     """Max normalized |{f, g}| over member pairs at X."""
     gens = family.gradients(X)
-    matrix = bivector_on_span(space, X, gens, weights).matrix
+    matrix = bivector_on_span(space, X, gens, weights)
     norms = space.norms(gens)
     scale = np.outer(norms, norms) * space.norm(X)
     residual = np.where(scale > 0.0, np.abs(matrix) / np.where(scale > 0.0, scale, 1.0), 0.0)
@@ -334,7 +286,6 @@ def check_involutive(
     tol: float = 1e-9,
     policy: RankPolicy = DEFAULT_POLICY,
     weights: np.ndarray | None = None,
-    scale: float = 1.0,
     claim_id: str = "involutive",
 ) -> CertificateReport:
     """Pairwise bracket residuals of the family at generic points."""
@@ -344,7 +295,7 @@ def check_involutive(
         return residual, False, {"residual": residual}
 
     values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, scale, measure
+        space, family.domain, trials, seed, policy, measure
     )
     return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
 
@@ -356,17 +307,15 @@ def check_ad_invariance(
     seed: int = 42,
     tol: float = 1e-9,
     policy: RankPolicy = DEFAULT_POLICY,
-    transforms: int = 10,
-    scale: float = 1.0,
     claim_id: str = "ad_invariance",
 ) -> CertificateReport:
-    """Invariance of member values under random diagonal adjoint actions."""
+    """Invariance of member values under ten random diagonal adjoint actions."""
 
     def measure(X, entropy):
         rng = np.random.default_rng(entropy + [7919])
         base = family.values(X)
         worst = 0.0
-        for _ in range(transforms):
+        for _ in range(10):
             y = space.base.random_element(rng, 0.8)
             moved = space.diagonal_adjoint(y, X)
             delta = np.abs(family.values(moved) - base) / (1.0 + np.abs(base))
@@ -374,7 +323,7 @@ def check_ad_invariance(
         return worst, False, {"residual": worst}
 
     values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, scale, measure
+        space, family.domain, trials, seed, policy, measure
     )
     return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
 
@@ -387,7 +336,6 @@ def verify_lemma1(
     trials: int = 7,
     seed: int = 42,
     policy: RankPolicy = DEFAULT_POLICY,
-    scale: float = 1.0,
 ) -> tuple[CertificateReport, CertificateReport]:
     """Dimension and bivector-kernel dimension of the invariant tangent span.
 
@@ -403,7 +351,7 @@ def verify_lemma1(
         dind, marginal = _kernel_dim(space, X, span, policy)
         return (span.shape[0], dind), marginal, {"ddim": span.shape[0], "dind": dind}
 
-    values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, scale, measure)
+    values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, measure)
     ddims, dinds = zip(*values)
     return (
         _int_report(space, "lemma1.ddim", seed, trials, target_ddim, ddims, witnesses),
@@ -418,7 +366,6 @@ def verify_completeness(
     trials: int = 7,
     seed: int = 42,
     policy: RankPolicy = DEFAULT_POLICY,
-    scale: float = 1.0,
     mode: str = "ddim",
     claim_id: str = "completeness",
 ) -> CertificateReport:
@@ -443,7 +390,7 @@ def verify_completeness(
         return span_dim + dind, marginal, {"ddim": span_dim, "dind": dind}
 
     values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, scale, measure
+        space, family.domain, trials, seed, policy, measure
     )
     return _int_report(space, claim_id, seed, trials, target, values, witnesses)
 
@@ -454,9 +401,7 @@ def verify_span_inclusion(
     trials: int = 7,
     seed: int = 42,
     tol: float = 1e-9,
-    angle_tol: float = 1e-6,
     policy: RankPolicy = DEFAULT_POLICY,
-    scale: float = 1.0,
     claim_id: str = "span_inclusion",
 ) -> CertificateReport:
     """Gradients of a restricted family lie in the invariant tangent span.
@@ -464,7 +409,7 @@ def verify_span_inclusion(
     Membership is checked directly: for each gradient eta the diagonal part
     of the blockwise bracket [X, eta] must vanish.  The span itself is also
     cross-built from its orthogonal-complement characterization and the two
-    constructions must agree to the principal-angle tolerance.
+    constructions must agree to 1e-6 in principal angle.
     """
     if family.domain != "v":
         raise ConfigurationError("span inclusion applies to restricted families")
@@ -486,7 +431,7 @@ def verify_span_inclusion(
             direct.reshape(direct.shape[0], -1).T, ortho.reshape(ortho.shape[0], -1).T
         )
         max_angle = float(angles.max()) if angles.size else 0.0
-        ok = same_dim and max_angle <= angle_tol
+        ok = same_dim and max_angle <= 1e-6
         extra = {
             "defect": worst,
             "span_dim": direct.shape[0],
@@ -495,7 +440,7 @@ def verify_span_inclusion(
         }
         return (worst if ok else float("inf")), False, extra
 
-    values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, scale, measure)
+    values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, measure)
     return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
 
 
@@ -511,10 +456,6 @@ class ClaimContext:
     trials: int = 7
     tolerances: Tolerances = field(default_factory=Tolerances)
     gaudin_weights: tuple[float, ...] | None = None
-    gaudin_grid: tuple[tuple[float, float], ...] | None = None
-    flow_dt: float = 1e-3
-    flow_t_end: float = 10.0
-    scale: float = 1.0
 
     @property
     def policy(self) -> RankPolicy:
@@ -527,7 +468,7 @@ class ClaimContext:
 
 
 def _claim_lemma1(ctx: ClaimContext) -> list[CertificateReport]:
-    return list(verify_lemma1(ctx.space, ctx.trials, ctx.seed, ctx.policy, ctx.scale))
+    return list(verify_lemma1(ctx.space, ctx.trials, ctx.seed, ctx.policy))
 
 
 def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
@@ -535,11 +476,11 @@ def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
     return [
         check_involutive(
             ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, scale=ctx.scale, claim_id="thm2i.involutive",
+            ctx.policy, claim_id="thm2i.involutive",
         ),
         check_ad_invariance(
             ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, scale=ctx.scale, claim_id="thm2i.ad_invariance",
+            ctx.policy, claim_id="thm2i.ad_invariance",
         ),
     ]
 
@@ -550,7 +491,7 @@ def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
     return [
         verify_completeness(
             ctx.space, family, completeness_target(ctx.space), ctx.trials, ctx.seed,
-            ctx.policy, ctx.scale, mode="sum", claim_id="thm2ii.completeness_sum",
+            ctx.policy, mode="sum", claim_id="thm2ii.completeness_sum",
         )
     ]
 
@@ -560,7 +501,7 @@ def _claim_dimb(ctx: ClaimContext) -> list[CertificateReport]:
     return [
         verify_completeness(
             ctx.space, family, flag_rank_target(ctx.space), ctx.trials, ctx.seed,
-            ctx.policy, ctx.scale, mode="ddim", claim_id="dimB.ddim",
+            ctx.policy, mode="ddim", claim_id="dimB.ddim",
         )
     ]
 
@@ -570,20 +511,20 @@ def _claim_thm3(ctx: ClaimContext) -> list[CertificateReport]:
     return [
         verify_completeness(
             ctx.space, family, restricted_rank_target(ctx.space), ctx.trials, ctx.seed,
-            ctx.policy, ctx.scale, mode="ddim", claim_id="thm3.ddim",
+            ctx.policy, mode="ddim", claim_id="thm3.ddim",
         ),
         check_involutive(
             ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, scale=ctx.scale, claim_id="thm3.involutive",
+            ctx.policy, claim_id="thm3.involutive",
         ),
         verify_span_inclusion(
             ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            policy=ctx.policy, scale=ctx.scale, claim_id="thm3.span_inclusion",
+            policy=ctx.policy, claim_id="thm3.span_inclusion",
         ),
     ]
 
 
-def _default_gaudin_grid(space: ProductSpace) -> tuple[tuple[float, float], ...]:
+def _spectral_grid(space: ProductSpace) -> tuple[tuple[float, float], ...]:
     """Spectral grid large enough for the restricted-rank certificate.
 
     The momentum node (1, 0) contributes nothing on the zero-momentum slice,
@@ -600,8 +541,7 @@ def _default_gaudin_grid(space: ProductSpace) -> tuple[tuple[float, float], ...]
 def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     space = ctx.space
     weights = ctx.weights()
-    grid = ctx.gaudin_grid if ctx.gaudin_grid is not None else _default_gaudin_grid(space)
-    family = gaudin_family(space, weights, grid)
+    family = gaudin_family(space, weights, _spectral_grid(space))
 
     def measure(X, entropy):
         ham = dynamics.gaudin_hamiltonian(space, weights)
@@ -611,40 +551,41 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
         return residual, False, {"residual": residual}
 
     values, witnesses = _measure_at_generic_points(
-        space, "g", 10, ctx.seed, ctx.policy, ctx.scale, measure
+        space, "g", 10, ctx.seed, ctx.policy, measure
     )
     reports = [
         _residual_report(space, "gaudin.field_identity", ctx.seed, 10, values, 1e-11, witnesses),
         check_involutive(
             space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, scale=ctx.scale, claim_id="gaudin.involutive",
+            ctx.policy, claim_id="gaudin.involutive",
         ),
         check_involutive(
             space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, weights=np.asarray(weights, dtype=float), scale=ctx.scale,
+            ctx.policy, weights=np.asarray(weights, dtype=float),
             claim_id="gaudin.involutive_pencil",
         ),
         verify_completeness(
             space, restrict_family(space, family), restricted_rank_target(space),
-            ctx.trials, ctx.seed, ctx.policy, ctx.scale, mode="ddim",
+            ctx.trials, ctx.seed, ctx.policy, mode="ddim",
             claim_id="gaudin.ddim_restricted",
         ),
     ]
 
-    initial = generic_point(space, [ctx.seed, 271], "g", ctx.scale, ctx.policy)
+    initial = generic_point(space, [ctx.seed, 271], "g", ctx.policy)
+    t_end, dt = 10.0, 1e-3
     flow = dynamics.FlowSpec(
         space=space,
         hamiltonian=dynamics.gaudin_hamiltonian(space, weights),
         initial=initial,
-        t_end=ctx.flow_t_end,
-        dt=ctx.flow_dt,
+        t_end=t_end,
+        dt=dt,
     )
     trajectory = dynamics.integrate(flow)
     drift = dynamics.momentum_drift(space, trajectory)
     reports.append(
         _residual_report(
             space, "gaudin.momentum_drift", ctx.seed, 1, [drift], 1e-8,
-            [{"t_end": ctx.flow_t_end, "dt": ctx.flow_dt, "aborted": trajectory.aborted}],
+            [{"t_end": t_end, "dt": dt, "aborted": trajectory.aborted}],
             ok=not trajectory.aborted,
         )
     )

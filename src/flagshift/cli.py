@@ -64,7 +64,14 @@ def _default_seed() -> int:
         raise ConfigurationError(f"{_ENV_SEED} must be an integer, got {raw!r}")
 
 
-def _load_config(path: str | None) -> dict:
+# Config file keys each subcommand reads; any other key is an error.
+_COMMON_KEYS = ("algebra", "n", "seed")
+_CERTIFY_KEYS = _COMMON_KEYS + ("trials", "claims", "tol_rank", "tol_bracket", "gaudin_weights")
+_MODEL_PARAMS = ("s", "t", "a", "p", "q")
+_FLOW_KEYS = _COMMON_KEYS + ("model", "restrict_v", "dt", "t_end", "stride") + _MODEL_PARAMS
+
+
+def _load_config(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
     if path is None:
         return {}
     try:
@@ -74,6 +81,11 @@ def _load_config(path: str | None) -> dict:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigurationError("config file must hold a JSON object")
+    unread = sorted(key for key in config if key not in keys)
+    if unread:
+        raise ConfigurationError(
+            f"{command} does not read config keys: {', '.join(map(repr, unread))}"
+        )
     return config
 
 
@@ -118,7 +130,7 @@ def _print_claim_table(rows: list[dict], stream) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "certify", _CERTIFY_KEYS)
     algebra = _pick(args.algebra, config, "algebra", "su2")
     n = int(_pick(args.n, config, "n", 3))
     seed = int(_pick(args.seed, config, "seed", _default_seed()))
@@ -170,8 +182,26 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 # -- flow ---------------------------------------------------------------------
 
 
+# Model parameters each flow model reads; einstein reads q and s only with an
+# explicit p.
+_MODEL_READS = {"normal": (), "novi": ("s", "t"), "gaudin": ("a",), "einstein": ("p",)}
+
+
 def _flow_hamiltonian(args, space: ProductSpace, config: dict):
     model = _pick(args.model, config, "model", "normal")
+    if model not in _MODEL_READS:
+        raise ConfigurationError(f"unknown flow model {model!r}")
+    p_text = _pick(args.p, config, "p", "auto")
+    read = _MODEL_READS[model] + (("q", "s") if model == "einstein" and p_text != "auto" else ())
+    unread = [
+        f"--{name}" if getattr(args, name) is not None else f"config key {name!r}"
+        for name in _MODEL_PARAMS
+        if name not in read and (getattr(args, name) is not None or name in config)
+    ]
+    if unread:
+        detail = " with --p auto" if model == "einstein" and p_text == "auto" else ""
+        raise ConfigurationError(f"the {model} model{detail} does not read {', '.join(unread)}")
+
     if model == "normal":
         return dynamics.normal_hamiltonian(space)
     if model == "novi":
@@ -184,25 +214,22 @@ def _flow_hamiltonian(args, space: ProductSpace, config: dict):
         a_text = _pick(args.a, config, "a", None)
         weights = _parse_floats(a_text) if a_text else tuple(float(i) for i in range(1, space.n + 1))
         return dynamics.gaudin_hamiltonian(space, weights)
-    if model == "einstein":
-        p_text = _pick(args.p, config, "p", "auto")
-        if p_text == "auto":
-            p, q = dynamics.einstein_parameters(space.n)
-            s = None
-        else:
-            p = float(p_text)
-            q_text = _pick(args.q, config, "q", None)
-            if q_text is None:
-                raise ConfigurationError("einstein model with explicit --p also needs --q")
-            q = float(q_text)
-            s_text = _pick(args.s, config, "s", None)
-            s = float(s_text) if s_text is not None else None
-        return dynamics.einstein_hamiltonian(space, p, q, s)
-    raise ConfigurationError(f"unknown flow model {model!r}")
+    if p_text == "auto":
+        p, q = dynamics.einstein_parameters(space.n)
+        s = None
+    else:
+        p = float(p_text)
+        q_text = _pick(args.q, config, "q", None)
+        if q_text is None:
+            raise ConfigurationError("einstein model with explicit --p also needs --q")
+        q = float(q_text)
+        s_text = _pick(args.s, config, "s", None)
+        s = float(s_text) if s_text is not None else None
+    return dynamics.einstein_hamiltonian(space, p, q, s)
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "flow", _FLOW_KEYS)
     algebra = _pick(args.algebra, config, "algebra", "su2")
     n = int(_pick(args.n, config, "n", 3))
     seed = int(_pick(args.seed, config, "seed", _default_seed()))

@@ -274,10 +274,6 @@ def integrate(flow: FlowSpec) -> Trajectory:
     steps = int(round(flow.t_end / flow.dt))
     dt = flow.dt
 
-    def field(Y):
-        xi = h.coeff @ Y
-        return np.einsum("bp,pqk,bq->bk", Y, space.base.structure, xi)
-
     labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
     times = [0.0]
     states = [X.copy()]
@@ -285,10 +281,10 @@ def integrate(flow: FlowSpec) -> Trajectory:
     aborted = False
 
     for step in range(1, steps + 1):
-        k1 = field(X)
-        k2 = field(X + 0.5 * dt * k1)
-        k3 = field(X + 0.5 * dt * k2)
-        k4 = field(X + dt * k3)
+        k1 = euler_field(space, h, X)
+        k2 = euler_field(space, h, X + 0.5 * dt * k1)
+        k3 = euler_field(space, h, X + 0.5 * dt * k2)
+        k4 = euler_field(space, h, X + dt * k3)
         X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % flow.stride == 0 or step == steps:
             if not np.isfinite(X).all():
@@ -316,7 +312,6 @@ def enr_closed_form(
     u_coef: float,
     v_coef: float,
     t: float | np.ndarray,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Closed-form reduced flow on the zero-block-sum subspace.
 
@@ -328,7 +323,7 @@ def enr_closed_form(
     anti-Hermitian rho(xi) = i H, as exp(t rho(xi)) = V exp(i t lambda) V^*.
     """
     X0 = np.asarray(X0, dtype=float)
-    if not space.in_v(X0, tol):
+    if not space.in_v(X0):
         raise ValueError("closed-form reduced flow needs an initial state with zero block sum")
     algebra, k = space.base, space.n - 1
     xi = (v_coef - u_coef) * X0[:k].sum(axis=0)

@@ -413,7 +413,6 @@ def member_grad_check(
     context: ProductSpace | LieAlgebra,
     member: FamilyMember,
     X: np.ndarray,
-    step: float = 1e-5,
 ) -> float:
     """Max relative deviation between the analytic gradient and central differences.
 
@@ -422,6 +421,7 @@ def member_grad_check(
     an orthonormal basis of the zero-block-sum subspace.
     """
     X = np.asarray(X, dtype=float)
+    step = 1e-5
     algebra = context if isinstance(context, LieAlgebra) else context.base
     if member.domain == "v":
         units = np.eye(algebra.dim)

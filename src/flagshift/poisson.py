@@ -16,7 +16,7 @@ from scipy.linalg import subspace_angles
 
 from .algebra import LieAlgebra
 from .errors import ConfigurationError, GenericityError
-from .families import FamilyMember, PolynomialFamily
+from .families import FamilyMember
 from .product import ProductSpace
 from .ranks import DEFAULT_POLICY, RankPolicy, nullspace, numerical_rank
 
@@ -25,9 +25,7 @@ __all__ = [
     "v_bracket",
     "pencil_bracket",
     "factor_bracket",
-    "BivectorMatrix",
     "bivector_on_span",
-    "family_bivector",
     "invariant_tangent_span",
     "tangent_span_orthocomplement",
     "KernelComparison",
@@ -62,14 +60,13 @@ def v_bracket(
     f: FamilyMember,
     g: FamilyMember,
     X: np.ndarray,
-    tol: float = 1e-10,
 ) -> float:
     """Restricted bracket at a point of the zero-block-sum subspace.
 
     Gradients of "v" members are already projected; the formula is the same
     contraction as the product bracket.
     """
-    if not space.in_v(np.asarray(X, dtype=float), tol):
+    if not space.in_v(np.asarray(X, dtype=float)):
         raise ValueError("point is not in the zero-block-sum subspace")
     return _member_bracket(space.base, f, g, X)
 
@@ -95,34 +92,14 @@ def factor_bracket(algebra: LieAlgebra, f: FamilyMember, g: FamilyMember, x: np.
     return _member_bracket(algebra, f, g, x)
 
 
-@dataclass(frozen=True)
-class BivectorMatrix:
-    """Bivector evaluated on a span of product-space directions."""
-
-    point: np.ndarray
-    generators: np.ndarray
-    matrix: np.ndarray
-
-
 def bivector_on_span(
     space: ProductSpace,
     X: np.ndarray,
     generators: np.ndarray,
     weights: np.ndarray | None = None,
-) -> BivectorMatrix:
+) -> np.ndarray:
     """Assemble M[a, b] = -sum_i w_i <x_i, [g_a_i, g_b_i]> on the given directions."""
-    X = np.asarray(X, dtype=float)
-    generators = np.asarray(generators, dtype=float)
-    return BivectorMatrix(X, generators, _bivector(space.base, X, generators, weights))
-
-
-def family_bivector(
-    space: ProductSpace,
-    family: PolynomialFamily,
-    X: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> BivectorMatrix:
-    return bivector_on_span(space, X, family.gradients(X), weights)
+    return _bivector(space.base, X, np.asarray(generators, dtype=float), weights)
 
 
 # -- the invariant tangent span and its bivector kernel -----------------------
@@ -196,7 +173,7 @@ def kernel_of_restricted_bivector(
     span, marginal = invariant_tangent_span(space, X, policy)
     if marginal:
         raise GenericityError("invariant tangent span is rank-marginal; resample the point")
-    matrix = bivector_on_span(space, X, span).matrix
+    matrix = bivector_on_span(space, X, span)
     # The matrix can vanish identically, so anchor the cutoff to the point's
     # magnitude instead of trusting a noise-level sigma_max.
     coeffs, marginal = nullspace(matrix, policy, scale=float(np.linalg.norm(X)))

@@ -13,8 +13,6 @@ from flagshift.certify import (
     check_involutive,
     completeness_target,
     describe_claims,
-    estimate_ddim,
-    estimate_dind,
     flag_rank_target,
     generic_point,
     lemma1_targets,
@@ -70,11 +68,11 @@ def test_sampler_resamples_marginal_measurements(su2n3):
         return len(seen), len(seen) <= k, {}
 
     policy = RankPolicy()
-    values, witnesses = _measure_at_generic_points(su2n3, "g", 1, 9, policy, 1.0, measure)
+    values, witnesses = _measure_at_generic_points(su2n3, "g", 1, 9, policy, measure)
     assert [entropy for entropy, _ in seen] == [[9, 0, r] for r in range(k + 1)]
     assert values == [k + 1]
     assert witnesses == [{"trial": 0, "retries": k}]
-    assert np.array_equal(seen[-1][1], _draw(su2n3, [9, 0, k], "g", 1.0))
+    assert np.array_equal(seen[-1][1], _draw(su2n3, [9, 0, k], "g"))
 
 
 def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
@@ -86,7 +84,7 @@ def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
         return 0, True, {}
 
     with pytest.raises(GenericityError, match=r"domain 'g'.*\[9, 0, r\], r = 0\.\.3"):
-        _measure_at_generic_points(su2n3, "g", 2, 9, policy, 1.0, measure)
+        _measure_at_generic_points(su2n3, "g", 2, 9, policy, measure)
     assert seen == [[9, 0, r] for r in range(policy.max_retries + 1)]
 
 
@@ -103,22 +101,6 @@ def test_closed_form_targets(su2n3, su2n4, su3n3):
     assert completeness_target(su2n3) == 12
     assert completeness_target(su2n4) == 16
     assert completeness_target(su3n3) == 30
-
-
-def test_estimate_ddim_flag_family(su2n3):
-    value, unanimous, witnesses = estimate_ddim(su2n3, flag_shift_family(su2n3), trials=5)
-    assert value == 5
-    assert unanimous
-    assert len(witnesses) == 5
-    assert all(w["rank"] == 5 for w in witnesses)
-
-
-def test_estimate_dind_of_commuting_family_is_full(su2n3):
-    # the flag family commutes, so its restricted bivector matrix is zero and
-    # the kernel is the whole gradient span
-    value, unanimous, _ = estimate_dind(su2n3, flag_shift_family(su2n3), trials=3)
-    assert unanimous
-    assert value == 5
 
 
 def test_check_involutive_pass_and_control(su2n3):
@@ -164,6 +146,13 @@ def test_verify_completeness_modes(su2n3):
     fam = flag_shift_family(su2n3)
     ddim = verify_completeness(su2n3, fam, 5, trials=3, mode="ddim")
     assert ddim.passed
+
+    # The flag family commutes, so its bivector on the gradient span is zero
+    # and the kernel is the whole span: the scale-anchored cutoff must not
+    # read rank from noise.
+    full = verify_completeness(su2n3, fam, 10, trials=3, mode="sum")
+    assert full.passed
+    assert all(w["ddim"] == w["dind"] == 5 for w in full.witnesses)
 
     shift = generic_point(su2n3.base, [42, 104729], "k")
     merged = flag_momentum_family(su2n3, shift)

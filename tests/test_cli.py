@@ -115,6 +115,83 @@ def test_tol_drift_flag_is_gone(tmp_path):
     assert "tol_drift" not in json.loads(out.read_text())["config"]
 
 
+def test_config_keys_no_command_reads_are_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tol_drift": 1e-3, "bogus": 1, "claims": "lemma1"}))
+    assert main(["certify", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "'bogus'" in err and "'tol_drift'" in err
+
+    # A key another subcommand reads is still unread here.
+    config.write_text(json.dumps({"trials": 2, "t_end": 0.1}))
+    assert main(["flow", "--config", str(config)]) == 2
+    assert "'trials'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--model", "einstein", "--a", "1,2,3", "--t", "9,9"], "--t, --a"),
+        (["--model", "einstein", "--q", "1"], "--q"),
+        (["--model", "einstein", "--p", "auto", "--s", "2"], "--s"),
+        (["--model", "normal", "--p", "3"], "--p"),
+        (["--model", "novi", "--a", "1,2,3"], "--a"),
+        (["--model", "gaudin", "--s", "1,1"], "--s"),
+    ],
+)
+def test_flow_rejects_parameters_the_model_does_not_read(argv, named, capsys):
+    assert main(["flow", "--t-end", "0.01"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"does not read {named}" in err
+
+
+def test_flow_model_parameters_from_config_are_checked(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "gaudin", "s": "1,2"}))
+    assert main(["flow", "--config", str(config), "--t-end", "0.01"]) == 2
+    assert "config key 's'" in capsys.readouterr().err
+
+    # With an explicit p the einstein model reads q and s.
+    config.write_text(json.dumps({"model": "einstein", "p": "2.0", "q": "1.0", "s": "1.5"}))
+    assert main(["flow", "--config", str(config), "--t-end", "0.01"]) == 0
+
+
+def test_certify_all_document_shape(tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--algebra", "su2", "--n", "3", "--claims", "all",
+                 "--seed", "42", "--out", str(out)]) == 0
+    residual = {"residual", "retries", "trial"}
+    ranks = {"ddim", "dind", "retries", "trial"}
+    ddim = {"ddim", "retries", "trial"}
+    expected = [
+        ("lemma1.ddim", 3, ranks),
+        ("lemma1.dind", 3, ranks),
+        ("thm2i.involutive", None, residual),
+        ("thm2i.ad_invariance", None, residual),
+        ("thm2ii.completeness_sum", 12, ranks),
+        ("dimB.ddim", 5, ddim),
+        ("thm3.ddim", 3, ddim),
+        ("thm3.involutive", None, residual),
+        ("thm3.span_inclusion", None,
+         {"constructions_agree", "defect", "max_angle", "retries", "span_dim", "trial"}),
+        ("gaudin.field_identity", None, residual),
+        ("gaudin.involutive", None, residual),
+        ("gaudin.involutive_pencil", None, residual),
+        ("gaudin.ddim_restricted", 3, ddim),
+        ("gaudin.momentum_drift", None, {"aborted", "dt", "t_end"}),
+    ]
+    rows = _read_json(out)["claims"]
+    assert [row["claim_id"] for row in rows] == [claim for claim, *_ in expected]
+    for row, (claim, measured, keys) in zip(rows, expected):
+        assert row["pass"] is True, claim
+        if measured is not None:
+            assert row["measured_value"] == measured, claim
+        assert row["witnesses"], claim
+        assert all(set(w) == keys for w in row["witnesses"]), claim
+    assert rows[-1]["witnesses"] == [{"t_end": 10.0, "dt": 1e-3, "aborted": False}]
+
+
 def test_report_prints_non_finite_values(tmp_path, capsys):
     row = {"claim_id": "thm3.span_inclusion", "algebra": "su2", "n": 3, "seed": 42,
            "trials": 7, "formula_value": 0.0, "measured_value": float("inf"),

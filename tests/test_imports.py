@@ -1,6 +1,9 @@
-"""Import hygiene: every name a package module imports is used in that module."""
+"""Import hygiene: every name a package module imports is used in that module,
+and every name a module lists in ``__all__`` is defined there."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import flagshift
@@ -59,3 +62,26 @@ def test_checker_flags_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(probe) == ["probe.py:3: Iterable"]
+
+
+def undefined_exports(module: types.ModuleType) -> list[str]:
+    return [
+        f"{module.__name__}.{name}"
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+
+
+def test_every_export_is_defined():
+    modules = [flagshift] + [
+        importlib.import_module(f"flagshift.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    assert [entry for module in modules for entry in undefined_exports(module)] == []
+
+
+def test_checker_flags_a_dangling_export():
+    probe = types.ModuleType("probe")
+    exec("__all__ = ['kept', 'removed']\nkept = 1\n", probe.__dict__)
+    assert undefined_exports(probe) == ["probe.removed"]
