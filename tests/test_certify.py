@@ -142,17 +142,19 @@ def test_verify_lemma1(su2n3):
     assert dind.claim_id == "lemma1.dind"
 
 
+def test_estimate_dind_of_commuting_family_is_full(su2n3):
+    # The flag family commutes, so its bivector on the gradient span is zero
+    # and the kernel is the whole span: the scale-anchored cutoff must not
+    # read rank from noise.
+    full = verify_completeness(su2n3, flag_shift_family(su2n3), 10, trials=3, mode="sum")
+    assert full.passed
+    assert all(w["ddim"] == w["dind"] == 5 for w in full.witnesses)
+
+
 def test_verify_completeness_modes(su2n3):
     fam = flag_shift_family(su2n3)
     ddim = verify_completeness(su2n3, fam, 5, trials=3, mode="ddim")
     assert ddim.passed
-
-    # The flag family commutes, so its bivector on the gradient span is zero
-    # and the kernel is the whole span: the scale-anchored cutoff must not
-    # read rank from noise.
-    full = verify_completeness(su2n3, fam, 10, trials=3, mode="sum")
-    assert full.passed
-    assert all(w["ddim"] == w["dind"] == 5 for w in full.witnesses)
 
     shift = generic_point(su2n3.base, [42, 104729], "k")
     merged = flag_momentum_family(su2n3, shift)
