@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError
-from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank
+from .ranks import DEFAULT_POLICY, numerical_rank
 
 __all__ = ["LieAlgebra", "build_algebra"]
 
@@ -231,9 +231,9 @@ class LieAlgebra:
         rng = np.random.default_rng(rng)
         return rng.normal(0.0, scale, self.dim)
 
-    def isotropy_dim(self, x: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> int:
+    def isotropy_dim(self, x: np.ndarray) -> int:
         """Dimension of the centralizer ker(ad_x); equals rank for regular x."""
-        return self.dim - numerical_rank(self.ad(x), policy).rank
+        return self.dim - numerical_rank(self.ad(x), DEFAULT_POLICY).rank
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name}, dim={self.dim}, rank={self.rank})"

@@ -12,7 +12,7 @@ certificate loudly instead of being averaged away.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank, row_space
 from scipy.linalg import subspace_angles
 
 __all__ = [
-    "Tolerances",
     "CertificateReport",
     "generic_point",
     "check_involutive",
@@ -54,12 +53,6 @@ __all__ = [
     "restricted_rank_target",
     "completeness_target",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    rank_rel: float = 1e-8
-    bracket_rel: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,38 @@ class CertificateReport:
         if self.error is not None:
             doc["error"] = self.error
         return doc
+
+
+@dataclass(frozen=True)
+class ClaimContext:
+    """The run settings every certificate reads.
+
+    Each certificate measures at ``trials`` generic points drawn from
+    ``seed``, decides ranks under ``policy`` and holds bracket residuals to
+    ``tol_bracket``.
+    """
+
+    space: ProductSpace
+    seed: int = 42
+    trials: int = 7
+    policy: RankPolicy = DEFAULT_POLICY
+    tol_bracket: float = 1e-9
+    gaudin_weights: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
+        if not self.tol_bracket > 0:
+            raise ConfigurationError(f"tol_bracket must be positive, got {self.tol_bracket}")
+        if not self.policy.rel_tol > 0:
+            raise ConfigurationError(
+                f"policy.rel_tol (tol_rank) must be positive, got {self.policy.rel_tol}"
+            )
+
+    def weights(self) -> tuple[float, ...]:
+        if self.gaudin_weights is not None:
+            return self.gaudin_weights
+        return tuple(float(i) for i in range(1, self.space.n + 1))
 
 
 # -- closed-form targets -------------------------------------------------------
@@ -182,15 +207,15 @@ def generic_point(
         return X
 
 
-def _measure_at_generic_points(context, domain, trials, seed, policy, measure):
+def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure):
     """Run ``measure`` at one generic point per trial, resampling marginal points.
 
     ``measure`` returns (value, marginal, extra); a marginal result discards
     the point and burns a retry, exactly like a failed genericity gate.
     """
     values, witnesses = [], []
-    for trial in range(trials):
-        for entropy, X in _gated_draws(context, [seed, trial], domain, policy):
+    for trial in range(ctx.trials):
+        for entropy, X in _gated_draws(ctx.space, [ctx.seed, trial], domain, ctx.policy):
             value, marginal, extra = measure(X, entropy)
             if not marginal:
                 values.append(value)
@@ -226,15 +251,15 @@ def _kernel_dim(space: ProductSpace, X, span, policy) -> tuple[int, bool]:
 # -- reports ------------------------------------------------------------------
 
 
-def _residual_report(space, claim_id, seed, trials, values, tol, witnesses, ok=True) -> CertificateReport:
+def _residual_report(ctx, claim_id, values, tol, witnesses, ok=True) -> CertificateReport:
     """Worst residual over the trials against a tolerance; ``ok`` can veto a pass."""
     worst = max(values)
     return CertificateReport(
         claim_id=claim_id,
-        algebra=space.base.name,
-        n=space.n,
-        seed=seed,
-        trials=trials,
+        algebra=ctx.space.base.name,
+        n=ctx.space.n,
+        seed=ctx.seed,
+        trials=len(values),
         formula_value=0.0,
         measured_value=worst,
         tolerance=tol,
@@ -243,15 +268,15 @@ def _residual_report(space, claim_id, seed, trials, values, tol, witnesses, ok=T
     )
 
 
-def _int_report(space, claim_id, seed, trials, formula, values, witnesses) -> CertificateReport:
+def _int_report(ctx, claim_id, formula, values, witnesses) -> CertificateReport:
     """Modal integer over the trials against a closed form; trials must agree."""
     value, unanimous = _modal(values)
     return CertificateReport(
         claim_id=claim_id,
-        algebra=space.base.name,
-        n=space.n,
-        seed=seed,
-        trials=trials,
+        algebra=ctx.space.base.name,
+        n=ctx.space.n,
+        seed=ctx.seed,
+        trials=len(values),
         formula_value=int(formula),
         measured_value=int(value),
         tolerance=0.0,
@@ -279,37 +304,26 @@ def _involutivity_residual(
 
 
 def check_involutive(
-    space: ProductSpace,
+    ctx: ClaimContext,
     family: PolynomialFamily,
-    trials: int = 7,
-    seed: int = 42,
-    tol: float = 1e-9,
-    policy: RankPolicy = DEFAULT_POLICY,
-    weights: np.ndarray | None = None,
     claim_id: str = "involutive",
+    weights: np.ndarray | None = None,
 ) -> CertificateReport:
     """Pairwise bracket residuals of the family at generic points."""
 
     def measure(X, entropy):
-        residual = _involutivity_residual(space, family, X, weights)
+        residual = _involutivity_residual(ctx.space, family, X, weights)
         return residual, False, {"residual": residual}
 
-    values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, measure
-    )
-    return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
+    values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
+    return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
 
 
 def check_ad_invariance(
-    space: ProductSpace,
-    family: PolynomialFamily,
-    trials: int = 7,
-    seed: int = 42,
-    tol: float = 1e-9,
-    policy: RankPolicy = DEFAULT_POLICY,
-    claim_id: str = "ad_invariance",
+    ctx: ClaimContext, family: PolynomialFamily, claim_id: str = "ad_invariance"
 ) -> CertificateReport:
     """Invariance of member values under ten random diagonal adjoint actions."""
+    space = ctx.space
 
     def measure(X, entropy):
         rng = np.random.default_rng(entropy + [7919])
@@ -322,26 +336,20 @@ def check_ad_invariance(
             worst = max(worst, float(delta.max()))
         return worst, False, {"residual": worst}
 
-    values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, measure
-    )
-    return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
+    values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
+    return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
 
 
 # -- structural certificates -----------------------------------------------------
 
 
-def verify_lemma1(
-    space: ProductSpace,
-    trials: int = 7,
-    seed: int = 42,
-    policy: RankPolicy = DEFAULT_POLICY,
-) -> tuple[CertificateReport, CertificateReport]:
+def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateReport]:
     """Dimension and bivector-kernel dimension of the invariant tangent span.
 
     The span is built directly from the two linear conditions defining it;
     the kernel is measured on the restricted bivector matrix.
     """
+    space, policy = ctx.space, ctx.policy
     target_ddim, target_dind = lemma1_targets(space)
 
     def measure(X, entropy):
@@ -351,21 +359,18 @@ def verify_lemma1(
         dind, marginal = _kernel_dim(space, X, span, policy)
         return (span.shape[0], dind), marginal, {"ddim": span.shape[0], "dind": dind}
 
-    values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, measure)
+    values, witnesses = _measure_at_generic_points(ctx, "v", measure)
     ddims, dinds = zip(*values)
     return (
-        _int_report(space, "lemma1.ddim", seed, trials, target_ddim, ddims, witnesses),
-        _int_report(space, "lemma1.dind", seed, trials, target_dind, dinds, witnesses),
+        _int_report(ctx, "lemma1.ddim", target_ddim, ddims, witnesses),
+        _int_report(ctx, "lemma1.dind", target_dind, dinds, witnesses),
     )
 
 
 def verify_completeness(
-    space: ProductSpace,
+    ctx: ClaimContext,
     family: PolynomialFamily,
     target: int,
-    trials: int = 7,
-    seed: int = 42,
-    policy: RankPolicy = DEFAULT_POLICY,
     mode: str = "ddim",
     claim_id: str = "completeness",
 ) -> CertificateReport:
@@ -377,6 +382,7 @@ def verify_completeness(
     """
     if mode not in ("ddim", "sum"):
         raise ConfigurationError(f"unknown completeness mode {mode!r}")
+    space, policy = ctx.space, ctx.policy
 
     def measure(X, entropy):
         basis, marginal = row_space(family.gradients(X).reshape(len(family), -1), policy)
@@ -389,20 +395,12 @@ def verify_completeness(
         dind, marginal = _kernel_dim(space, X, span, policy)
         return span_dim + dind, marginal, {"ddim": span_dim, "dind": dind}
 
-    values, witnesses = _measure_at_generic_points(
-        space, family.domain, trials, seed, policy, measure
-    )
-    return _int_report(space, claim_id, seed, trials, target, values, witnesses)
+    values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
+    return _int_report(ctx, claim_id, target, values, witnesses)
 
 
 def verify_span_inclusion(
-    space: ProductSpace,
-    family: PolynomialFamily,
-    trials: int = 7,
-    seed: int = 42,
-    tol: float = 1e-9,
-    policy: RankPolicy = DEFAULT_POLICY,
-    claim_id: str = "span_inclusion",
+    ctx: ClaimContext, family: PolynomialFamily, claim_id: str = "span_inclusion"
 ) -> CertificateReport:
     """Gradients of a restricted family lie in the invariant tangent span.
 
@@ -413,6 +411,7 @@ def verify_span_inclusion(
     """
     if family.domain != "v":
         raise ConfigurationError("span inclusion applies to restricted families")
+    space, policy = ctx.space, ctx.policy
 
     def measure(X, entropy):
         etas = family.gradients(X)
@@ -440,87 +439,46 @@ def verify_span_inclusion(
         }
         return (worst if ok else float("inf")), False, extra
 
-    values, witnesses = _measure_at_generic_points(space, "v", trials, seed, policy, measure)
-    return _residual_report(space, claim_id, seed, trials, values, tol, witnesses)
+    values, witnesses = _measure_at_generic_points(ctx, "v", measure)
+    return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
 
 
 # -- claims registry ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimContext:
-    """Inputs shared by all claim runners."""
-
-    space: ProductSpace
-    seed: int = 42
-    trials: int = 7
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    gaudin_weights: tuple[float, ...] | None = None
-
-    @property
-    def policy(self) -> RankPolicy:
-        return RankPolicy(rel_tol=self.tolerances.rank_rel)
-
-    def weights(self) -> tuple[float, ...]:
-        if self.gaudin_weights is not None:
-            return self.gaudin_weights
-        return tuple(float(i) for i in range(1, self.space.n + 1))
-
-
 def _claim_lemma1(ctx: ClaimContext) -> list[CertificateReport]:
-    return list(verify_lemma1(ctx.space, ctx.trials, ctx.seed, ctx.policy))
+    return list(verify_lemma1(ctx))
 
 
 def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
     family = flag_shift_family(ctx.space)
     return [
-        check_involutive(
-            ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, claim_id="thm2i.involutive",
-        ),
-        check_ad_invariance(
-            ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, claim_id="thm2i.ad_invariance",
-        ),
+        check_involutive(ctx, family, "thm2i.involutive"),
+        check_ad_invariance(ctx, family, "thm2i.ad_invariance"),
     ]
 
 
 def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
     shift = generic_point(ctx.space.base, [ctx.seed, 104729], "k", policy=ctx.policy)
     family = flag_momentum_family(ctx.space, shift)
+    target = completeness_target(ctx.space)
     return [
-        verify_completeness(
-            ctx.space, family, completeness_target(ctx.space), ctx.trials, ctx.seed,
-            ctx.policy, mode="sum", claim_id="thm2ii.completeness_sum",
-        )
+        verify_completeness(ctx, family, target, mode="sum", claim_id="thm2ii.completeness_sum")
     ]
 
 
 def _claim_dimb(ctx: ClaimContext) -> list[CertificateReport]:
     family = flag_shift_family(ctx.space)
-    return [
-        verify_completeness(
-            ctx.space, family, flag_rank_target(ctx.space), ctx.trials, ctx.seed,
-            ctx.policy, mode="ddim", claim_id="dimB.ddim",
-        )
-    ]
+    return [verify_completeness(ctx, family, flag_rank_target(ctx.space), claim_id="dimB.ddim")]
 
 
 def _claim_thm3(ctx: ClaimContext) -> list[CertificateReport]:
     family = restrict_family(ctx.space, flag_shift_family(ctx.space))
+    target = restricted_rank_target(ctx.space)
     return [
-        verify_completeness(
-            ctx.space, family, restricted_rank_target(ctx.space), ctx.trials, ctx.seed,
-            ctx.policy, mode="ddim", claim_id="thm3.ddim",
-        ),
-        check_involutive(
-            ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, claim_id="thm3.involutive",
-        ),
-        verify_span_inclusion(
-            ctx.space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            policy=ctx.policy, claim_id="thm3.span_inclusion",
-        ),
+        verify_completeness(ctx, family, target, claim_id="thm3.ddim"),
+        check_involutive(ctx, family, "thm3.involutive"),
+        verify_span_inclusion(ctx, family, "thm3.span_inclusion"),
     ]
 
 
@@ -550,23 +508,15 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
         residual = space.norm(via_sum - via_euler) / (1.0 + space.norm(via_euler))
         return residual, False, {"residual": residual}
 
-    values, witnesses = _measure_at_generic_points(
-        space, "g", 10, ctx.seed, ctx.policy, measure
-    )
+    values, witnesses = _measure_at_generic_points(replace(ctx, trials=10), "g", measure)
     reports = [
-        _residual_report(space, "gaudin.field_identity", ctx.seed, 10, values, 1e-11, witnesses),
+        _residual_report(ctx, "gaudin.field_identity", values, 1e-11, witnesses),
+        check_involutive(ctx, family, "gaudin.involutive"),
         check_involutive(
-            space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, claim_id="gaudin.involutive",
-        ),
-        check_involutive(
-            space, family, ctx.trials, ctx.seed, ctx.tolerances.bracket_rel,
-            ctx.policy, weights=np.asarray(weights, dtype=float),
-            claim_id="gaudin.involutive_pencil",
+            ctx, family, "gaudin.involutive_pencil", weights=np.asarray(weights, dtype=float)
         ),
         verify_completeness(
-            space, restrict_family(space, family), restricted_rank_target(space),
-            ctx.trials, ctx.seed, ctx.policy, mode="ddim",
+            ctx, restrict_family(space, family), restricted_rank_target(space),
             claim_id="gaudin.ddim_restricted",
         ),
     ]
@@ -584,7 +534,7 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     drift = dynamics.momentum_drift(space, trajectory)
     reports.append(
         _residual_report(
-            space, "gaudin.momentum_drift", ctx.seed, 1, [drift], 1e-8,
+            ctx, "gaudin.momentum_drift", [drift], 1e-8,
             [{"t_end": t_end, "dt": dt, "aborted": trajectory.aborted}],
             ok=not trajectory.aborted,
         )

@@ -26,10 +26,11 @@ import numpy as np
 
 from . import dynamics
 from .algebra import build_algebra
-from .certify import ClaimContext, Tolerances, generic_point, run_claims, CLAIM_IDS
+from .certify import ClaimContext, generic_point, run_claims, CLAIM_IDS
 from .errors import ConfigurationError, GenericityError
 from .families import flag_shift_family, gaudin_family
 from .product import ProductSpace
+from .ranks import RankPolicy
 
 _ENV_SEED = "FLAGSHIFT_SEED"
 
@@ -89,13 +90,34 @@ def _load_config(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
     return config
 
 
-def _pick(flag, config: dict, key: str, fallback):
-    """Flag wins over config file, config over the built-in default."""
+# The JSON types a config value of each kind may take: a boolean for bool,
+# a number or numeric string for int and float, text or a number for str.
+_ACCEPTS = {bool: (bool,), int: (int, str), float: (int, float, str), str: (str, int, float)}
+
+
+def _convert(value, kind, name: str):
+    """``value`` as ``kind``; a value that is not one is an error naming ``name``."""
+    if isinstance(value, _ACCEPTS[kind]) and isinstance(value, bool) == (kind is bool):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{name} is not a valid {kind.__name__}: {value!r}")
+
+
+def _pick(flag, config: dict, key: str, fallback, kind=None):
+    """Flag wins over config file, config over the built-in default.
+
+    A config value is converted to ``kind`` here, where it is read; flags
+    arrive typed.
+    """
     if flag is not None:
         return flag
-    if key in config:
+    if key not in config:
+        return fallback
+    if kind is None:
         return config[key]
-    return fallback
+    return _convert(config[key], kind, f"config key {key!r}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -131,25 +153,33 @@ def _print_claim_table(rows: list[dict], stream) -> None:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "certify", _CERTIFY_KEYS)
-    algebra = _pick(args.algebra, config, "algebra", "su2")
-    n = int(_pick(args.n, config, "n", 3))
-    seed = int(_pick(args.seed, config, "seed", _default_seed()))
-    trials = int(_pick(args.trials, config, "trials", 7))
+    algebra = _pick(args.algebra, config, "algebra", "su2", str)
+    n = _pick(args.n, config, "n", 3, int)
     claims = _pick(args.claims, config, "claims", "all")
     if isinstance(claims, str):
         claims = [c.strip() for c in claims.split(",") if c.strip()]
-    tolerances = Tolerances(
-        rank_rel=float(_pick(args.tol_rank, config, "tol_rank", 1e-8)),
-        bracket_rel=float(_pick(args.tol_bracket, config, "tol_bracket", 1e-9)),
-    )
-    space = _build_space(algebra, n)
+    if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
+        raise ConfigurationError(
+            f"config key 'claims' must be a string or a list of strings, got {claims!r}"
+        )
+    if claims == ["all"]:
+        claims = list(CLAIM_IDS)
     weights = config.get("gaudin_weights")
+    if weights is not None:
+        if "gaudin" not in claims:
+            raise ConfigurationError(
+                "config key 'gaudin_weights' needs the gaudin claim, which is not selected"
+            )
+        if not isinstance(weights, list):
+            raise ConfigurationError(f"config key 'gaudin_weights' must be a list, got {weights!r}")
+        weights = tuple(_convert(w, float, "config key 'gaudin_weights'") for w in weights)
     ctx = ClaimContext(
-        space=space,
-        seed=seed,
-        trials=trials,
-        tolerances=tolerances,
-        gaudin_weights=tuple(float(w) for w in weights) if weights else None,
+        space=_build_space(algebra, n),
+        seed=_pick(args.seed, config, "seed", _default_seed(), int),
+        trials=_pick(args.trials, config, "trials", 7, int),
+        policy=RankPolicy(rel_tol=_pick(args.tol_rank, config, "tol_rank", 1e-8, float)),
+        tol_bracket=_pick(args.tol_bracket, config, "tol_bracket", 1e-9, float),
+        gaudin_weights=weights,
     )
     reports = run_claims(ctx, claims)
     rows = [report.to_dict() for report in reports]
@@ -162,11 +192,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "config": {
             "algebra": algebra,
             "n": n,
-            "seed": seed,
-            "trials": trials,
-            "claims": list(claims) if claims != ["all"] else list(CLAIM_IDS),
-            "tol_rank": tolerances.rank_rel,
-            "tol_bracket": tolerances.bracket_rel,
+            "seed": ctx.seed,
+            "trials": ctx.trials,
+            "claims": claims,
+            "tol_rank": ctx.policy.rel_tol,
+            "tol_bracket": ctx.tol_bracket,
         },
         "claims": rows,
     }
@@ -188,10 +218,10 @@ _MODEL_READS = {"normal": (), "novi": ("s", "t"), "gaudin": ("a",), "einstein": 
 
 
 def _flow_hamiltonian(args, space: ProductSpace, config: dict):
-    model = _pick(args.model, config, "model", "normal")
+    model = _pick(args.model, config, "model", "normal", str)
     if model not in _MODEL_READS:
         raise ConfigurationError(f"unknown flow model {model!r}")
-    p_text = _pick(args.p, config, "p", "auto")
+    p_text = _pick(args.p, config, "p", "auto", str)
     read = _MODEL_READS[model] + (("q", "s") if model == "einstein" and p_text != "auto" else ())
     unread = [
         f"--{name}" if getattr(args, name) is not None else f"config key {name!r}"
@@ -205,38 +235,38 @@ def _flow_hamiltonian(args, space: ProductSpace, config: dict):
     if model == "normal":
         return dynamics.normal_hamiltonian(space)
     if model == "novi":
-        s_text = _pick(args.s, config, "s", None)
-        t_text = _pick(args.t, config, "t", None)
+        s_text = _pick(args.s, config, "s", None, str)
+        t_text = _pick(args.t, config, "t", None, str)
         s = _parse_floats(s_text) if s_text else tuple(1.0 for _ in range(space.n - 1))
         t = _parse_floats(t_text) if t_text else tuple(0.5 for _ in range(space.n - 1))
         return dynamics.novi_hamiltonian(space, s, t)
     if model == "gaudin":
-        a_text = _pick(args.a, config, "a", None)
+        a_text = _pick(args.a, config, "a", None, str)
         weights = _parse_floats(a_text) if a_text else tuple(float(i) for i in range(1, space.n + 1))
         return dynamics.gaudin_hamiltonian(space, weights)
     if p_text == "auto":
         p, q = dynamics.einstein_parameters(space.n)
         s = None
     else:
-        p = float(p_text)
-        q_text = _pick(args.q, config, "q", None)
+        p = _convert(p_text, float, "einstein parameter p")
+        q_text = _pick(args.q, config, "q", None, str)
         if q_text is None:
             raise ConfigurationError("einstein model with explicit --p also needs --q")
-        q = float(q_text)
-        s_text = _pick(args.s, config, "s", None)
-        s = float(s_text) if s_text is not None else None
+        q = _convert(q_text, float, "einstein parameter q")
+        s_text = _pick(args.s, config, "s", None, str)
+        s = _convert(s_text, float, "einstein parameter s") if s_text is not None else None
     return dynamics.einstein_hamiltonian(space, p, q, s)
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "flow", _FLOW_KEYS)
-    algebra = _pick(args.algebra, config, "algebra", "su2")
-    n = int(_pick(args.n, config, "n", 3))
-    seed = int(_pick(args.seed, config, "seed", _default_seed()))
-    restrict_v = bool(args.restrict_v or config.get("restrict_v", False))
-    dt = float(_pick(args.dt, config, "dt", 1e-3))
-    t_end = float(_pick(args.t_end, config, "t_end", 10.0))
-    stride = int(_pick(args.stride, config, "stride", 10))
+    algebra = _pick(args.algebra, config, "algebra", "su2", str)
+    n = _pick(args.n, config, "n", 3, int)
+    seed = _pick(args.seed, config, "seed", _default_seed(), int)
+    restrict_v = args.restrict_v or _pick(None, config, "restrict_v", False, bool)
+    dt = _pick(args.dt, config, "dt", 1e-3, float)
+    t_end = _pick(args.t_end, config, "t_end", 10.0, float)
+    stride = _pick(args.stride, config, "stride", 10, int)
 
     space = _build_space(algebra, n)
     hamiltonian = _flow_hamiltonian(args, space, config)

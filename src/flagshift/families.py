@@ -27,7 +27,6 @@ import numpy as np
 from .algebra import LieAlgebra
 from .errors import ConfigurationError
 from .product import ProductSpace
-from .ranks import DEFAULT_POLICY, RankPolicy
 
 __all__ = [
     "FamilyMember", "PolynomialFamily", "casimir_family", "mf_shift_family", "flag_shift_family",
@@ -252,7 +251,7 @@ def casimir_family(space: ProductSpace) -> PolynomialFamily:
     return builder.family("casimirs", "g")
 
 
-def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> PolynomialFamily:
+def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray) -> PolynomialFamily:
     """Argument-shift family on a single factor: t-coefficients of f(x + t a).
 
     The shift element should be regular; a degenerate shift still yields a
@@ -262,7 +261,7 @@ def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray, policy: RankPolicy =
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (algebra.dim,):
         raise ValueError(f"shift must be a coordinate vector of length {algebra.dim}")
-    if algebra.isotropy_dim(shift, policy) != algebra.rank:
+    if algebra.isotropy_dim(shift) != algebra.rank:
         warnings.warn("argument-shift direction is not regular; family may degenerate", stacklevel=2)
 
     builder = _Builder(algebra, 1)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import ConfigurationError
-from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank
+from .ranks import DEFAULT_POLICY, numerical_rank
 
 __all__ = ["ProductSpace"]
 
@@ -128,15 +128,15 @@ class ProductSpace:
     def random_v_point(self, rng, scale: float = 1.0) -> np.ndarray:
         return self.proj_v(self.random_point(rng, scale))
 
-    def factor_isotropy_dims(self, X: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> tuple[int, ...]:
+    def factor_isotropy_dims(self, X: np.ndarray) -> tuple[int, ...]:
         X = self._check(X)
-        return tuple(self.base.isotropy_dim(x, policy) for x in X)
+        return tuple(self.base.isotropy_dim(x) for x in X)
 
-    def diag_isotropy_dim(self, X: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> int:
+    def diag_isotropy_dim(self, X: np.ndarray) -> int:
         """Dimension of the simultaneous centralizer of all blocks; 0 generically."""
         X = self._check(X)
         stacked = np.vstack([self.base.ad(x) for x in X])
-        return self.base.dim - numerical_rank(stacked, policy).rank
+        return self.base.dim - numerical_rank(stacked, DEFAULT_POLICY).rank
 
     def __repr__(self) -> str:
         return f"ProductSpace({self.base.name}^{self.n})"

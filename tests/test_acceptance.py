@@ -9,6 +9,7 @@ import numpy as np
 
 from flagshift import dynamics
 from flagshift.certify import (
+    ClaimContext,
     check_involutive,
     completeness_target,
     flag_rank_target,
@@ -40,7 +41,7 @@ def test_criterion_01_invariant_span_dimensions(spaces, capsys):
     expected = {("su2", 3): (3, 3), ("su2", 4): (6, 4), ("su3", 3): (8, 6)}
     ok, parts = True, []
     for space in spaces:
-        report_ddim, report_dind = verify_lemma1(space, trials=7, seed=42)
+        report_ddim, report_dind = verify_lemma1(ClaimContext(space, seed=42, trials=7))
         pair = (report_ddim.measured_value, report_dind.measured_value)
         ok &= report_ddim.passed and report_dind.passed
         ok &= pair == expected[(space.base.name, space.n)]
@@ -51,7 +52,9 @@ def test_criterion_01_invariant_span_dimensions(spaces, capsys):
 def test_criterion_02_flag_family_commutes(spaces, capsys):
     ok, worst = True, 0.0
     for space in spaces:
-        report = check_involutive(space, flag_shift_family(space), trials=10, seed=42, tol=1e-9)
+        report = check_involutive(
+            ClaimContext(space, seed=42, trials=10, tol_bracket=1e-9), flag_shift_family(space)
+        )
         ok &= report.passed
         worst = max(worst, report.measured_value)
     _verdict(capsys, 2, ok, f"max bracket residual {worst:.2e} <= 1e-9")
@@ -64,7 +67,7 @@ def test_criterion_03_completeness_sum(spaces, capsys):
         shift = generic_point(space.base, [42, 104729], "k")
         family = flag_momentum_family(space, shift)
         report = verify_completeness(
-            space, family, completeness_target(space), trials=7, seed=42, mode="sum"
+            ClaimContext(space, seed=42, trials=7), family, completeness_target(space), mode="sum"
         )
         ok &= report.passed
         ok &= report.measured_value == expected[(space.base.name, space.n)]
@@ -77,10 +80,9 @@ def test_criterion_04_restricted_family_rank_and_commutation(spaces, capsys):
     ok, parts, worst = True, [], 0.0
     for space in spaces:
         family = restrict_family(space, flag_shift_family(space))
-        rank_report = verify_completeness(
-            space, family, restricted_rank_target(space), trials=7, seed=42, mode="ddim"
-        )
-        bracket_report = check_involutive(space, family, trials=7, seed=42, tol=1e-9)
+        ctx = ClaimContext(space, seed=42, trials=7, tol_bracket=1e-9)
+        rank_report = verify_completeness(ctx, family, restricted_rank_target(space), mode="ddim")
+        bracket_report = check_involutive(ctx, family)
         ok &= rank_report.passed and bracket_report.passed
         ok &= rank_report.measured_value == expected[(space.base.name, space.n)]
         worst = max(worst, bracket_report.measured_value)
@@ -93,8 +95,8 @@ def test_criterion_05_flag_family_rank(spaces, capsys):
     ok, parts = True, []
     for space in spaces:
         report = verify_completeness(
-            space, flag_shift_family(space), flag_rank_target(space),
-            trials=7, seed=42, mode="ddim",
+            ClaimContext(space, seed=42, trials=7), flag_shift_family(space),
+            flag_rank_target(space), mode="ddim",
         )
         ok &= report.passed
         ok &= report.measured_value == expected[(space.base.name, space.n)]
@@ -168,12 +170,10 @@ def test_criterion_09_gaudin_system(su2n3, capsys):
         field_worst = max(field_worst, su2n3.norm(gap) / (1.0 + su2n3.norm(X)))
 
     family = gaudin_family(su2n3, weights)
-    plain = check_involutive(su2n3, family, trials=7, seed=42, tol=1e-9)
-    pencil = check_involutive(su2n3, family, trials=7, seed=42, tol=1e-9,
-                              weights=np.asarray(weights))
-    rank_report = verify_completeness(
-        su2n3, restrict_family(su2n3, family), 3, trials=7, seed=42, mode="ddim"
-    )
+    ctx = ClaimContext(su2n3, seed=42, trials=7, tol_bracket=1e-9)
+    plain = check_involutive(ctx, family)
+    pencil = check_involutive(ctx, family, weights=np.asarray(weights))
+    rank_report = verify_completeness(ctx, restrict_family(su2n3, family), 3, mode="ddim")
 
     initial = generic_point(su2n3, [42, 271], "g")
     trajectory = dynamics.integrate(

@@ -8,7 +8,6 @@ from flagshift.certify import (
     CLAIM_IDS,
     CertificateReport,
     ClaimContext,
-    Tolerances,
     check_ad_invariance,
     check_involutive,
     completeness_target,
@@ -68,7 +67,8 @@ def test_sampler_resamples_marginal_measurements(su2n3):
         return len(seen), len(seen) <= k, {}
 
     policy = RankPolicy()
-    values, witnesses = _measure_at_generic_points(su2n3, "g", 1, 9, policy, measure)
+    ctx = ClaimContext(su2n3, seed=9, trials=1, policy=policy)
+    values, witnesses = _measure_at_generic_points(ctx, "g", measure)
     assert [entropy for entropy, _ in seen] == [[9, 0, r] for r in range(k + 1)]
     assert values == [k + 1]
     assert witnesses == [{"trial": 0, "retries": k}]
@@ -77,6 +77,7 @@ def test_sampler_resamples_marginal_measurements(su2n3):
 
 def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
     policy = RankPolicy(max_retries=3)
+    ctx = ClaimContext(su2n3, seed=9, trials=2, policy=policy)
     seen = []
 
     def measure(X, entropy):
@@ -84,7 +85,7 @@ def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
         return 0, True, {}
 
     with pytest.raises(GenericityError, match=r"domain 'g'.*\[9, 0, r\], r = 0\.\.3"):
-        _measure_at_generic_points(su2n3, "g", 2, 9, policy, measure)
+        _measure_at_generic_points(ctx, "g", measure)
     assert seen == [[9, 0, r] for r in range(policy.max_retries + 1)]
 
 
@@ -105,7 +106,7 @@ def test_closed_form_targets(su2n3, su2n4, su3n3):
 
 def test_check_involutive_pass_and_control(su2n3):
     fam = flag_shift_family(su2n3)
-    report = check_involutive(su2n3, fam, trials=3, claim_id="probe")
+    report = check_involutive(ClaimContext(su2n3, trials=3), fam, claim_id="probe")
     assert report.passed and report.measured_value < 1e-12
     assert report.claim_id == "probe"
 
@@ -117,25 +118,25 @@ def test_check_involutive_pass_and_control(su2n3):
             coordinate_member(su2n3, 0, np.array([0.0, 1.0, 0.0])),
         ),
     )
-    bad = check_involutive(su2n3, control, trials=3)
+    bad = check_involutive(ClaimContext(su2n3, trials=3), control)
     assert not bad.passed
     assert bad.measured_value > 1e-3
 
 
 def test_check_ad_invariance_pass_and_control(su2n3):
-    report = check_ad_invariance(su2n3, flag_shift_family(su2n3), trials=2)
+    report = check_ad_invariance(ClaimContext(su2n3, trials=2), flag_shift_family(su2n3))
     assert report.passed
 
     control = PolynomialFamily(
         "control", "g", (coordinate_member(su2n3, 0, np.array([1.0, 0.0, 0.0])),)
     )
-    bad = check_ad_invariance(su2n3, control, trials=2)
+    bad = check_ad_invariance(ClaimContext(su2n3, trials=2), control)
     assert not bad.passed
     assert bad.measured_value > 1e-2
 
 
 def test_verify_lemma1(su2n3):
-    ddim, dind = verify_lemma1(su2n3, trials=3)
+    ddim, dind = verify_lemma1(ClaimContext(su2n3, trials=3))
     assert ddim.passed and ddim.measured_value == 3
     assert dind.passed and dind.measured_value == 3
     assert ddim.claim_id == "lemma1.ddim"
@@ -146,36 +147,37 @@ def test_estimate_dind_of_commuting_family_is_full(su2n3):
     # The flag family commutes, so its bivector on the gradient span is zero
     # and the kernel is the whole span: the scale-anchored cutoff must not
     # read rank from noise.
-    full = verify_completeness(su2n3, flag_shift_family(su2n3), 10, trials=3, mode="sum")
+    ctx = ClaimContext(su2n3, trials=3)
+    full = verify_completeness(ctx, flag_shift_family(su2n3), 10, mode="sum")
     assert full.passed
     assert all(w["ddim"] == w["dind"] == 5 for w in full.witnesses)
 
 
 def test_verify_completeness_modes(su2n3):
     fam = flag_shift_family(su2n3)
-    ddim = verify_completeness(su2n3, fam, 5, trials=3, mode="ddim")
+    ddim = verify_completeness(ClaimContext(su2n3, trials=3), fam, 5, mode="ddim")
     assert ddim.passed
 
     shift = generic_point(su2n3.base, [42, 104729], "k")
     merged = flag_momentum_family(su2n3, shift)
-    total = verify_completeness(su2n3, merged, 12, trials=3, mode="sum")
+    total = verify_completeness(ClaimContext(su2n3, trials=3), merged, 12, mode="sum")
     assert total.passed
     assert total.witnesses[0]["ddim"] + total.witnesses[0]["dind"] == 12
 
     with pytest.raises(ConfigurationError):
-        verify_completeness(su2n3, fam, 5, mode="bogus")
+        verify_completeness(ClaimContext(su2n3), fam, 5, mode="bogus")
 
 
 def test_verify_completeness_detects_wrong_target(su2n3):
     fam = flag_shift_family(su2n3)
-    report = verify_completeness(su2n3, fam, 4, trials=3, mode="ddim")
+    report = verify_completeness(ClaimContext(su2n3, trials=3), fam, 4, mode="ddim")
     assert not report.passed
     assert report.measured_value == 5
 
 
 def test_verify_span_inclusion_pass_and_control(su2n3):
     fam = restrict_family(su2n3, flag_shift_family(su2n3))
-    report = verify_span_inclusion(su2n3, fam, trials=3)
+    report = verify_span_inclusion(ClaimContext(su2n3, trials=3), fam)
     assert report.passed
 
     # A restricted pairing member is a false control: its projected gradient
@@ -184,15 +186,15 @@ def test_verify_span_inclusion_pass_and_control(su2n3):
     control = PolynomialFamily(
         "control_v", "v", (restrict_member(su2n3, coordinate_member(su2n3, 0, 0)),)
     )
-    bad = verify_span_inclusion(su2n3, control, trials=3)
+    bad = verify_span_inclusion(ClaimContext(su2n3, trials=3), control)
     assert not bad.passed
 
     with pytest.raises(ConfigurationError):
-        verify_span_inclusion(su2n3, flag_shift_family(su2n3))
+        verify_span_inclusion(ClaimContext(su2n3), flag_shift_family(su2n3))
 
 
 def test_report_dict_shape(su2n3):
-    report = check_involutive(su2n3, flag_shift_family(su2n3), trials=2)
+    report = check_involutive(ClaimContext(su2n3, trials=2), flag_shift_family(su2n3))
     doc = report.to_dict()
     for key in ("claim_id", "algebra", "n", "seed", "trials", "formula_value",
                 "measured_value", "tolerance", "pass", "witnesses"):
@@ -235,15 +237,29 @@ def test_run_claims_turns_a_claim_error_into_a_fail_record(su2n3, monkeypatch):
     assert all(r.passed and "error" not in r.to_dict() for r in reports if r.claim_id != "dimB")
 
 
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ({"trials": 0}, "trials"),
+        ({"tol_bracket": 0.0}, "tol_bracket"),
+        ({"tol_bracket": float("nan")}, "tol_bracket"),
+        ({"policy": RankPolicy(rel_tol=0.0)}, "policy.rel_tol"),
+    ],
+)
+def test_claim_context_rejects_unusable_settings(su2n3, settings, named):
+    with pytest.raises(ConfigurationError, match=named):
+        ClaimContext(su2n3, **settings)
+
+
 def test_tolerances_feed_policy():
     space = ProductSpace(build_algebra("su", 2), 3)
-    ctx = ClaimContext(space=space, tolerances=Tolerances(rank_rel=1e-6))
+    ctx = ClaimContext(space=space, policy=RankPolicy(rel_tol=1e-6))
     assert ctx.policy.rel_tol == 1e-6
     assert ctx.weights() == (1.0, 2.0, 3.0)
 
 
 def test_certificate_report_is_frozen(su2n3):
-    report = verify_lemma1(su2n3, trials=2)[0]
+    report = verify_lemma1(ClaimContext(su2n3, trials=2))[0]
     assert isinstance(report, CertificateReport)
     with pytest.raises(AttributeError):
         report.passed = False

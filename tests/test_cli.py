@@ -191,6 +191,87 @@ def test_certify_all_document_shape(tmp_path):
         assert all(set(w) == keys for w in row["witnesses"]), claim
     assert rows[-1]["witnesses"] == [{"t_end": 10.0, "dt": 1e-3, "aborted": False}]
 
+    # Every row reads its settings from the run: 7 trials at seed 42, the
+    # integer claims exact, the residuals at the bracket tolerance, and the
+    # gaudin field identity and momentum drift at their fixed settings.
+    trials = {"gaudin.field_identity": 10, "gaudin.momentum_drift": 1}
+    tolerance = {"gaudin.field_identity": 1e-11, "gaudin.momentum_drift": 1e-8}
+    for row, (claim, measured, _) in zip(rows, expected):
+        assert row["seed"] == 42, claim
+        assert row["trials"] == trials.get(claim, 7), claim
+        assert row["tolerance"] == tolerance.get(claim, 0.0 if measured else 1e-9), claim
+
+
+def test_certify_flags_reach_every_row(tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--claims", "lemma1,thm3", "--trials", "3", "--tol-rank", "1e-6",
+                 "--tol-bracket", "1e-10", "--seed", "7", "--out", str(out)]) == 0
+    document = _read_json(out)
+    assert document["config"]["tol_rank"] == 1e-6
+    assert document["config"]["tol_bracket"] == 1e-10
+    rows = document["claims"]
+    assert [row["claim_id"] for row in rows] == [
+        "lemma1.ddim", "lemma1.dind", "thm3.ddim", "thm3.involutive", "thm3.span_inclusion",
+    ]
+    for row in rows:
+        assert row["trials"] == 3 and row["seed"] == 7, row["claim_id"]
+        assert len(row["witnesses"]) == 3, row["claim_id"]
+        residual = row["claim_id"] in ("thm3.involutive", "thm3.span_inclusion")
+        assert row["tolerance"] == (1e-10 if residual else 0.0), row["claim_id"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--trials", "0", "--claims", "thm2i"], "trials"),
+        (["--trials", "0", "--claims", "lemma1"], "trials"),
+        (["--tol-bracket", "0", "--claims", "lemma1"], "tol_bracket"),
+        (["--tol-rank=-1e-8", "--claims", "lemma1"], "tol_rank"),
+    ],
+)
+def test_certify_rejects_settings_no_certificate_can_use(argv, named, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not out.exists()
+
+
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": "3x", "claims": "lemma1"}))
+    assert main(["certify", "--config", str(config)]) == 2
+    assert "config key 'n'" in capsys.readouterr().err
+
+    config.write_text(json.dumps({"tol_bracket": [1e-9], "claims": "lemma1"}))
+    assert main(["certify", "--config", str(config)]) == 2
+    assert "config key 'tol_bracket'" in capsys.readouterr().err
+
+    # Only a JSON boolean switches the slice on or off; "false" is no boolean.
+    config.write_text(json.dumps({"restrict_v": "false", "model": "einstein"}))
+    assert main(["flow", "--config", str(config), "--t-end", "0.01"]) == 2
+    assert "config key 'restrict_v'" in capsys.readouterr().err
+
+    config.write_text(json.dumps({"model": "einstein", "p": "2.0", "q": "one"}))
+    assert main(["flow", "--config", str(config), "--t-end", "0.01"]) == 2
+    assert "einstein parameter q" in capsys.readouterr().err
+
+    # Numbers and numeric strings still convert.
+    config.write_text(json.dumps({"n": "3", "trials": 2, "tol_rank": 1e-8, "claims": "lemma1"}))
+    assert main(["certify", "--config", str(config)]) == 0
+
+
+def test_gaudin_weights_need_the_gaudin_claim(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gaudin_weights": [1, 2, 3], "claims": "lemma1"}))
+    assert main(["certify", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'gaudin_weights'" in err
+
+    config.write_text(json.dumps({"gaudin_weights": [1, "x", 3], "claims": "gaudin"}))
+    assert main(["certify", "--config", str(config)]) == 2
+    assert "config key 'gaudin_weights'" in capsys.readouterr().err
+
 
 def test_report_prints_non_finite_values(tmp_path, capsys):
     row = {"claim_id": "thm3.span_inclusion", "algebra": "su2", "n": 3, "seed": 42,
