@@ -95,11 +95,11 @@ class LieAlgebra:
         if np.linalg.eigvalsh(self.gram).min() <= 0:
             raise ConfigurationError("pairing must be positive definite")
         self.gram_inv = np.linalg.inv(self.gram)
-        # _trace_basis[(i, j), a] = basis[a, j, i]: a flattened matrix times
+        # trace_basis[(i, j), a] = basis[a, j, i]: a flattened matrix times
         # it gives tr(mat e_a) for every a.
-        self._trace_basis = self.basis.transpose(2, 1, 0).reshape(m * m, self.dim)
+        self.trace_basis = self.basis.transpose(2, 1, 0).reshape(m * m, self.dim)
 
-        for arr in (self.basis, self.structure, self.ad_basis, self.gram, self.gram_inv, self._trace_basis):
+        for arr in (self.basis, self.structure, self.ad_basis, self.gram, self.gram_inv, self.trace_basis):
             arr.setflags(write=False)
 
     def _validate_jacobi(self) -> None:
@@ -198,32 +198,6 @@ class LieAlgebra:
         z = np.einsum("ij,aji->a", power, self.basis)
         w = deg * (z.real if deg % 2 == 0 else z.imag)
         return self.gram_inv @ w
-
-    def _powers(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """rho(x) and its powers 1 .. m-1 for a stack, shapes (P, m, m), (P, rank, m, m)."""
-        mats = self.to_matrices(xs)
-        powers = [mats]
-        for _ in range(self.rank - 1):
-            powers.append(powers[-1] @ mats)
-        return mats, np.stack(powers, axis=1)
-
-    def invariant_values(self, xs: np.ndarray) -> np.ndarray:
-        """Every invariant at every point of a (P, dim) stack, shape (P, rank).
-
-        Column alpha - 1 holds ``invariant_value(alpha, x)``; the traces
-        tr(rho(x)^(alpha+1)) are contractions of the power alpha with rho(x).
-        """
-        mats, powers = self._powers(xs)
-        traces = np.einsum("pkij,pji->pk", powers, mats)
-        even = np.arange(2, self.m + 1) % 2 == 0
-        return np.where(even, traces.real, traces.imag)
-
-    def invariant_gradients(self, xs: np.ndarray) -> np.ndarray:
-        """Every invariant gradient at every point of a (P, dim) stack, shape (P, rank, dim)."""
-        _, powers = self._powers(xs)
-        z = powers.reshape(*powers.shape[:2], -1) @ self._trace_basis
-        degrees = np.arange(2, self.m + 1)[:, None]
-        return (degrees * np.where(degrees % 2 == 0, z.real, z.imag)) @ self.gram_inv.T
 
     # -- sampling -----------------------------------------------------------
 

@@ -1,23 +1,22 @@
 """Integral families on products of compact Lie algebras.
 
 Each family is a finite list of polynomial members with analytic gradients.
-The flag-shift construction expands the invariants of the partial sums
-x_1 + .. + x_i + t x_{i+1} into coefficients of the auxiliary parameter t;
-the Gaudin-type construction evaluates invariants of spectrally weighted
-sums.  Coefficient extraction uses exact Vandermonde interpolation on the
-integer nodes t = 0 .. deg, which is exact for polynomials of degree deg up
-to round-off, and the same node weights apply to gradients because the
-gradient of a polynomial in t is again a polynomial in t of no higher
-degree.  Constant coefficients (degree-zero members) are kept; they simply
-contribute zero gradients wherever ranks or brackets are measured.  The
-built-in families are data, evaluated in one batched pass (``_TracePowers``).
+Every built-in member is an exact series coefficient: the coefficient of w^k
+in tr (sum_l w^l C_l)^d with each C_l affine in the point.  The flag-shift
+construction expands the invariants of the partial sums
+x_1 + .. + x_i + t x_{i+1} in t; the argument-shift family expands
+f(x + t a); the Gaudin family takes the principal parts of tr L(z)^d at the
+poles of the spectral Lax matrix L(z).  Constant coefficients (degree-zero
+members) are kept; they simply contribute zero gradients wherever ranks or
+brackets are measured.  The built-in families are data, evaluated in one
+batched pass (``_SeriesTraces``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
@@ -117,53 +116,82 @@ class PolynomialFamily:
         return PolynomialFamily(name, domain, members)
 
 
-@lru_cache(maxsize=None)
-def _coefficient_weights(degree: int) -> np.ndarray:
-    # Rows give the interpolation weights of each t-coefficient on the
-    # integer nodes 0 .. degree; exact for polynomials of that degree.
-    nodes = np.arange(degree + 1, dtype=float)
-    vandermonde = nodes[:, None] ** np.arange(degree + 1)
-    weights = np.linalg.inv(vandermonde)
-    weights.setflags(write=False)
-    return weights
+# -- kernel: every member of a family in one pass ------------------------------
 
 
-# -- kernels: every member of a family in one pass ----------------------------
+class _SeriesTraces:
+    """Members Re/Im tr S_d[k] plus linear pairings sum_b <x_b, linear[f, b]>.
 
-
-class _TracePowers:
-    """Members sum_p (sum_alpha weight[f, p, alpha] f_alpha(y_p) + <y_p, linear[f, p]>).
-
-    The points are y_p = combo[p] @ X + shift[p] for a coordinate vector X
-    (``combo`` has one column) or an (n, dim) product element X.  All
-    invariants at all points come from one batched pass of trace powers;
-    gradients follow by the chain rule through combo.
+    Series q is C(w) = sum_l w^l C_l with terms C_l = sum_b combo[q, l, b] x_b
+    + shift[q, l], affine in an (n, dim) product element X (or a coordinate
+    vector, one block).  S_d[k] is the coefficient of w^k in C(w)^d, from the
+    recurrence S_1 = C, S_(e+1)[k] = sum_l S_e[k - l] C_l truncated at the
+    largest k any member reads.  Member f reads ``select[f]`` = (q, d, k), or
+    nothing; even d take the real part of the trace and odd d the imaginary
+    part, as ``LieAlgebra.invariant_value`` does.  The gradient of
+    tr S_d[k] is d sum_l tr(S_(d-1)[k - l] dC_l), chained through combo.
     """
 
-    def __init__(self, algebra: LieAlgebra, combo, shift, weight, linear):
-        self.algebra, self.combo, self.shift, self.weight, self.linear = algebra, combo, shift, weight, linear
-        self.size, dim = weight.shape[0], algebra.dim
-        self._value_map, self._linear_map = weight.reshape(self.size, -1), linear.reshape(self.size, -1)
-        # Row (f, i) weighs invariant gradient (p, alpha) into block i of member f;
-        # the linear members' gradients are constant.
-        self._gradient_map = np.einsum("fpr,pi->fipr", weight, combo).reshape(-1, weight[0].size)
-        self._linear_gradient = np.einsum("fpd,pi->fid", linear, combo).reshape(-1, dim)
+    def __init__(self, algebra: LieAlgebra, combo, shift, select, linear):
+        self.algebra, self.combo, self.shift, self.select, self.linear = algebra, combo, shift, select, linear
+        self.size, (series, terms, blocks), m = len(select), combo.shape, algebra.m
+        self.order = order = 1 + max((s[2] for s in select if s is not None), default=0)
+        # The terms in coordinates, with one zero term appended per series.
+        pad = ((0, 0), (0, 1), (0, 0))
+        self._combo = np.pad(combo, pad).reshape(-1, blocks)
+        self._shift = np.pad(shift, pad).reshape(-1, algebra.dim)
+        self._basis = algebra.basis.reshape(algebra.dim, -1)
+        # Block (j, k) of the block-Toeplitz matrix gathers C_(k-j), or the
+        # zero term: the row [S_e[0] .. S_e[K]] times it is the row of S_(e+1).
+        q, j, a, k, b = np.ix_(range(series), range(order), range(m), range(order), range(m))
+        lag = np.where((k >= j) & (k - j < terms), k - j, terms)
+        self._gather = (((q * (terms + 1) + lag) * m + a) * m + b).reshape(series, order * m, order * m)
+        # Traces are tabled by (q, d - 2, k) for d = 2 .. m; gradients read
+        # S_e for e = d - 1 under the same index.  Re z = Re(1 z) and
+        # Im z = Re(-i z): one phase per entry picks the part that degree reads.
+        table = (series, m - 1, order)
+        value_map, gradient_map = np.zeros((self.size, *table)), np.zeros((self.size, blocks, *table))
+        for f, entry in enumerate(select):
+            if entry is None:
+                continue
+            q, d, k = entry
+            value_map[f, q, d - 2, k] = 1.0
+            for l in range(min(k + 1, terms)):
+                gradient_map[f, :, q, d - 2, k - l] += d * combo[q, l]
+        self._phase = np.broadcast_to(np.where(np.arange(2, m + 1) % 2 == 0, 1.0, -1.0j)[:, None], table).ravel()
+        gradient_map = gradient_map.reshape(self.size * blocks, -1)
+        self._used = np.flatnonzero(gradient_map.any(axis=0))
+        self._value_map, self._gradient_map = value_map.reshape(self.size, -1), gradient_map[:, self._used]
+        self._trace_gradient = algebra.trace_basis @ algebra.gram_inv.T
+        self._linear_map = linear.reshape(self.size, -1)
 
-    def _points(self, X: np.ndarray) -> np.ndarray:
-        return self.combo @ X.reshape(-1, self.algebra.dim) + self.shift
+    def _power_rows(self, X: np.ndarray, top: int) -> np.ndarray:
+        """The rows [S_e[0] .. S_e[K]] for e = 1 .. top, shape (top, Q, m, K + 1, m)."""
+        m, series = self.algebra.m, len(self.combo)
+        mats = (self._combo @ X.reshape(-1, self.algebra.dim) + self._shift) @ self._basis
+        toeplitz = mats.ravel()[self._gather]
+        powers = [toeplitz[:, :m]]
+        for _ in range(top - 1):
+            powers.append(powers[-1] @ toeplitz)
+        return np.stack(powers).reshape(top, series, m, self.order, m)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        points = self._points(X)
-        pairings = (points @ self.algebra.gram).ravel()
-        return self._value_map @ self.algebra.invariant_values(points).ravel() + self._linear_map @ pairings
+        traces = np.einsum("eqiki->qek", self._power_rows(X, self.algebra.m)[1:])
+        pairings = (X.reshape(-1, self.algebra.dim) @ self.algebra.gram).ravel()
+        return self._value_map @ (self._phase * traces.ravel()).real + self._linear_map @ pairings
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
-        grads = self.algebra.invariant_gradients(self._points(X)).reshape(-1, self.algebra.dim)
-        return (self._gradient_map @ grads + self._linear_gradient).reshape(self.size, *X.shape)
+        m = self.algebra.m
+        coefficients = self._power_rows(X, m - 1).transpose(1, 0, 3, 2, 4).reshape(-1, m * m)[self._used]
+        z = coefficients @ self._trace_gradient
+        grads = self._gradient_map @ (self._phase[self._used, None] * z).real
+        return grads.reshape(self.size, *X.shape) + self.linear.reshape(self.size, *X.shape)
 
-    def pulled_back(self, n: int) -> "_TracePowers":
+    def pulled_back(self, n: int) -> "_SeriesTraces":
         """The same members composed with the momentum x_1 + .. + x_n."""
-        return _TracePowers(self.algebra, np.repeat(self.combo, n, 1), self.shift, self.weight, self.linear)
+        return _SeriesTraces(
+            self.algebra, np.repeat(self.combo, n, 2), self.shift, self.select, np.repeat(self.linear, n, 1)
+        )
 
 
 class _Projected:
@@ -196,40 +224,38 @@ def _remap(family: PolynomialFamily, name: str, domain: str, relabel, transform)
 
 
 class _Builder:
-    """Evaluation points and member weights, collected into one _TracePowers kernel."""
+    """Series and members, collected into one _SeriesTraces kernel."""
 
     def __init__(self, algebra: LieAlgebra, blocks: int):
         self.algebra, self.blocks = algebra, blocks
-        self.combo, self.shift, self.terms, self.linear, self.labels = [], [], [], [], []
+        self.series, self.select, self.linear, self.labels = [], [], [], []
 
-    def point(self, combo, shift=0.0) -> int:
-        """Add the point combo @ X + shift; returns its index."""
-        self.combo.append(np.broadcast_to(np.asarray(combo, dtype=float), (self.blocks,)))
-        self.shift.append(np.broadcast_to(np.asarray(shift, dtype=float), (self.algebra.dim,)))
-        return len(self.combo) - 1
+    def add_series(self, *terms) -> int:
+        """Add the series sum_l w^l C_l from terms (combo, shift), C_l = combo @ X + shift; returns its index."""
+        self.series.append(terms)
+        return len(self.series) - 1
 
-    def member(self, label: str, terms=(), linear=()) -> None:
-        """Add sum weight * f_alpha(point) over terms plus sum <point, u> over linear terms."""
+    def member(self, label: str, select=None, linear=0.0) -> None:
+        """Add the trace coefficient select = (series, d, k), if any, plus sum_b <x_b, linear[b]>."""
         self.labels.append(label)
-        self.terms.append(list(terms))
-        self.linear.append(list(linear))
+        self.select.append(select)
+        self.linear.append(np.broadcast_to(linear, (self.blocks, self.algebra.dim)))
 
-    def t_coefficients(self, label: str, points: list[int]) -> None:
-        """Add the t-coefficients of every invariant along the points for t = 0, 1, ..."""
+    def coefficients(self, label: str, series: int, lag: int = 0) -> None:
+        """Add the w^k coefficients, k = 0 .. d - lag, of tr C(w)^d for every invariant degree d."""
         for alpha in range(1, self.algebra.rank + 1):
-            deg = self.algebra.invariant_degree(alpha)
-            for k, weights in enumerate(_coefficient_weights(deg)):
-                self.member(f"{label}inv={alpha},k={k}]", zip(points, [alpha] * (deg + 1), weights))
+            d = self.algebra.invariant_degree(alpha)
+            for k in range(d + 1 - lag):
+                self.member(f"{label}inv={alpha},k={k}]", (series, d, k))
 
     def family(self, name: str, domain: str) -> PolynomialFamily:
-        shape = (len(self.labels), len(self.combo))
-        weight, linear = np.zeros(shape + (self.algebra.rank,)), np.zeros(shape + (self.algebra.dim,))
-        for f, (terms, pairings) in enumerate(zip(self.terms, self.linear)):
-            for p, alpha, w in terms:
-                weight[f, p, alpha - 1] += w
-            for p, u in pairings:
-                linear[f, p] += u
-        kernel = _TracePowers(self.algebra, np.array(self.combo), np.array(self.shift), weight, linear)
+        terms = max(map(len, self.series), default=1)
+        combo = np.zeros((len(self.series), terms, self.blocks))
+        shift = np.zeros((len(self.series), terms, self.algebra.dim))
+        for q, series in enumerate(self.series):
+            for l, (c, a) in enumerate(series):
+                combo[q, l], shift[q, l] = c, a
+        kernel = _SeriesTraces(self.algebra, combo, shift, tuple(self.select), np.array(self.linear))
         members = tuple(_view(label, domain, kernel, f) for f, label in enumerate(self.labels))
         return PolynomialFamily(name, domain, members)
 
@@ -239,9 +265,9 @@ class _Builder:
 
 def _add_casimirs(builder: _Builder) -> None:
     for block, combo in enumerate(np.eye(builder.blocks)):
-        p = builder.point(combo)
+        q = builder.add_series((combo, 0.0))
         for alpha in range(1, builder.algebra.rank + 1):
-            builder.member(f"casimir[block={block},inv={alpha}]", [(p, alpha, 1.0)])
+            builder.member(f"casimir[block={block},inv={alpha}]", (q, builder.algebra.invariant_degree(alpha), 0))
 
 
 def casimir_family(space: ProductSpace) -> PolynomialFamily:
@@ -265,7 +291,7 @@ def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray) -> PolynomialFamily:
         warnings.warn("argument-shift direction is not regular; family may degenerate", stacklevel=2)
 
     builder = _Builder(algebra, 1)
-    builder.t_coefficients("shift[", [builder.point(1.0, t * shift) for t in range(algebra.m + 1)])
+    builder.coefficients("shift[", builder.add_series((1.0, 0.0), (0.0, shift)))
     return builder.family("argument_shift", "k")
 
 
@@ -278,9 +304,9 @@ def flag_shift_family(space: ProductSpace) -> PolynomialFamily:
     """
     n = space.n
     builder = _Builder(space.base, n)
-    for prefix in range(1, n):
-        combos = [np.r_[np.ones(prefix), t, np.zeros(n - prefix - 1)] for t in range(space.base.m + 1)]
-        builder.t_coefficients(f"flag[i={prefix},", [builder.point(combo) for combo in combos])
+    for prefix, block in enumerate(np.eye(n)[1:], start=1):
+        q = builder.add_series((np.r_[np.ones(prefix), np.zeros(n - prefix)], 0.0), (block, 0.0))
+        builder.coefficients(f"flag[i={prefix},", q)
     _add_casimirs(builder)
     return builder.family("flag_shift", "g")
 
@@ -297,36 +323,34 @@ def restrict_family(space: ProductSpace, family: PolynomialFamily) -> Polynomial
     return _remap(family, family.name + "_v", "v", lambda label: label + "|v", lambda k: _Projected(space, k))
 
 
-def gaudin_family(
-    space: ProductSpace,
-    weights: Iterable[float],
-    grid: Iterable[tuple[float, float]] | None = None,
-) -> PolynomialFamily:
-    """Spectral family: invariants of sum_i x_i / (t1 + a_i t2) on a grid.
+def gaudin_family(space: ProductSpace, weights: Iterable[float]) -> PolynomialFamily:
+    """Gaudin family: principal parts of tr L(z)^d at the poles of L(z) = sum_i x_i / (1 + a_i z).
 
-    The default grid fixes t1 = 1 and sweeps t2 over {0, 0.5, 1, 2, 3}; the
-    node (1, 0) gives the invariants of the momentum.  Grid nodes are
-    validated against poles of the weights.
+    L(z) = sum_i r_i x_i / (z - z_i) with poles z_i = -1/a_i and residues
+    r_i = 1/a_i; blocks with equal weights share a pole.  The Laurent series
+    at z_i converges out to the nearest other pole, at distance rho_i, so it
+    is expanded in w = (z - z_i) / rho_i, which keeps every term bounded:
+    rho_i w L = sum_l w^l C_l with C_0 = r_i (the blocks at the pole) and
+    C_l = (-1)^(l-1) sum_j r_j x_j (rho_i / (z_i - z_j))^l over the other
+    poles.  The members, the coefficients w^k of tr (rho_i w L)^d for
+    k = 0 .. d-1, are rho_i^k times the coefficients of (z - z_i)^(k-d) in
+    tr L(z)^d: the classical Gaudin Hamiltonians.
     """
     a = np.asarray(list(weights), dtype=float)
     if a.shape != (space.n,):
         raise ConfigurationError(f"need {space.n} spectral weights, got shape {a.shape}")
     if np.any(a == 0.0):
         raise ConfigurationError("spectral weights must be nonzero")
-    if grid is None:
-        grid = [(1.0, s) for s in (0.0, 0.5, 1.0, 2.0, 3.0)]
-    grid = [(float(t1), float(t2)) for t1, t2 in grid]
-
+    poles = np.array(list(dict.fromkeys(a)))
+    at_pole = a[None, :] == poles[:, None]
     builder = _Builder(space.base, space.n)
-    for t1, t2 in grid:
-        if t1 * t1 + t2 * t2 == 0.0:
-            raise ConfigurationError("grid node (0, 0) is not allowed")
-        denom = t1 + a * t2
-        if np.any(np.abs(denom) < 1e-12):
-            raise ConfigurationError(f"grid node ({t1}, {t2}) hits a pole of the spectral weights")
-        p = builder.point(1.0 / denom)
-        for alpha in range(1, space.base.rank + 1):
-            builder.member(f"spectral[inv={alpha},node=({t1:g},{t2:g})]", [(p, alpha, 1.0)])
+    for weight, here in zip(poles, at_pole):
+        # rho_i / (z_i - z_j), from 1 / (z_i - z_j) = a_i a_j / (a_i - a_j).
+        ratio = np.divide(weight * a, weight - a, out=np.zeros(space.n), where=~here)
+        ratio /= np.abs(ratio).max() or 1.0
+        terms = [(here / weight, 0.0)]
+        terms += [((-1.0) ** (l - 1) * ratio**l / a, 0.0) for l in range(1, space.base.m)]
+        builder.coefficients(f"gaudin[a={weight:g},", builder.add_series(*terms), lag=1)
     return builder.family("gaudin", "g")
 
 
@@ -336,9 +360,8 @@ def gaudin_family(
 def momentum_coordinates(space: ProductSpace) -> PolynomialFamily:
     """Pairings of the momentum with each basis element."""
     builder = _Builder(space.base, space.n)
-    momentum = builder.point(1.0)
     for a, unit in enumerate(np.eye(space.base.dim)):
-        builder.member(f"momentum[coord={a}]", linear=[(momentum, unit)])
+        builder.member(f"momentum[coord={a}]", linear=unit)
     return builder.family("momentum_coords", "g")
 
 
@@ -346,13 +369,13 @@ def momentum_pullback(space: ProductSpace, family: PolynomialFamily) -> Polynomi
     """Compose single-factor members with the momentum map.
 
     The members must come from a built-in family, such as the argument-shift
-    family: their evaluation points become affine in the momentum.
+    family: their series terms become affine in the momentum.
     """
     if family.domain != "k":
         raise ConfigurationError("momentum pullback needs a single-factor family")
-    if not all(isinstance(m.kernel, _TracePowers) for m in family):
+    if not all(isinstance(m.kernel, _SeriesTraces) for m in family):
         raise ConfigurationError("momentum pullback needs members of a built-in family")
-    pulled = partial(_TracePowers.pulled_back, n=space.n)
+    pulled = partial(_SeriesTraces.pulled_back, n=space.n)
     return _remap(family, f"mu*{family.name}", "g", lambda label: "mu*" + label, pulled)
 
 
@@ -370,7 +393,7 @@ def coordinate_member(space: ProductSpace, block: int, direction: np.ndarray | i
     unit = isinstance(direction, (int, np.integer))
     u = np.eye(space.base.dim)[int(direction)] if unit else np.asarray(direction, dtype=float)
     builder = _Builder(space.base, space.n)
-    builder.member(f"coord[block={block}]", linear=[(builder.point(np.eye(space.n)[block]), u)])
+    builder.member(f"coord[block={block}]", linear=np.outer(np.eye(space.n)[block], u))
     return builder.family("coordinate", "g").members[0]
 
 

@@ -28,6 +28,7 @@ from flagshift.families import (
     coordinate_member,
     flag_momentum_family,
     flag_shift_family,
+    gaudin_family,
     restrict_family,
     restrict_member,
 )
@@ -235,6 +236,54 @@ def test_run_claims_turns_a_claim_error_into_a_fail_record(su2n3, monkeypatch):
     assert failed["pass"] is False
     assert failed["error"].startswith("claim dimB: no generic point")
     assert all(r.passed and "error" not in r.to_dict() for r in reports if r.claim_id != "dimB")
+
+
+def test_run_claims_refuses_slice_claims_at_n_2(monkeypatch):
+    from flagshift import certify
+
+    space = ProductSpace(build_algebra("su", 2), 2)
+
+    def no_draws(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(certify, "_draw", no_draws)
+    with pytest.raises(ConfigurationError) as caught:
+        run_claims(ClaimContext(space=space), ["all"])
+    message = str(caught.value)
+    assert "lemma1, thm3, gaudin need n >= 3" in message
+    assert "thm2i, thm2ii, dimB apply" in message
+    with pytest.raises(ConfigurationError, match="claims thm3 need"):
+        run_claims(ClaimContext(space=space), ["dimB", "thm3"])
+
+
+# Configurations where the extracted family members used to fail their
+# certificates: a Vandermonde solve for the flag coefficients at su(6)^3 and
+# a sampled spectral grid for the Gaudin family elsewhere.
+@pytest.mark.parametrize(
+    "m, n, seed, claim",
+    [
+        (6, 3, 42, "thm2i"),
+        (2, 5, 42, "gaudin"),
+        (3, 4, 42, "gaudin"),
+        (4, 3, 1, "gaudin"),
+        (4, 4, 42, "gaudin"),
+    ],
+)
+def test_certificates_pass_on_the_wider_envelope(m, n, seed, claim):
+    space = ProductSpace(build_algebra("su", m), n)
+    ctx = ClaimContext(space=space, seed=seed)
+    if claim == "thm2i":
+        reports = run_claims(ctx, ["thm2i"])
+    else:
+        # the gaudin claim without its field identity and 10^4-step flow
+        family = gaudin_family(space, ctx.weights())
+        reports = [
+            check_involutive(ctx, family, "gaudin.involutive"),
+            check_involutive(ctx, family, "gaudin.involutive_pencil", weights=np.array(ctx.weights())),
+            verify_completeness(ctx, restrict_family(space, family), restricted_rank_target(space)),
+        ]
+    for report in reports:
+        assert report.passed, report.to_dict()
 
 
 @pytest.mark.parametrize(

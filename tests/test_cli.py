@@ -342,6 +342,31 @@ def test_flow_gaudin_summary(tmp_path):
     assert "closed_form_residual" not in summary
 
 
+def test_flow_gaudin_with_repeated_weights(tmp_path):
+    # blocks with equal weights share one pole of the monitored family
+    summary_path = tmp_path / "summary.json"
+    code = main(["flow", "--model", "gaudin", "--a", "1,1,2", "--algebra", "su2", "--n", "3",
+                 "--t-end", "1", "--summary", str(summary_path)])
+    assert code == 0
+    summary = _read_json(summary_path)
+    assert len(summary["drift"]) == 1 + 4
+    assert max(summary["drift"].values()) <= 1e-7
+
+
+def test_certify_at_n_2_refuses_slice_claims(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--algebra", "su2", "--n", "2", "--out", str(out)]
+    assert main(argv + ["--claims", "all"]) == 2
+    err = capsys.readouterr().err
+    assert "lemma1, thm3, gaudin need n >= 3" in err and "thm2i, thm2ii, dimB apply" in err
+    assert not out.exists()
+    assert main(argv + ["--claims", "thm2i,thm2ii,dimB"]) == 0
+    rows = _read_json(out)["claims"]
+    assert [row["claim_id"] for row in rows] == [
+        "thm2i.involutive", "thm2i.ad_invariance", "thm2ii.completeness_sum", "dimB.ddim",
+    ]
+
+
 def test_flow_rejects_bad_input(capsys):
     assert main(["flow", "--model", "einstein", "--p", "2.0", "--t-end", "0.1"]) == 2
     assert "needs --q" in capsys.readouterr().err

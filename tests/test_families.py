@@ -3,9 +3,11 @@
 The flag and shift members store t-coefficients, so the main oracle is
 re-summation: the coefficients must reassemble the shifted invariant at
 arbitrary parameter values.  Restriction identities on the zero-momentum
-slice use the binomial closed form.  The batched evaluator behind every
-built-in family is checked member by member against node sums of
-``invariant_value`` / ``invariant_gradient``.
+slice use the binomial closed form.  The series kernel behind every
+built-in family is checked member by member against references that do not
+call it: Vandermonde node sums of ``invariant_value`` /
+``invariant_gradient`` for the t-coefficients, and a trapezoid-rule Cauchy
+integral around each pole for the Gaudin principal parts.
 """
 
 import warnings
@@ -16,12 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagshift import ProductSpace, build_algebra
-from flagshift.certify import generic_point
+from flagshift.certify import ClaimContext, check_involutive, generic_point
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     FamilyMember,
     PolynomialFamily,
-    _coefficient_weights,
     casimir_family,
     coordinate_member,
     flag_momentum_family,
@@ -147,21 +148,42 @@ def test_gaudin_grid_validation(su2n3):
         gaudin_family(su2n3, (1.0, 2.0))  # wrong count
     with pytest.raises(ConfigurationError):
         gaudin_family(su2n3, (0.0, 2.0, 3.0))  # zero weight
-    with pytest.raises(ConfigurationError):
-        gaudin_family(su2n3, (1.0, 2.0, 3.0), grid=[(0.0, 0.0)])
-    with pytest.raises(ConfigurationError):
-        # node (1, -1) hits the pole of the first weight
-        gaudin_family(su2n3, (1.0, 2.0, 3.0), grid=[(1.0, -1.0)])
 
 
-def test_gaudin_momentum_node(su2n3, su2):
-    # the node (1, 0) weights every block equally: invariant of the momentum
-    fam = gaudin_family(su2n3, (1.0, 2.0, 3.0), grid=[(1.0, 0.0)])
-    rng = np.random.default_rng(3)
-    X = su2n3.random_point(rng)
-    assert fam.members[0].value(X) == pytest.approx(
-        su2.invariant_value(1, su2n3.momentum(X)), abs=1e-12
-    )
+def test_gaudin_member_counts(su2n3, su3n3):
+    # one pole per distinct weight, coefficients k = 0 .. d-1 for d = 2 .. m
+    assert len(gaudin_family(su2n3, (1.0, 2.0, 3.0))) == 6
+    assert len(gaudin_family(su3n3, (1.0, 2.0, 3.0))) == 15
+    assert len(gaudin_family(ProductSpace(build_algebra("su", 4), 3), (1.0, 2.0, 3.0))) == 27
+    assert len(gaudin_family(su2n3, (1.0, 1.0, 2.0))) == 4
+
+
+def test_gaudin_pole_identities(su2n3, su3n3):
+    # tr L(z)^2 decays like z^-2, so its residues sum to zero and the
+    # residues of z tr L(z)^2 sum to tr (sum_i r_i x_i)^2.  The k = 1
+    # member at a pole is the residue times the distance to the nearest
+    # other pole: 1/2, 1/6 and 1/6 for the poles -1, -1/2, -1/3.
+    weights, rho = (1.0, 2.0, 3.0), (1 / 2, 1 / 6, 1 / 6)
+    for space in (su2n3, su3n3):
+        X = space.random_point(np.random.default_rng(3))
+        family = gaudin_family(space, weights)
+        values = dict(zip(family.labels, family.values(X)))
+        residues = [values[f"gaudin[a={a:g},inv=1,k=1]"] / r for a, r in zip(weights, rho)]
+        leading = [values[f"gaudin[a={a:g},inv=1,k=0]"] for a in weights]
+        scale = sum(abs(v) for v in residues + leading)
+        assert abs(sum(residues)) <= 1e-13 * scale
+        total = sum(c0 - c1 / a for a, c0, c1 in zip(weights, leading, residues))
+        expect = space.base.invariant_value(1, sum(x / a for a, x in zip(weights, X)))
+        assert total == pytest.approx(expect, abs=1e-13 * scale)
+
+
+def test_gaudin_family_with_repeated_weights_commutes(su2n3):
+    # equal weights share one pole: nothing divides by z_i - z_j = 0
+    family = gaudin_family(su2n3, (1.0, 1.0, 2.0))
+    assert family.labels[:2] == ("gaudin[a=1,inv=1,k=0]", "gaudin[a=1,inv=1,k=1]")
+    ctx = ClaimContext(su2n3, seed=42, trials=3)
+    assert check_involutive(ctx, family).passed
+    assert check_involutive(ctx, family, weights=np.array([1.0, 1.0, 2.0])).passed
 
 
 def test_momentum_coordinates(su2n3, su2):
@@ -262,11 +284,21 @@ def test_generic_shift_is_deterministic_and_gated(su2):
 # -- the batched evaluator against node sums of the single-point invariants ---
 
 
-def _row(label, terms):
-    """Reference member from (value, gradient) terms; the scales are the terms' sizes."""
+def _row(label, terms, sizes=()):
+    """Reference member from (value, gradient) terms; the scales are the terms' sizes.
+
+    ``sizes`` bound the monomials behind the values: an invariant that
+    cancels to nearly zero is still summed from terms of that size.
+    """
     values, grads = zip(*terms)
-    return (label, sum(values), sum(grads), sum(abs(v) for v in values),
+    return (label, sum(values), sum(grads), sum(abs(v) for v in values) + sum(sizes),
             sum(float(np.linalg.norm(g)) for g in grads))
+
+
+def _node_weights(deg):
+    # Row k holds the weights of the t^k coefficient on the nodes t = 0 .. deg.
+    nodes = np.arange(deg + 1, dtype=float)
+    return np.linalg.inv(nodes[:, None] ** np.arange(deg + 1))
 
 
 def _coefficient_rows(k, label, point, lift):
@@ -278,9 +310,10 @@ def _coefficient_rows(k, label, point, lift):
             (k.invariant_value(alpha, point(t)), lift(t, k.invariant_gradient(alpha, point(t))))
             for t in range(deg + 1)
         ]
-        for kk, weights in enumerate(_coefficient_weights(deg)):
+        sizes = [np.linalg.norm(point(t)) ** deg for t in range(deg + 1)]
+        for kk, weights in enumerate(_node_weights(deg)):
             terms = [(w * value, w * grad) for w, (value, grad) in zip(weights, nodes)]
-            rows.append(_row(f"{label}inv={alpha},k={kk}]", terms))
+            rows.append(_row(f"{label}inv={alpha},k={kk}]", terms, np.abs(weights) * sizes))
     return rows
 
 
@@ -294,7 +327,8 @@ def _casimir_rows(space, X):
     k = space.base
     return [
         _row(f"casimir[block={b},inv={alpha}]",
-             [(k.invariant_value(alpha, X[b]), _in_block(X, b, k.invariant_gradient(alpha, X[b])))])
+             [(k.invariant_value(alpha, X[b]), _in_block(X, b, k.invariant_gradient(alpha, X[b])))],
+             [np.linalg.norm(X[b]) ** (alpha + 1)])
         for b in range(space.n)
         for alpha in range(1, k.rank + 1)
     ]
@@ -325,15 +359,35 @@ def _momentum_rows(space, X):
     ]
 
 
-def _gaudin_rows(space, weights, grid, X):
-    k, a = space.base, np.asarray(weights)
+def _gaudin_rows(space, weights, X, samples=64):
+    # rho_i^k times the coefficient of w^(k-d) in tr L(z_i + w)^d,
+    # L(z) = sum_b x_b / (1 + a_b z), rho_i the distance to the nearest other
+    # pole, by the trapezoid rule on a circle of radius rho_i / 2 around each
+    # pole z_i, with complex matrices; the gradient is d tr(L^(d-1) dL) under
+    # the same integral.
+    k, a = space.base, np.asarray(weights, dtype=float)
+    mats = np.array([k.to_matrix(x) for x in X])
+    poles = list(dict.fromkeys(weights))
     rows = []
-    for t1, t2 in grid:
-        w = 1.0 / (t1 + a * t2)
-        y = w @ X
+    for weight in poles:
+        zi = -1.0 / weight
+        rho = min((abs(zi + 1.0 / b) for b in poles if b != weight), default=1.0)
+        ws = 0.5 * rho * np.exp(2j * np.pi * np.arange(samples) / samples)
+        coef = [1.0 / (1.0 + a * (zi + w)) for w in ws]  # dL/dx_b at each sample
+        lax = [np.tensordot(c, mats, axes=1) for c in coef]
         for alpha in range(1, k.rank + 1):
-            term = (k.invariant_value(alpha, y), np.outer(w, k.invariant_gradient(alpha, y)))
-            rows.append(_row(f"spectral[inv={alpha},node=({t1:g},{t2:g})]", [term]))
+            d = k.invariant_degree(alpha)
+            part = (lambda z: z.real) if d % 2 == 0 else (lambda z: z.imag)
+            for kk in range(d):
+                terms, sizes = [], []
+                for w, c, lx in zip(ws, coef, lax):
+                    scale = rho**kk * w ** (d - kk) / samples
+                    value = part(np.trace(np.linalg.matrix_power(lx, d)) * scale)
+                    traces = np.einsum("ij,aji->a", np.linalg.matrix_power(lx, d - 1), k.basis)
+                    grad = part(d * scale * np.outer(c, traces)) @ k.gram_inv.T
+                    terms.append((value, grad))
+                    sizes.append(abs(scale) * np.linalg.norm(lx) ** d)
+                rows.append(_row(f"gaudin[a={weight:g},inv={alpha},k={kk}]", terms, sizes))
     return rows
 
 
@@ -367,7 +421,7 @@ def test_batched_families_match_node_sums(m, n, seed):
     rng = np.random.default_rng(seed)
     X, a, x = space.random_point(rng), k.random_element(rng), k.random_element(rng)
     V = space.proj_v(X)
-    weights, grid = (1.0, 2.0, 3.0) + tuple(range(4, n + 1)), [(1.0, 0.0), (1.0, 0.5), (2.0, 3.0)]
+    weights = (1.0, 2.0, 3.0) + tuple(range(4, n + 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a random shift is regular almost surely
         shift_family = mf_shift_family(k, a)
@@ -375,7 +429,8 @@ def test_batched_families_match_node_sums(m, n, seed):
     _assert_matches(flag_shift_family(space), _flag_rows(space, X), X)
     _assert_matches(casimir_family(space), _casimir_rows(space, X), X)
     _assert_matches(shift_family, _coefficient_rows(k, "shift[", lambda t: x + t * a, lambda t, g: g), x)
-    _assert_matches(gaudin_family(space, weights, grid), _gaudin_rows(space, weights, grid, X), X)
+    for gaudin_weights in (weights, (0.5,) + weights[1:-1] + (0.5,)):
+        _assert_matches(gaudin_family(space, gaudin_weights), _gaudin_rows(space, gaudin_weights, X), X)
     _assert_matches(momentum_pullback(space, shift_family), _pullback_rows(space, a, X), X)
     flag_momentum = _flag_rows(space, X) + _momentum_rows(space, X) + _pullback_rows(space, a, X)
     _assert_matches(flag_momentum_family(space, a), flag_momentum, X)
