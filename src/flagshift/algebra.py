@@ -101,6 +101,7 @@ class LieAlgebra:
 
         for arr in (self.basis, self.structure, self.ad_basis, self.gram, self.gram_inv, self.trace_basis):
             arr.setflags(write=False)
+        self._ad_rows = self.ad_basis.reshape(self.dim, self.dim * self.dim)  # a read-only view
 
     def _validate_jacobi(self) -> None:
         c = self.structure
@@ -122,7 +123,7 @@ class LieAlgebra:
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Lie bracket [x, y] in coordinates."""
-        return np.einsum("ijk,i,j->k", self.structure, self._check(x), self._check(y))
+        return self.ads(self._check(x)) @ self._check(y)
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> float:
         """Invariant pairing <x, y>, the negative Killing form."""
@@ -133,7 +134,12 @@ class LieAlgebra:
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad_x = [x, .] acting on coordinates."""
-        return np.tensordot(self._check(x), self.ad_basis, axes=1)
+        return self.ads(self._check(x))
+
+    def ads(self, xs: np.ndarray) -> np.ndarray:
+        """ad matrices of a stack (..., dim) -> (..., dim, dim): [x, y] = ads(x) @ y."""
+        xs = np.asarray(xs, dtype=float)
+        return (xs.reshape(-1, self.dim) @ self._ad_rows).reshape(*xs.shape[:-1], self.dim, self.dim)
 
     def to_matrix(self, x: np.ndarray) -> np.ndarray:
         return np.tensordot(self._check(x), self.basis, axes=1)

@@ -163,7 +163,7 @@ def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
 def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
     """Every block is regular; on the product the blocks share no centralizer."""
     algebra = context if isinstance(context, LieAlgebra) else context.base
-    ads = [algebra.ad(x) for x in np.atleast_2d(X)]
+    ads = algebra.ads(np.atleast_2d(X))
     for ad in ads:
         result = numerical_rank(ad, policy)
         if result.marginal or algebra.dim - result.rank != algebra.rank:
@@ -385,7 +385,10 @@ def verify_completeness(
     space, policy = ctx.space, ctx.policy
 
     def measure(X, entropy):
-        basis, marginal = row_space(family.gradients(X).reshape(len(family), -1), policy)
+        # Unit rows: gradients of degree 2 and degree m members differ by decades.
+        rows = family.gradients(X).reshape(len(family), -1)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        basis, marginal = row_space(rows / np.where(norms > 0.0, norms, 1.0), policy)
         if marginal:
             return 0, True, {}
         span_dim = basis.shape[0]
@@ -416,7 +419,7 @@ def verify_span_inclusion(
     def measure(X, entropy):
         etas = family.gradients(X)
         norms = space.norms(etas)
-        moved = np.einsum("ip,pqk,aiq->aik", X, space.base.structure, etas, optimize=True)
+        moved = np.einsum("ikq,aiq->aik", space.base.ads(X), etas)  # [x_i, eta_a_i]
         keep = norms > 1e-14
         defects = space.norms(space.proj_h(moved))[keep] / (space.norm(X) * norms[keep])
         worst = float(defects.max(initial=0.0))

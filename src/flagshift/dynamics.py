@@ -192,9 +192,7 @@ def einstein_hamiltonian_two_ways(
 
 def euler_field(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X: np.ndarray) -> np.ndarray:
     """dx_i/dt = [x_i, grad_i h] blockwise."""
-    X = np.asarray(X, dtype=float)
-    xi = hamiltonian.gradient(X)
-    return np.einsum("bp,pqk,bq->bk", X, space.base.structure, xi)
+    return (space.base.ads(X) @ hamiltonian.gradient(X)[:, :, None])[:, :, 0]
 
 
 def gaudin_field(space: ProductSpace, weights: Sequence[float], X: np.ndarray) -> np.ndarray:
@@ -203,8 +201,8 @@ def gaudin_field(space: ProductSpace, weights: Sequence[float], X: np.ndarray) -
     if a.shape != (space.n,) or np.any(a == 0.0):
         raise ConfigurationError("spectral weights must be nonzero and match the factor count")
     X = np.asarray(X, dtype=float)
-    pair_brackets = np.einsum("ip,pqk,jq->ijk", X, space.base.structure, X)
-    return np.einsum("ij,ijk->ik", np.outer(1.0 / a, 1.0 / a), pair_brackets)
+    pair_brackets = space.base.ads(X) @ X.T  # [i, :, j] = [x_i, x_j]
+    return (pair_brackets @ (1.0 / a)) / a[:, None]
 
 
 # -- integration ---------------------------------------------------------------

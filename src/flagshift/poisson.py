@@ -35,11 +35,11 @@ __all__ = [
 
 def _bivector(algebra: LieAlgebra, X: np.ndarray, gens: np.ndarray, weights=None) -> np.ndarray:
     """M[a, b] = -sum_i w_i <x_i, [g_a_i, g_b_i]> for a (count, n, dim) stack."""
-    # D[i, p, q] = <x_i, [e_p, e_q]>, optionally scaled per block.
-    tensor = np.einsum("pqk,ik->ipq", algebra.structure, np.asarray(X, dtype=float) @ algebra.gram)
+    # <x, [a, b]> = <[x, a], b>: moved[i, a] = [x_i, g_a_i], then one pairing product.
+    moved = gens.transpose(1, 0, 2) @ algebra.ads(X).transpose(0, 2, 1)
     if weights is not None:
-        tensor = tensor * np.asarray(weights, dtype=float)[:, None, None]
-    return -np.einsum("ipq,aip,biq->ab", tensor, gens, gens)
+        moved = moved * np.asarray(weights, dtype=float)[:, None, None]
+    return -np.tensordot(moved, gens @ algebra.gram, axes=([0, 2], [1, 2]))
 
 
 def _member_bracket(algebra: LieAlgebra, f, g, X: np.ndarray, weights=None) -> float:
@@ -105,9 +105,11 @@ def bivector_on_span(
 # -- the invariant tangent span and its bivector kernel -----------------------
 
 
-def _block_sum_rows(space: ProductSpace) -> np.ndarray:
+def _span_in_v(space: ProductSpace, rows: np.ndarray, policy: RankPolicy) -> tuple[np.ndarray, bool]:
+    """Directions in v (block sum zero) that ``rows`` annihilate, as a (dim, n, d) stack."""
     d = space.base.dim
-    return np.tile(np.eye(d), (1, space.n))
+    basis, marginal = nullspace(np.vstack([np.tile(np.eye(d), (1, space.n)), rows]), policy)
+    return basis.T.reshape(-1, space.n, d), marginal
 
 
 def invariant_tangent_span(
@@ -120,12 +122,7 @@ def invariant_tangent_span(
     Solves the two blockwise linear conditions sum_i eta_i = 0 and
     sum_i [x_i, eta_i] = 0.  Generic points give dimension (n - 2) dim K.
     """
-    X = np.asarray(X, dtype=float)
-    d = space.base.dim
-    ads = np.hstack([space.base.ad(x) for x in X])
-    system = np.vstack([_block_sum_rows(space), ads])
-    basis, marginal = nullspace(system, policy)
-    return basis.T.reshape(-1, space.n, d), marginal
+    return _span_in_v(space, np.hstack(space.base.ads(X)), policy)
 
 
 def tangent_span_orthocomplement(
@@ -134,13 +131,8 @@ def tangent_span_orthocomplement(
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, bool]:
     """Same span computed as (pairing-orthogonal complement of [X, h]) meet v."""
-    X = np.asarray(X, dtype=float)
-    d = space.base.dim
     # eta must pair to zero with every column of the stacked ad matrices.
-    rows = np.hstack([(space.base.gram @ space.base.ad(x)).T for x in X])
-    system = np.vstack([_block_sum_rows(space), rows])
-    basis, marginal = nullspace(system, policy)
-    return basis.T.reshape(-1, space.n, d), marginal
+    return _span_in_v(space, np.hstack((space.base.gram @ space.base.ads(X)).transpose(0, 2, 1)), policy)
 
 
 def _flatten(stack: np.ndarray) -> np.ndarray:
@@ -183,8 +175,8 @@ def kernel_of_restricted_bivector(
 
     d = space.base.dim
     directions = []
-    for i in range(space.n):
-        cols, marginal = nullspace(space.base.ad(X[i]), policy)
+    for i, ad in enumerate(space.base.ads(X)):
+        cols, marginal = nullspace(ad, policy)
         if marginal:
             raise GenericityError("a factor centralizer is rank-marginal; resample the point")
         for col in cols.T:

@@ -135,7 +135,7 @@ class ProductSpace:
     def diag_isotropy_dim(self, X: np.ndarray) -> int:
         """Dimension of the simultaneous centralizer of all blocks; 0 generically."""
         X = self._check(X)
-        stacked = np.vstack([self.base.ad(x) for x in X])
+        stacked = np.vstack(self.base.ads(X))
         return self.base.dim - numerical_rank(stacked, DEFAULT_POLICY).rank
 
     def __repr__(self) -> str:

@@ -94,6 +94,19 @@ def test_ad_matrix_applies_bracket(su3):
     assert np.allclose(su3.ad(x) @ y, su3.bracket(x, y), atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_ads_stack_matches_structure_constants(m):
+    k = build_algebra("su", m)
+    X = np.random.default_rng(m).normal(size=(2, 3, k.dim))
+    ads = k.ads(X)
+    assert ads.shape == (2, 3, k.dim, k.dim)
+    # literal oracle: (ad_x)_{kq} = sum_p x_p c_pq^k from the stored tensor
+    oracle = np.einsum("...p,pqk->...kq", X, k.structure)
+    assert np.abs(ads - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    singles = np.stack([k.ad(x) for x in X[1]])
+    assert np.abs(ads[1] - singles).max() <= 1e-13 * np.abs(oracle).max()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_jacobi_identity(seed):

@@ -256,9 +256,10 @@ def test_run_claims_refuses_slice_claims_at_n_2(monkeypatch):
         run_claims(ClaimContext(space=space), ["dimB", "thm3"])
 
 
-# Configurations where the extracted family members used to fail their
-# certificates: a Vandermonde solve for the flag coefficients at su(6)^3 and
-# a sampled spectral grid for the Gaudin family elsewhere.
+# Configurations where the certificates used to fail: a Vandermonde solve
+# for the flag coefficients at su(6)^3, a sampled spectral grid for the
+# Gaudin family, and at su(8)^3 a rank decision on gradient rows whose norms
+# spread over five decades.
 @pytest.mark.parametrize(
     "m, n, seed, claim",
     [
@@ -267,13 +268,14 @@ def test_run_claims_refuses_slice_claims_at_n_2(monkeypatch):
         (3, 4, 42, "gaudin"),
         (4, 3, 1, "gaudin"),
         (4, 4, 42, "gaudin"),
+        (8, 3, 42, "thm2ii"),
     ],
 )
 def test_certificates_pass_on_the_wider_envelope(m, n, seed, claim):
     space = ProductSpace(build_algebra("su", m), n)
     ctx = ClaimContext(space=space, seed=seed)
-    if claim == "thm2i":
-        reports = run_claims(ctx, ["thm2i"])
+    if claim != "gaudin":
+        reports = run_claims(ctx, [claim])
     else:
         # the gaudin claim without its field identity and 10^4-step flow
         family = gaudin_family(space, ctx.weights())
@@ -284,6 +286,18 @@ def test_certificates_pass_on_the_wider_envelope(m, n, seed, claim):
         ]
     for report in reports:
         assert report.passed, report.to_dict()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize(
+    "m, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (5, 4), (6, 3), (7, 3), (8, 3)]
+)
+def test_every_claim_passes_on_the_stated_envelope(m, n, seed):
+    # every claim, the Gaudin field identity and its 10^4-step flow included
+    reports = run_claims(ClaimContext(space=ProductSpace(build_algebra("su", m), n), seed=seed), ["all"])
+    assert [r.claim_id for r in reports if not r.passed] == []
+    assert len(reports) == 14
 
 
 @pytest.mark.parametrize(

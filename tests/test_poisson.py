@@ -11,7 +11,7 @@ import pytest
 
 from flagshift import ProductSpace, build_algebra
 from flagshift.certify import generic_point
-from flagshift.dynamics import gaudin_hamiltonian, euler_field
+from flagshift.dynamics import gaudin_field, gaudin_hamiltonian, euler_field
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     FamilyMember,
@@ -260,3 +260,31 @@ def test_bivector_on_span_accepts_weights(su2n3):
     weighted = bivector_on_span(su2n3, X, gens, weights)
     f, g = fam.members[0], fam.members[3]
     assert weighted[0, 3] == pytest.approx(pencil_bracket(su2n3, weights, f, g, X), abs=1e-12)
+
+
+def _bivector_oracle(algebra, X, gens, weights):
+    """The dim^3 structure-constant contraction, kept literally as the reference."""
+    tensor = np.einsum("pqk,ik->ipq", algebra.structure, X @ algebra.gram)
+    if weights is not None:
+        tensor = tensor * weights[:, None, None]
+    return -np.einsum("ipq,aip,biq->ab", tensor, gens, gens)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 3), (5, 3), (6, 3)])
+def test_bracket_kernel_matches_structure_constant_oracles(m, n):
+    space = ProductSpace(build_algebra("su", m), n)
+    rng = np.random.default_rng(10 * m + n)
+    X = space.random_point(rng)
+    gens = rng.normal(size=(7, n, space.base.dim))
+    for weights in (None, rng.uniform(0.5, 2.0, n)):
+        expected = _bivector_oracle(space.base, X, gens, weights)
+        got = bivector_on_span(space, X, gens, weights)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    a = rng.uniform(0.5, 2.0, n)
+    ham = gaudin_hamiltonian(space, a)
+    expected = np.einsum("bp,pqk,bq->bk", X, space.base.structure, ham.gradient(X))
+    assert np.abs(euler_field(space, ham, X) - expected).max() <= 1e-13 * np.abs(expected).max()
+    pairs = np.einsum("ip,pqk,jq->ijk", X, space.base.structure, X)
+    expected = np.einsum("ij,ijk->ik", np.outer(1.0 / a, 1.0 / a), pairs)
+    assert np.abs(gaudin_field(space, a, X) - expected).max() <= 1e-13 * np.abs(expected).max()
