@@ -3,9 +3,9 @@
 All flows here are of Euler type: dx_i/dt = [x_i, grad_i h].  Every built-in
 Hamiltonian is a quadratic form with constant blockwise coefficients, so its
 gradient is a coefficient matrix acting on the blocks and the vector field
-costs two contractions per evaluation.  The integrator is classical RK4 with
-a fixed step; conserved quantities are monitored on recorded states and
-reported as relative drifts.
+is one kernel of three BLAS calls per evaluation.  The integrator is
+classical RK4 with a fixed step; conserved quantities are monitored on
+recorded states and reported as relative drifts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "enr_closed_form",
-    "ad_invariance_defect",
     "momentum_drift",
     "momentum_norm_max",
     "trajectory_to_csv",
@@ -190,9 +189,26 @@ def einstein_hamiltonian_two_ways(
 # -- vector fields ------------------------------------------------------------
 
 
+def _euler_kernel(space: ProductSpace, hamiltonian: QuadraticHamiltonian):
+    """Euler field ``field(Y, out)``: out[i] = ads(y_i) @ (coeff @ Y)[i] as an
+    (n, dim, 1) array, by three BLAS calls into buffers allocated once."""
+    n, dim = space.n, space.base.dim
+    rows, coeff = space.base._ad_rows, hamiltonian.coeff
+    ads, grad = np.empty((n, dim * dim)), np.empty((n, dim))
+    ads3, grad3 = ads.reshape(n, dim, dim), grad.reshape(n, dim, 1)
+
+    def field(Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.dot(Y, rows, out=ads)
+        np.dot(coeff, Y, out=grad)
+        return np.matmul(ads3, grad3, out=out)
+
+    return field
+
+
 def euler_field(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X: np.ndarray) -> np.ndarray:
     """dx_i/dt = [x_i, grad_i h] blockwise."""
-    return (space.base.ads(X) @ hamiltonian.gradient(X)[:, :, None])[:, :, 0]
+    out = np.empty((space.n, space.base.dim, 1))
+    return _euler_kernel(space, hamiltonian)(np.asarray(X, dtype=float), out)[:, :, 0]
 
 
 def gaudin_field(space: ProductSpace, weights: Sequence[float], X: np.ndarray) -> np.ndarray:
@@ -221,13 +237,19 @@ class FlowSpec:
     monitors: PolynomialFamily | None = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigurationError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ConfigurationError("dt and t_end must be positive and finite")
+        steps = round(self.t_end / self.dt)
+        if steps < 1 or abs(self.t_end / self.dt - steps) > 1e-9 * steps:
+            raise ConfigurationError(f"t_end={self.t_end:g} is not a whole number of dt={self.dt:g} steps")
         if self.stride < 1:
             raise ConfigurationError("stride must be at least 1")
         if self.monitors is not None and not isinstance(self.monitors, PolynomialFamily):
             raise ConfigurationError("monitors must be a PolynomialFamily")
         initial = np.asarray(self.initial, dtype=float)
+        shape = (self.space.n, self.space.base.dim)
+        if initial.shape != shape or not np.isfinite(initial).all():
+            raise ConfigurationError(f"initial state must be a finite {shape} array, got shape {initial.shape}")
         object.__setattr__(self, "initial", initial)
 
 
@@ -265,12 +287,15 @@ def integrate(flow: FlowSpec) -> Trajectory:
     The energy is always the first monitor, labeled "energy"; the family in
     ``flow.monitors``, if any, is evaluated in one pass per recorded state.
     A non-finite state aborts the run and the trajectory keeps the last
-    valid record.
+    valid record.  Stages run in place, in the float order of the textbook
+    X + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with stage inputs X + (dt/2) k.
     """
-    space, h = flow.space, flow.hamiltonian
+    h, dt, steps = flow.hamiltonian, flow.dt, int(round(flow.t_end / flow.dt))
+    field = _euler_kernel(flow.space, h)
     X = flow.initial.copy()
-    steps = int(round(flow.t_end / flow.dt))
-    dt = flow.dt
+    Y, k = np.empty_like(X), np.empty((4,) + X.shape)
+    k1, *stage_out = k[..., None]
+    stages = list(zip(k, (0.5 * dt, 0.5 * dt, dt), stage_out))
 
     labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
     times = [0.0]
@@ -279,11 +304,17 @@ def integrate(flow: FlowSpec) -> Trajectory:
     aborted = False
 
     for step in range(1, steps + 1):
-        k1 = euler_field(space, h, X)
-        k2 = euler_field(space, h, X + 0.5 * dt * k1)
-        k3 = euler_field(space, h, X + 0.5 * dt * k2)
-        k4 = euler_field(space, h, X + dt * k3)
-        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        field(X, k1)
+        for k_in, c, k_out in stages:
+            np.multiply(k_in, c, out=Y)
+            Y += X
+            field(Y, k_out)
+        k[1:3] *= 2.0
+        np.add(k[0], k[1], out=Y)
+        Y += k[2]
+        Y += k[3]
+        Y *= dt / 6.0
+        X += Y
         if step % flow.stride == 0 or step == steps:
             if not np.isfinite(X).all():
                 aborted = True
@@ -336,12 +367,6 @@ def enr_closed_form(
 
 
 # -- conservation helpers --------------------------------------------------------
-
-
-def ad_invariance_defect(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X: np.ndarray) -> float:
-    """Norm of sum_i [x_i, grad_i h]; zero iff h is invariant under the diagonal action."""
-    X = np.asarray(X, dtype=float)
-    return space.base.norm(euler_field(space, hamiltonian, X).sum(axis=0))
 
 
 def momentum_drift(space: ProductSpace, trajectory: Trajectory) -> float:

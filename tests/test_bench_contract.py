@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from flagshift import ProductSpace, build_algebra
+from flagshift.cli import main
 from flagshift.families import FamilyMember, flag_shift_family
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -40,7 +41,7 @@ def test_family_member_defines_its_own_post_init():
     assert "__post_init__" in vars(FamilyMember)
 
 
-def test_spans_install_count_and_uninstall():
+def test_spans_install_count_and_uninstall(tmp_path):
     spans = _spans()
     tracer = spans.Tracer()
     installed = spans.install(tracer)
@@ -50,8 +51,16 @@ def test_spans_install_count_and_uninstall():
         X = space.random_point(np.random.default_rng(0))
         family.members[0].value(X)
         family.gradients(X)
+        before_flow = tracer.snapshot()
+        # the flow layer: one integrate call, its steps and its recorded samples
+        argv = ["flow", "--algebra", "su2", "--n", "3", "--t-end", "0.01", "--seed", "1",
+                "--summary", str(tmp_path / "summary.json")]
+        assert main(argv) == 0
     finally:
         installed.uninstall()
-    assert tracer.calls["families.member_value"] == 1
-    assert tracer.calls["families.gradients"] == 1
+    assert before_flow["calls"]["families.member_value"] == 1
+    assert before_flow["calls"]["families.gradients"] == 1
+    assert tracer.calls["dynamics.integrate"] == 1
+    assert tracer.counters["dynamics.integrate.steps"] == 10
+    assert tracer.counters["dynamics.integrate.samples"] == 2
     assert not hasattr(FamilyMember.__post_init__, "perfbench_span")

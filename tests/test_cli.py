@@ -374,6 +374,15 @@ def test_flow_rejects_bad_input(capsys):
     assert main(["flow", "--model", "novi", "--s", "1,bad"]) == 2
 
 
+def test_flow_rejects_t_end_off_the_step_grid(tmp_path, capsys):
+    # 0.4 of a step used to run zero steps and exit 0; 1.0 at dt 0.3 stopped at 0.9
+    summary = tmp_path / "summary.json"
+    for t_end, dt in (("4e-4", "1e-3"), ("1", "0.3")):
+        assert main(["flow", "--t-end", t_end, "--dt", dt, "--summary", str(summary)]) == 2
+        assert "not a whole number of dt" in capsys.readouterr().err
+    assert not summary.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["unknown-subcommand"]) == 2
     assert main([]) == 2

@@ -16,7 +16,6 @@ from flagshift.dynamics import (
     FlowSpec,
     QuadraticHamiltonian,
     Trajectory,
-    ad_invariance_defect,
     einstein_hamiltonian,
     einstein_hamiltonian_two_ways,
     einstein_parameters,
@@ -180,7 +179,8 @@ def test_momentum_is_conserved_by_quadratic_fields(su2n3):
         einstein_hamiltonian(su2n3, *einstein_parameters(3)),
     ]
     for ham in models:
-        assert ad_invariance_defect(su2n3, ham, X) < 1e-13
+        # sum_i [x_i, grad_i h] vanishes iff h is invariant under the diagonal action
+        assert su2n3.base.norm(euler_field(su2n3, ham, X).sum(axis=0)) < 1e-13
 
 
 def test_integrate_records_and_conserves(su2n3):
@@ -223,6 +223,66 @@ def test_flow_spec_validation(su2n3):
     with pytest.raises(ConfigurationError):
         # monitors are a family, evaluated in one pass, not a tuple of members
         FlowSpec(su2n3, ham, X, t_end=1.0, monitors=tuple(flag_shift_family(su2n3)))
+    # the initial state is one finite (n, dim) point
+    for bad in (np.zeros((3, 8)), np.zeros((2, 3)), np.zeros(9), np.zeros((1, 3, 3))):
+        with pytest.raises(ConfigurationError, match="initial state"):
+            FlowSpec(su2n3, ham, bad, t_end=1.0)
+    for value in (np.nan, np.inf):
+        start = X.copy()
+        start[1, 2] = value
+        with pytest.raises(ConfigurationError, match="initial state"):
+            FlowSpec(su2n3, ham, start, t_end=1.0)
+    # t_end is a whole number, at least one, of dt steps: no silent no-op,
+    # no run that stops short of the t_end it reports
+    for t_end, dt in ((4e-4, 1e-3), (1.0, 0.3), (0.0105, 1e-3), (np.inf, 1e-3), (1.0, np.nan)):
+        with pytest.raises(ConfigurationError):
+            FlowSpec(su2n3, ham, X, t_end=t_end, dt=dt)
+    for t_end, dt in ((3.0, 1e-3), (0.3, 0.1), (10.0, 1e-3), (1.0 + 1e-12, 1e-3)):
+        FlowSpec(su2n3, ham, X, t_end=t_end, dt=dt)
+    assert integrate(FlowSpec(su2n3, ham, X, t_end=1e-3, dt=1e-3)).times.tolist() == [0.0, 1e-3]
+
+
+def _rk4_oracle(space, ham, X, dt, steps, stride):
+    # literal RK4 over the structure-constant form of the field
+    def field(Y):
+        return np.einsum("bp,pqk,bq->bk", Y, space.base.structure, ham.coeff @ Y)
+
+    states = [X]
+    for step in range(1, steps + 1):
+        k1 = field(X)
+        k2 = field(X + 0.5 * dt * k1)
+        k3 = field(X + 0.5 * dt * k2)
+        k4 = field(X + dt * k3)
+        X = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0 or step == steps:
+            states.append(X)
+    return np.array(states)
+
+
+def test_integrate_matches_literal_rk4(su2n3):
+    space34 = ProductSpace(build_algebra("su", 3), 4)
+    for space in (su2n3, space34):
+        n = space.n
+        X0 = generic_point(space, [42, 23], "g")
+        kept = X0.copy()
+        for ham in (
+            normal_hamiltonian(space),
+            novi_hamiltonian(space, np.linspace(1.0, 1.5, n - 1), np.linspace(0.5, 0.9, n - 1)),
+            gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)),
+            einstein_hamiltonian(space, *einstein_parameters(n)),
+        ):
+            flow = FlowSpec(space, ham, X0, t_end=0.2, dt=1e-3, stride=20)
+            traj = integrate(flow)
+            expected = _rk4_oracle(space, ham, X0, 1e-3, 200, 20)
+            assert traj.states.shape == expected.shape == (11, n, space.base.dim)
+            scale = np.abs(expected).max(axis=(1, 2))
+            assert (np.abs(traj.states - expected).max(axis=(1, 2)) <= 1e-12 * scale).all(), ham.kind
+            # the in-place stepper never writes through to the caller's state,
+            # and every record is its own copy
+            assert np.array_equal(flow.initial, kept)
+            assert np.array_equal(traj.states[0], X0)
+            if ham.kind != "normal":
+                assert all(not np.array_equal(a, b) for a, b in zip(traj.states, traj.states[1:]))
 
 
 def test_closed_form_rotation_matches_integrator(su2n3):
