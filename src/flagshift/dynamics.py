@@ -288,7 +288,7 @@ def integrate(flow: FlowSpec) -> Trajectory:
     ``flow.monitors``, if any, is evaluated in one pass per recorded state.
     A non-finite state aborts the run and the trajectory keeps the last
     valid record.  Stages run in place, in the float order of the textbook
-    X + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with stage inputs X + (dt/2) k.
+    X + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with stage inputs X + c k_j.
     """
     h, dt, steps = flow.hamiltonian, flow.dt, int(round(flow.t_end / flow.dt))
     field = _euler_kernel(flow.space, h)
