@@ -85,6 +85,15 @@ def test_quadratic_hamiltonian_requires_symmetry(su2n3):
         QuadraticHamiltonian("probe", su2n3, coeff, {})
 
 
+def test_quadratic_hamiltonian_leaves_the_callers_array_writeable(su2n3):
+    coeff = np.eye(3)
+    ham = QuadraticHamiltonian("probe", su2n3, coeff)
+    assert coeff.flags.writeable
+    assert not ham.coeff.flags.writeable
+    coeff[0, 0] = 5.0
+    assert ham.coeff[0, 0] == 1.0
+
+
 def test_normal_flow_is_stationary(su2n3):
     rng = np.random.default_rng(1)
     X = su2n3.random_point(rng)
@@ -209,6 +218,7 @@ def test_integrate_aborts_on_overflow(su2n3):
     assert traj.aborted
     assert np.isfinite(traj.states).all()
     assert traj.final_time < 1.0
+    assert len(traj.times) == len(traj.states) == len(traj.monitor_series)
 
 
 def test_flow_spec_validation(su2n3):
@@ -218,8 +228,13 @@ def test_flow_spec_validation(su2n3):
         FlowSpec(su2n3, ham, X, t_end=0.0)
     with pytest.raises(ConfigurationError):
         FlowSpec(su2n3, ham, X, t_end=1.0, dt=-1e-3)
-    with pytest.raises(ConfigurationError):
-        FlowSpec(su2n3, ham, X, t_end=1.0, stride=0)
+    # stride is a whole number of steps, at least one: 2.5 used to record
+    # every 5th step and True ran as 1
+    for stride in (0, -1, 2.5, 1.0, True, "10", None):
+        with pytest.raises(ConfigurationError, match="stride"):
+            FlowSpec(su2n3, ham, X, t_end=1.0, stride=stride)
+    for stride in (1, 7, np.int64(3)):
+        FlowSpec(su2n3, ham, X, t_end=1.0, stride=stride)
     with pytest.raises(ConfigurationError):
         # monitors are a family, evaluated in one pass, not a tuple of members
         FlowSpec(su2n3, ham, X, t_end=1.0, monitors=tuple(flag_shift_family(su2n3)))
@@ -260,8 +275,12 @@ def _rk4_oracle(space, ham, X, dt, steps, stride):
 
 
 def test_integrate_matches_literal_rk4(su2n3):
-    space34 = ProductSpace(build_algebra("su", 3), 4)
-    for space in (su2n3, space34):
+    spaces = (su2n3, ProductSpace(build_algebra("su", 3), 4), ProductSpace(build_algebra("su", 5), 4))
+    # (steps, stride): a stride that divides the steps, and one that does
+    # not, so the last record is the final step, at an odd and an even step
+    # count, so the final state is read from each of the two tableaux
+    runs = ((200, 20), (201, 20), (150, 40))
+    for space in spaces:
         n = space.n
         X0 = generic_point(space, [42, 23], "g")
         kept = X0.copy()
@@ -271,18 +290,22 @@ def test_integrate_matches_literal_rk4(su2n3):
             gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)),
             einstein_hamiltonian(space, *einstein_parameters(n)),
         ):
-            flow = FlowSpec(space, ham, X0, t_end=0.2, dt=1e-3, stride=20)
-            traj = integrate(flow)
-            expected = _rk4_oracle(space, ham, X0, 1e-3, 200, 20)
-            assert traj.states.shape == expected.shape == (11, n, space.base.dim)
-            scale = np.abs(expected).max(axis=(1, 2))
-            assert (np.abs(traj.states - expected).max(axis=(1, 2)) <= 1e-12 * scale).all(), ham.kind
-            # the in-place stepper never writes through to the caller's state,
-            # and every record is its own copy
-            assert np.array_equal(flow.initial, kept)
-            assert np.array_equal(traj.states[0], X0)
-            if ham.kind != "normal":
-                assert all(not np.array_equal(a, b) for a, b in zip(traj.states, traj.states[1:]))
+            for steps, stride in runs:
+                flow = FlowSpec(space, ham, X0, t_end=steps * 1e-3, dt=1e-3, stride=stride)
+                traj = integrate(flow)
+                expected = _rk4_oracle(space, ham, X0, 1e-3, steps, stride)
+                records = 1 + -(-steps // stride)
+                assert traj.states.shape == expected.shape == (records, n, space.base.dim)
+                assert traj.times[-1] == steps * 1e-3
+                scale = np.abs(expected).max(axis=(1, 2))
+                err = np.abs(traj.states - expected).max(axis=(1, 2))
+                assert (err <= 1e-12 * scale).all(), (ham.kind, steps, stride)
+                # the stepper never writes through to the caller's state,
+                # and every record is its own copy
+                assert np.array_equal(flow.initial, kept)
+                assert np.array_equal(traj.states[0], X0)
+                if ham.kind != "normal":
+                    assert all(not np.array_equal(a, b) for a, b in zip(traj.states, traj.states[1:]))
 
 
 def test_closed_form_rotation_matches_integrator(su2n3):
@@ -377,3 +400,28 @@ def test_csv_round_trip(tmp_path, su2n3):
         assert np.array_equal(values, traj.states[idx])
         monitors = np.array([float(z) for z in row[10:]])
         assert np.array_equal(monitors, traj.monitor_series[idx])
+
+
+def test_csv_bytes_match_a_literal_csv_writer(tmp_path):
+    # labels that need quoting and values at the edges of repr formatting
+    values = np.array([0.0, -0.0, 1e-300, 1e16, -2.5, 1.0 / 3.0, 1e-5, 123456789.125])
+    traj = Trajectory(
+        times=np.array([0.0, 0.5]),
+        states=np.stack([values.reshape(2, 4), values[::-1].reshape(2, 4)]),
+        monitor_labels=("energy", "I[1,2]", 'say "x"'),
+        monitor_series=np.array([[1e16, -0.0, 1e-300], [2.0, 1e100, -7.25]]),
+    )
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path)
+
+    literal = tmp_path / "literal.csv"
+    with open(literal, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t"] + [f"b{i}_{a}" for i in (1, 2) for a in (1, 2, 3, 4)]
+                        + ["monitor:energy", "monitor:I[1,2]", 'monitor:say "x"'])
+        for idx in range(2):
+            writer.writerow([repr(float(z)) for z in (
+                [traj.times[idx]] + list(traj.states[idx].ravel()) + list(traj.monitor_series[idx]))])
+    assert path.read_bytes() == literal.read_bytes()
+    assert b'"monitor:I[1,2]"' in path.read_bytes()
+    assert b"-0.0,1e-300,1e+16" in path.read_bytes()
