@@ -244,8 +244,7 @@ class FlowSpec:
         steps = round(self.t_end / self.dt)
         if steps < 1 or abs(self.t_end / self.dt - steps) > 1e-9 * steps:
             raise ConfigurationError(f"t_end={self.t_end:g} is not a whole number of dt={self.dt:g} steps")
-        stride_is_int = isinstance(self.stride, (int, np.integer)) and not isinstance(self.stride, bool)
-        if not stride_is_int or self.stride < 1:
+        if not isinstance(self.stride, int) or isinstance(self.stride, bool) or self.stride < 1:
             raise ConfigurationError(f"stride must be an integer of at least 1, got {self.stride!r}")
         if self.monitors is not None and not isinstance(self.monitors, PolynomialFamily):
             raise ConfigurationError("monitors must be a PolynomialFamily")
