@@ -421,4 +421,6 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     ])
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)  # monitor labels may need quoting
-        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
+        # row by row: one tolist() of the whole table would hold every value
+        # as a Python float at once (2.6 MB for the su3^4 flow of 1001 rows)
+        handle.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
