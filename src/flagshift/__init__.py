@@ -16,14 +16,7 @@ from .families import (
     restrict_family,
     restrict_member,
 )
-from .poisson import (
-    factor_bracket,
-    invariant_tangent_span,
-    kernel_of_restricted_bivector,
-    lp_bracket,
-    pencil_bracket,
-    v_bracket,
-)
+from .poisson import bivector_on_span, invariant_tangent_span
 from .certify import (
     CLAIM_IDS,
     CertificateReport,
@@ -72,12 +65,8 @@ __all__ = [
     "momentum_coordinates",
     "restrict_family",
     "restrict_member",
-    "factor_bracket",
+    "bivector_on_span",
     "invariant_tangent_span",
-    "kernel_of_restricted_bivector",
-    "lp_bracket",
-    "pencil_bracket",
-    "v_bracket",
     "CLAIM_IDS",
     "CertificateReport",
     "ClaimContext",

@@ -56,6 +56,8 @@ class QuadraticHamiltonian:
         n = self.space.n
         if coeff.shape != (n, n):
             raise ConfigurationError(f"coefficient matrix must be ({n}, {n})")
+        if not np.isfinite(coeff).all():
+            raise ConfigurationError("coefficient matrix must be finite")
         if np.abs(coeff - coeff.T).max() > 1e-12:
             raise ConfigurationError("coefficient matrix must be symmetric")
         object.__setattr__(self, "coeff", coeff)
@@ -79,7 +81,6 @@ def novi_hamiltonian(
     space: ProductSpace,
     s: Sequence[float],
     t: Sequence[float],
-    check_positive: bool = True,
 ) -> QuadraticHamiltonian:
     """Chained-sum Hamiltonian (1/2) sum_i <s_i (x_1 + .. + x_i) + t_i x_{i+1}, same>.
 
@@ -97,11 +98,10 @@ def novi_hamiltonian(
         w[: i + 1] = s[i]
         w[i + 1] += t[i]
         coeff += np.outer(w, w)
-    if check_positive:
-        basis = space.module_directions().T
-        restricted = basis.T @ coeff @ basis
-        if np.linalg.eigvalsh(restricted).min() <= 0.0:
-            raise ConfigurationError("chain parameters are not positive definite on the reduced space")
+    basis = space.module_directions().T
+    restricted = basis.T @ coeff @ basis
+    if np.linalg.eigvalsh(restricted).min() <= 0.0:
+        raise ConfigurationError("chain parameters are not positive definite on the reduced space")
     return QuadraticHamiltonian("novi", space, coeff, {"s": tuple(s), "t": tuple(t)})
 
 
@@ -239,6 +239,8 @@ class FlowSpec:
     monitors: PolynomialFamily | None = None
 
     def __post_init__(self):
+        if isinstance(self.dt, bool) or isinstance(self.t_end, bool):
+            raise ConfigurationError(f"dt and t_end must be numbers, got dt={self.dt!r}, t_end={self.t_end!r}")
         if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
             raise ConfigurationError("dt and t_end must be positive and finite")
         steps = round(self.t_end / self.dt)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import ConfigurationError
-from .ranks import DEFAULT_POLICY, numerical_rank
 
 __all__ = ["ProductSpace"]
 
@@ -48,12 +47,6 @@ class ProductSpace:
         return X
 
     # -- projections and momentum -------------------------------------------
-
-    def proj_factor(self, X: np.ndarray, i: int) -> np.ndarray:
-        """Block i of X (0-based factor index)."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"factor index must satisfy 0 <= i < {self.n}")
-        return self._check(X)[i]
 
     def momentum(self, X: np.ndarray) -> np.ndarray:
         """Sum of the blocks, the conserved quantity of diagonal symmetry."""
@@ -119,7 +112,7 @@ class ProductSpace:
         """Blockwise Ad_{exp(y)}, the diagonal action on the product."""
         return self.base.adjoint_action_stack(y, self._check(X))
 
-    # -- sampling and genericity ----------------------------------------------
+    # -- sampling -------------------------------------------------------------
 
     def random_point(self, rng, scale: float = 1.0) -> np.ndarray:
         rng = np.random.default_rng(rng)
@@ -127,16 +120,6 @@ class ProductSpace:
 
     def random_v_point(self, rng, scale: float = 1.0) -> np.ndarray:
         return self.proj_v(self.random_point(rng, scale))
-
-    def factor_isotropy_dims(self, X: np.ndarray) -> tuple[int, ...]:
-        X = self._check(X)
-        return tuple(self.base.isotropy_dim(x) for x in X)
-
-    def diag_isotropy_dim(self, X: np.ndarray) -> int:
-        """Dimension of the simultaneous centralizer of all blocks; 0 generically."""
-        X = self._check(X)
-        stacked = np.vstack(self.base.ads(X))
-        return self.base.dim - numerical_rank(stacked, DEFAULT_POLICY).rank
 
     def __repr__(self) -> str:
         return f"ProductSpace({self.base.name}^{self.n})"

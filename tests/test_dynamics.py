@@ -83,6 +83,10 @@ def test_quadratic_hamiltonian_requires_symmetry(su2n3):
     coeff = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ConfigurationError):
         QuadraticHamiltonian("probe", su2n3, coeff, {})
+    # NaN fails every comparison, so the symmetry gate alone would pass it
+    for value in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            QuadraticHamiltonian("probe", su2n3, np.full((3, 3), value))
 
 
 def test_quadratic_hamiltonian_leaves_the_callers_array_writeable(su2n3):
@@ -118,8 +122,6 @@ def test_novi_field_matches_literal_chain(su2n3, su3n3):
 def test_novi_positivity_gate(su2n3):
     with pytest.raises(ConfigurationError):
         novi_hamiltonian(su2n3, (1.0, 0.0), (0.0, 0.0))
-    ham = novi_hamiltonian(su2n3, (1.0, 0.0), (0.0, 0.0), check_positive=False)
-    assert ham.kind == "novi"
     with pytest.raises(ConfigurationError):
         novi_hamiltonian(su2n3, (1.0,), (0.5, 0.5))
 
@@ -228,6 +230,10 @@ def test_flow_spec_validation(su2n3):
         FlowSpec(su2n3, ham, X, t_end=0.0)
     with pytest.raises(ConfigurationError):
         FlowSpec(su2n3, ham, X, t_end=1.0, dt=-1e-3)
+    # a bool is not a time: True would run one step of 1, or up to t = 1
+    for t_end, dt in ((1.0, True), (True, 1e-3), (True, True)):
+        with pytest.raises(ConfigurationError, match="numbers"):
+            FlowSpec(su2n3, ham, X, t_end=t_end, dt=dt)
     # stride is an int of at least one: a float or a bool is refused, not
     # silently stepped as some other stride
     for stride in (0, -1, 2.5, 1.0, True, "10", None):

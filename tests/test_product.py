@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from flagshift import ProductSpace
+from flagshift.certify import _gates_ok
 from flagshift.errors import ConfigurationError
+from flagshift.ranks import DEFAULT_POLICY, numerical_rank
 
 
 def test_dimensions(su2n3, su3n3):
@@ -38,15 +40,6 @@ def test_momentum_and_v_membership(su2n3):
     assert su2n3.in_v(V)
     assert not su2n3.in_v(X + 1.0)
     assert su2n3.in_v(su2n3.random_v_point(rng))
-
-
-def test_proj_factor(su2n3):
-    rng = np.random.default_rng(2)
-    X = su2n3.random_point(rng)
-    for i in range(3):
-        assert np.array_equal(su2n3.proj_factor(X, i), X[i])
-    with pytest.raises(ValueError):
-        su2n3.proj_factor(X, 3)
 
 
 def test_module_directions_su2n3(su2n3):
@@ -90,13 +83,18 @@ def test_diagonal_adjoint_equivariance(su2n3, su2):
 
 
 def test_isotropy_dimensions(su3n3, su3):
+    # the genericity gates: every block regular, no centralizer shared by all
     rng = np.random.default_rng(5)
     X = su3n3.random_point(rng)
-    assert su3n3.factor_isotropy_dims(X) == (2, 2, 2)
-    assert su3n3.diag_isotropy_dim(X) == 0
+    assert [su3.isotropy_dim(x) for x in X] == [2, 2, 2]
+    assert _gates_ok(su3n3, X, "g", DEFAULT_POLICY)
     x = su3.random_element(rng)
     tiled = np.tile(x, (3, 1))
-    assert su3n3.diag_isotropy_dim(tiled) == 2
+    # equal blocks are each regular but share their rank-2 centralizer
+    assert su3.isotropy_dim(x) == 2
+    assert _gates_ok(su3, x, "k", DEFAULT_POLICY)
+    assert su3.dim - numerical_rank(np.vstack(su3.ads(tiled))).rank == 2
+    assert not _gates_ok(su3n3, tiled, "g", DEFAULT_POLICY)
 
 
 def test_pair_is_blockwise_killing(su2n3, su2):
