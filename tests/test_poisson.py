@@ -239,11 +239,24 @@ def test_restricted_bivector_kernel_is_the_projected_centralizer(spaces):
         assert subspace_angles(kernel, central).max() < 1e-6
 
 
+def test_pencil_bracket_reduces_to_product_bracket(su2n3):
+    # unit pencil weights give the product bracket -sum_i <x_i, [df_i, dg_i]>
+    rng = np.random.default_rng(8)
+    X = su2n3.random_point(rng)
+    f = pairing_member(su2n3, 0, 1)
+    g = pairing_member(su2n3, 1, 2)
+    df, dg = f.gradient(X), g.gradient(X)
+    base = su2n3.base
+    product = -sum(base.pair(X[i], base.bracket(df[i], dg[i])) for i in range(su2n3.n))
+    assert _bracket(su2n3, f, g, X, np.ones(3)) == pytest.approx(product, abs=1e-12)
+    assert _bracket(su2n3, f, g, X) == pytest.approx(product, abs=1e-12)
+    with pytest.raises(ConfigurationError, match="block weights"):
+        _bracket(su2n3, f, g, X, np.ones(4))
+
+
 def test_bivector_on_span_accepts_weights(su2n3):
     X = generic_point(su2n3, [42, 25], "g")
     gens = flag_shift_family(su2n3).gradients(X)
-    plain = bivector_on_span(su2n3, X, gens)
-    assert np.abs(bivector_on_span(su2n3, X, gens, np.ones(3)) - plain).max() < 1e-12
     # -sum_i w_i <x_i, [a_i, b_i]> is the unweighted bivector at the point
     # with block i scaled by w_i; a zero weight is a valid pencil member
     for weights in (np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0])):
