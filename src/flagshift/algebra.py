@@ -15,12 +15,15 @@ purely imaginary trace, so odd-degree generators take the imaginary part and
 even-degree generators the real part; either way the value is a real
 polynomial in the coordinates and the real/imaginary split only discards
 floating-point residue of the other component.
+
+The adjoint action's group element comes from one eigh: rho(y) = i H with H
+Hermitian, so exp(rho(y)) = V exp(i lambda) V^*, and one Newton-Schulz step
+U (3 - U^* U) / 2 puts it back on the unitary group to round-off.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError
 from .ranks import DEFAULT_POLICY, numerical_rank
@@ -151,26 +154,16 @@ class LieAlgebra:
         rhs = np.real(np.einsum("...ij,aji->...a", mats, self.basis))
         return rhs @ self._hs_inv.T
 
-    def from_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of an anti-Hermitian traceless matrix."""
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.m, self.m):
-            raise ValueError(f"expected matrix of shape ({self.m}, {self.m}), got {mat.shape}")
-        return self._expand_stack(mat)
-
-    def adjoint_action(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Ad_{exp(y)} x, computed by conjugating in the defining representation.
-
-        The group element exp(y) is unitary, so conjugation preserves the
-        pairing exactly up to round-off.
-        """
-        u = expm(self.to_matrix(y))
-        mat = u @ self.to_matrix(x) @ u.conj().T
-        return self.from_matrix(mat)
+    def _unitary(self, y: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+        """exp(t rho(y)) by the eigh route of the module docstring, one (m, m) per time in ``t``."""
+        lam, vecs = np.linalg.eigh(-1j * self.to_matrix(y))
+        phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), lam))
+        u = (vecs * phases[..., None, :]) @ vecs.conj().T
+        return u @ (1.5 * np.eye(self.m) - 0.5 * (np.conj(np.swapaxes(u, -1, -2)) @ u))
 
     def adjoint_action_stack(self, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Ad_{exp(y)} applied to a stack of elements (shape (..., dim))."""
-        u = expm(self.to_matrix(y))
+        u = self._unitary(y)
         mats = self.to_matrices(xs)
         conj = np.einsum("pq,...qr,rs->...ps", u, mats, u.conj().T)
         return self._expand_stack(conj)

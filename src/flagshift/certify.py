@@ -34,7 +34,6 @@ from .poisson import (
 )
 from .product import ProductSpace
 from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank, row_space
-from scipy.linalg import subspace_angles
 
 __all__ = [
     "CertificateReport",
@@ -46,7 +45,6 @@ __all__ = [
     "verify_span_inclusion",
     "ClaimContext",
     "CLAIM_IDS",
-    "describe_claims",
     "run_claims",
     "lemma1_targets",
     "flag_rank_target",
@@ -174,6 +172,14 @@ def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
     return not result.marginal and result.rank == algebra.dim
 
 
+def _at_entropy(entropy: list[int], fn: Callable, *args):
+    """fn(*args), naming the seed entropy in a LinAlgError it raises."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{exc} (seed entropy {entropy})") from exc
+
+
 def _gated_draws(
     context, seed_parts: Iterable[int], domain: str, policy: RankPolicy
 ) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -187,7 +193,7 @@ def _gated_draws(
     for retry in range(policy.max_retries + 1):
         entropy = seed_parts + [retry]
         X = _draw(context, entropy, domain)
-        if _gates_ok(context, X, domain, policy):
+        if _at_entropy(entropy, _gates_ok, context, X, domain, policy):
             yield entropy, X
     pattern = ", ".join(str(p) for p in seed_parts + ["r"])
     raise GenericityError(
@@ -216,7 +222,7 @@ def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure):
     values, witnesses = [], []
     for trial in range(ctx.trials):
         for entropy, X in _gated_draws(ctx.space, [ctx.seed, trial], domain, ctx.policy):
-            value, marginal, extra = measure(X, entropy)
+            value, marginal, extra = _at_entropy(entropy, measure, X, entropy)
             if not marginal:
                 values.append(value)
                 witnesses.append({"trial": trial, "retries": entropy[-1], **extra})
@@ -402,6 +408,29 @@ def verify_completeness(
     return _int_report(ctx, claim_id, target, values, witnesses)
 
 
+def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spans of ``a`` and ``b``, largest first.
+
+    As scipy's subspace_angles (Knyazev and Argentati, SIAM J. Sci. Comput.
+    23, 2002): cosines are the singular values of Qa^T Qb, sines those of
+    Qb - Qa Qa^T Qb, and an angle with cos^2 >= 1/2 is read from its sine,
+    which keeps the digits of small angles.
+    """
+
+    def orth(m):  # range basis, cut at eps * max(shape) * sigma_max
+        u, sigmas, _ = np.linalg.svd(m, full_matrices=False)
+        return u[:, : np.count_nonzero(sigmas > sigmas.max(initial=0.0) * np.finfo(float).eps * max(m.shape))]
+
+    qa, qb = orth(a), orth(b)
+    if qa.shape[1] < qb.shape[1]:
+        qa, qb = qb, qa
+    cross = qa.T @ qb
+    cosines = np.linalg.svd(cross, compute_uv=False)
+    sines = np.linalg.svd(qb - qa @ cross, compute_uv=False)
+    from_sine = np.arcsin(np.clip(sines, -1.0, 1.0))
+    return np.where(cosines**2 >= 0.5, from_sine, np.arccos(np.clip(cosines[::-1], -1.0, 1.0)))
+
+
 def verify_span_inclusion(
     ctx: ClaimContext, family: PolynomialFamily, claim_id: str = "span_inclusion"
 ) -> CertificateReport:
@@ -429,7 +458,7 @@ def verify_span_inclusion(
         if marginal_a or marginal_b:
             return 0.0, True, {}
         same_dim = direct.shape[0] == ortho.shape[0]
-        angles = subspace_angles(
+        angles = _principal_angles(
             direct.reshape(direct.shape[0], -1).T, ortho.reshape(ortho.shape[0], -1).T
         )
         max_angle = float(angles.max()) if angles.size else 0.0
@@ -546,25 +575,12 @@ CLAIM_IDS = tuple(_REGISTRY)
 # centralizer, so these claims can never draw a generic point there.
 _SLICE_CLAIMS = ("lemma1", "thm3", "gaudin")
 
-_DESCRIPTIONS = {
-    "lemma1": "rank and bivector-kernel dimension of the invariant tangent span",
-    "thm2i": "flag-shift family commutes and is invariant under the diagonal action",
-    "thm2ii": "flag-shift family plus momentum polynomials is complete on the product",
-    "dimB": "rank of the flag-shift family matches its closed form",
-    "thm3": "restricted family: rank, involutivity and gradient span inclusion",
-    "gaudin": "spectral family: field identity, commutativity, rank, momentum drift",
-}
-
-
-def describe_claims() -> dict[str, str]:
-    return dict(_DESCRIPTIONS)
-
-
 def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> list[CertificateReport]:
     """Run the requested claims (all of them by default) in registry order.
 
-    A claim that finds no generic point gives one failed report with the
-    error message; the other claims still run.
+    A claim that finds no generic point, or whose linear algebra fails to
+    converge, gives one failed report with the error message; the other
+    claims still run.
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
@@ -583,12 +599,13 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
         if claim in claim_ids:
             try:
                 reports.extend(_REGISTRY[claim](ctx))
-            except GenericityError as exc:
+            except (GenericityError, np.linalg.LinAlgError) as exc:
+                detail = exc if isinstance(exc, GenericityError) else f"LinAlgError: {exc}"
                 nan = float("nan")
                 reports.append(
                     CertificateReport(
                         claim, ctx.space.base.name, ctx.space.n, ctx.seed, ctx.trials,
-                        nan, nan, 0.0, False, (), error=f"claim {claim}: {exc}",
+                        nan, nan, 0.0, False, (), error=f"claim {claim}: {detail}",
                     )
                 )
     return reports

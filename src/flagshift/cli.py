@@ -185,7 +185,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     rows = [report.to_dict() for report in reports]
     for report in reports:
         if report.error is not None:
-            print(f"genericity failure: {report.error}", file=sys.stderr)
+            print(f"not measured: {report.error}", file=sys.stderr)
 
     document = {
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),

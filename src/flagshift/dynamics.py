@@ -370,17 +370,15 @@ def enr_closed_form(
     xi = (v_coef - u_coef) (x_1 + .. + x_{n-1}), the last block is constant.
     Degenerate couplings u_coef = v_coef freeze the whole state.  ``t`` is
     one time, giving one (n, dim) state, or an array of times, giving one
-    state per time; every rotation comes from one eigendecomposition of the
-    anti-Hermitian rho(xi) = i H, as exp(t rho(xi)) = V exp(i t lambda) V^*.
+    state per time; every rotation comes from one eigendecomposition of
+    rho(xi), through ``LieAlgebra._unitary``.
     """
     X0 = np.asarray(X0, dtype=float)
     if not space.in_v(X0):
         raise ValueError("closed-form reduced flow needs an initial state with zero block sum")
     algebra, k = space.base, space.n - 1
     xi = (v_coef - u_coef) * X0[:k].sum(axis=0)
-    lam, vecs = np.linalg.eigh(-1j * algebra.to_matrix(xi))
-    phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), lam))
-    u = np.einsum("pj,...j,qj->...pq", vecs, phases, vecs.conj())[..., None, :, :]
+    u = algebra._unitary(xi, t)[..., None, :, :]
     rotated = algebra._expand_stack(u @ algebra.to_matrices(X0[:k]) @ np.conj(np.swapaxes(u, -1, -2)))
     out = np.empty(rotated.shape[:-2] + X0.shape)
     out[..., :k, :] = rotated

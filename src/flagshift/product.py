@@ -30,14 +30,6 @@ class ProductSpace:
     def dim(self) -> int:
         return self.n * self.base.dim
 
-    @property
-    def dim_h(self) -> int:
-        return self.base.dim
-
-    @property
-    def dim_v(self) -> int:
-        return (self.n - 1) * self.base.dim
-
     def _check(self, X: np.ndarray, stack: bool = False) -> np.ndarray:
         """X as a float array of shape (n, dim), or (..., n, dim) with ``stack``."""
         X = np.asarray(X, dtype=float)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flagshift import ProductSpace, build_algebra
@@ -31,3 +32,20 @@ def su3n3(su3):
 @pytest.fixture(scope="session")
 def spaces(su2n3, su2n4, su3n3):
     return (su2n3, su2n4, su3n3)
+
+
+@pytest.fixture(scope="session")
+def adjoint():
+    """Oracle for Ad_{exp(y)} x: scipy's expm, then conjugation of matrices.
+
+    The basis is trace-orthogonal, tr(e_a e_b) = -delta_ab / 2, so the
+    coordinates of the conjugated matrix are -2 Re tr(mat e_a).
+    """
+    from scipy.linalg import expm
+
+    def act(k, y, x):
+        u = expm(k.to_matrix(y))
+        mat = u @ k.to_matrix(x) @ u.conj().T
+        return -2.0 * np.real(np.einsum("ij,aji->a", mat, k.basis))
+
+    return act

@@ -124,7 +124,9 @@ def test_jacobi_identity(seed):
 def test_matrix_round_trip(su3):
     rng = np.random.default_rng(3)
     x = su3.random_element(rng)
-    assert np.allclose(su3.from_matrix(su3.to_matrix(x)), x, atol=1e-13)
+    assert np.allclose(su3._expand_stack(su3.to_matrix(x)), x, atol=1e-13)
+    # the trace-orthogonality the adjoint oracle relies on
+    assert np.allclose(-2.0 * np.real(np.einsum("ij,aji->a", su3.to_matrix(x), su3.basis)), x, atol=1e-13)
 
 
 def test_to_matrix_intertwines_bracket(su2):
@@ -137,25 +139,43 @@ def test_to_matrix_intertwines_bracket(su2):
 
 def test_su2_adjoint_rotation(su2):
     t = 0.7
-    moved = su2.adjoint_action(t * E3, E1)
+    moved = su2.adjoint_action_stack(t * E3, E1)
     assert np.allclose(moved, [np.cos(t), np.sin(t), 0.0], atol=1e-12)
 
 
 def test_adjoint_preserves_pairing(su3):
     rng = np.random.default_rng(5)
     x, y, g = (su3.random_element(rng) for _ in range(3))
-    assert su3.pair(su3.adjoint_action(g, x), su3.adjoint_action(g, y)) == pytest.approx(
+    assert su3.pair(su3.adjoint_action_stack(g, x), su3.adjoint_action_stack(g, y)) == pytest.approx(
         su3.pair(x, y), abs=1e-11
     )
 
 
-def test_adjoint_stack_matches_single(su2):
+def test_adjoint_stack_matches_single(su2, adjoint):
     rng = np.random.default_rng(6)
     xs = np.stack([su2.random_element(rng) for _ in range(4)])
     y = su2.random_element(rng)
     stacked = su2.adjoint_action_stack(y, xs)
     for i in range(4):
-        assert np.allclose(stacked[i], su2.adjoint_action(y, xs[i]), atol=1e-13)
+        assert np.allclose(stacked[i], adjoint(su2, y, xs[i]), atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_unitary_matches_expm(m):
+    from scipy.linalg import expm
+
+    k = build_algebra("su", m)
+    rng = np.random.default_rng(100 + m)
+    times = np.array([0.0, 0.5, 3.0])
+    for _ in range(20):
+        y = k.random_element(rng)
+        u = k._unitary(y)
+        ref = expm(k.to_matrix(y))
+        assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-15
+        for t, ut in zip(times, k._unitary(y, times)):
+            ref = expm(k.to_matrix(t * y))
+            assert np.linalg.norm(ut - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_su2_quadratic_invariant_closed_form(su2):
@@ -199,7 +219,7 @@ def test_invariant_ad_invariance(su3):
     rng = np.random.default_rng(9)
     x = su3.random_element(rng)
     g = su3.random_element(rng, 0.8)
-    moved = su3.adjoint_action(g, x)
+    moved = su3.adjoint_action_stack(g, x)
     for alpha in (1, 2):
         a, b = su3.invariant_value(alpha, x), su3.invariant_value(alpha, moved)
         assert b == pytest.approx(a, abs=1e-11)

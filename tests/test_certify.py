@@ -11,7 +11,6 @@ from flagshift.certify import (
     check_ad_invariance,
     check_involutive,
     completeness_target,
-    describe_claims,
     flag_rank_target,
     generic_point,
     lemma1_targets,
@@ -21,7 +20,7 @@ from flagshift.certify import (
     verify_lemma1,
     verify_span_inclusion,
 )
-from flagshift.certify import _draw, _measure_at_generic_points
+from flagshift.certify import _draw, _measure_at_generic_points, _principal_angles
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
@@ -194,6 +193,33 @@ def test_verify_span_inclusion_pass_and_control(su2n3):
         verify_span_inclusion(ClaimContext(su2n3), flag_shift_family(su2n3))
 
 
+def test_principal_angles_match_scipy():
+    from scipy.linalg import subspace_angles
+
+    rng = np.random.default_rng(11)
+    low_rank = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 5))
+    pairs = [
+        (rng.normal(size=(12, 4)), rng.normal(size=(12, 4))),
+        (rng.normal(size=(12, 3)), rng.normal(size=(12, 6))),
+        (rng.normal(size=(12, 6)), rng.normal(size=(12, 3))),
+        (low_rank, rng.normal(size=(12, 4))),
+    ]
+    for a, b in pairs:
+        ours = _principal_angles(a, b)
+        assert ours.shape == (min(np.linalg.matrix_rank(a), b.shape[1]),)
+        assert np.abs(ours - subspace_angles(a, b)).max() < 1e-14
+
+    # Nearly coincident spans with known angles: only the sine branch
+    # resolves angles near 1e-10, the cosines round to 1.
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    angles = np.array([3e-10, 1e-10, 2e-11])
+    a = q[:, :3]
+    b = q[:, :3] * np.cos(angles) + q[:, 3:6] * np.sin(angles)
+    ours = _principal_angles(a, b)
+    assert np.allclose(ours, angles, rtol=1e-5, atol=0.0)
+    assert np.allclose(ours, subspace_angles(a, b), rtol=1e-5, atol=0.0)
+
+
 def test_report_dict_shape(su2n3):
     report = check_involutive(ClaimContext(su2n3, trials=2), flag_shift_family(su2n3))
     doc = report.to_dict()
@@ -211,7 +237,7 @@ def test_run_claims_selection_and_validation(su2n3):
     assert [r.claim_id for r in reports] == ["lemma1.ddim", "lemma1.dind"]
     with pytest.raises(ConfigurationError):
         run_claims(ctx, ["lemma1", "nope"])
-    assert set(describe_claims()) == set(CLAIM_IDS)
+    assert CLAIM_IDS == ("lemma1", "thm2i", "thm2ii", "dimB", "thm3", "gaudin")
 
 
 def test_run_claims_is_deterministic(su2n3):

@@ -107,6 +107,42 @@ def test_certify_genericity_error_names_claim_and_seed(tmp_path, capsys):
     assert "[42, 0, r]" in row["error"]
 
 
+def test_certify_linalg_error_is_a_fail_record(tmp_path, capsys, monkeypatch):
+    # The row-space SVD of one claim fails to converge, as LAPACK gesdd can
+    # on a finite matrix: one FAIL record, and the other claims still report.
+    import numpy as np
+
+    from flagshift import certify, ranks
+
+    svd = np.linalg.svd
+
+    def no_convergence(a, full_matrices=True, **kwargs):
+        if not full_matrices:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    def thm2ii(ctx):
+        with monkeypatch.context() as patch:
+            patch.setattr(ranks.np.linalg, "svd", no_convergence)
+            return original(ctx)
+
+    original = certify._REGISTRY["thm2ii"]
+    monkeypatch.setitem(certify._REGISTRY, "thm2ii", thm2ii)
+    out = tmp_path / "cert.json"
+    code = main(["certify", "--algebra", "su2", "--n", "3", "--claims", "all",
+                 "--trials", "2", "--out", str(out)])
+    assert code == 1
+    assert "not measured: claim thm2ii: LinAlgError: SVD did not converge" in capsys.readouterr().err
+    rows = json.loads(out.read_text())["claims"]
+    failed = [row for row in rows if not row["pass"]]
+    assert [row["claim_id"] for row in failed] == ["thm2ii"]
+    assert failed[0]["error"] == (
+        "claim thm2ii: LinAlgError: SVD did not converge (seed entropy [42, 0, 0])"
+    )
+    claims = {row["claim_id"].split(".")[0] for row in rows}
+    assert claims == {"lemma1", "thm2i", "thm2ii", "dimB", "thm3", "gaudin"}
+
+
 def test_tol_drift_flag_is_gone(tmp_path):
     # No certificate read it; the flag and its config echo are removed.
     assert main(["certify", "--claims", "lemma1", "--tol-drift", "1e-7"]) == 2

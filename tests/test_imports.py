@@ -1,8 +1,12 @@
 """Import hygiene: every name a package module imports is used in that module,
-and every name a module lists in ``__all__`` is defined there."""
+every name a module lists in ``__all__`` is defined there, and the command
+line runs on numpy alone."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -85,3 +89,25 @@ def test_checker_flags_a_dangling_export():
     probe = types.ModuleType("probe")
     exec("__all__ = ['kept', 'removed']\nkept = 1\n", probe.__dict__)
     assert undefined_exports(probe) == ["probe.removed"]
+
+
+NO_SCIPY_SNIPPET = """
+import sys
+from flagshift.cli import main
+out = sys.argv[1]
+codes = [
+    main(["certify", "--algebra", "su2", "--n", "3", "--claims", "all", "--out", out + "/cert.json"]),
+    main(["flow", "--algebra", "su2", "--n", "3", "--csv", out + "/flow.csv"]),
+]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # A fresh process: this one has scipy loaded by the tests' oracles.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SNIPPET, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"

@@ -10,8 +10,12 @@ from flagshift.ranks import DEFAULT_POLICY, numerical_rank
 
 
 def test_dimensions(su2n3, su3n3):
-    assert su2n3.dim == 9 and su2n3.dim_h == 3 and su2n3.dim_v == 6
-    assert su3n3.dim == 24 and su3n3.dim_h == 8 and su3n3.dim_v == 16
+    # h and v are the images of proj_h and proj_v: dim and (n - 1) dim
+    for space, dim, dim_h, dim_v in ((su2n3, 9, 3, 6), (su3n3, 24, 8, 16)):
+        basis = np.eye(space.dim).reshape(space.dim, space.n, space.base.dim)
+        assert space.dim == dim == space.n * space.base.dim
+        assert np.linalg.matrix_rank(space.proj_h(basis).reshape(space.dim, -1)) == dim_h
+        assert np.linalg.matrix_rank(space.proj_v(basis).reshape(space.dim, -1)) == dim_v
 
 
 def test_needs_at_least_two_factors(su2):
@@ -69,13 +73,13 @@ def test_module_direction_bounds(su2n3):
         su2n3.module_direction(3)
 
 
-def test_diagonal_adjoint_equivariance(su2n3, su2):
+def test_diagonal_adjoint_equivariance(su2n3, su2, adjoint):
     rng = np.random.default_rng(4)
     X = su2n3.random_point(rng)
     y = su2.random_element(rng, 0.7)
     moved = su2n3.diagonal_adjoint(y, X)
     assert np.allclose(
-        su2n3.momentum(moved), su2.adjoint_action(y, su2n3.momentum(X)), atol=1e-12
+        su2n3.momentum(moved), adjoint(su2, y, su2n3.momentum(X)), atol=1e-12
     )
     assert su2n3.pair(moved, moved) == pytest.approx(su2n3.pair(X, X), abs=1e-11)
     V = su2n3.proj_v(X)
