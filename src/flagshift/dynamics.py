@@ -6,8 +6,9 @@ gradient is a coefficient matrix acting on the blocks and the vector field
 is one kernel of three BLAS calls per evaluation.  The integrator is
 classical RK4 with a fixed step in Butcher-tableau form: every stage input
 and the update is one GEMV of a weight row against the stacked stages and
-state, 16 NumPy calls per step.  Conserved quantities are monitored on
-recorded states and reported as relative drifts.
+state.  The step loop never evaluates a conserved quantity: after it, the
+energy and the monitor family are evaluated on the stack of recorded
+states, ``MONITOR_CHUNK`` states per call, and reported as relative drifts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "gaudin_hamiltonian",
     "einstein_hamiltonian",
     "einstein_parameters",
-    "einstein_hamiltonian_two_ways",
     "euler_field",
     "gaudin_field",
     "FlowSpec",
@@ -40,6 +40,10 @@ __all__ = [
     "momentum_norm_max",
     "trajectory_to_csv",
 ]
+
+# Recorded states per monitor evaluation: one batched call per chunk, and a
+# working set that stays small however many states a flow records.
+MONITOR_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,12 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "coeff", coeff)
         coeff.setflags(write=False)
 
-    def value(self, X: np.ndarray) -> float:
+    def value(self, X: np.ndarray) -> float | np.ndarray:
+        """h at a point, or an array of h at each point of a (..., n, dim) stack."""
         X = np.asarray(X, dtype=float)
-        pairings = X @ self.space.base.gram @ X.T
-        return 0.5 * float(np.einsum("ij,ij->", self.coeff, pairings))
+        pairings = X @ self.space.base.gram @ np.swapaxes(X, -1, -2)
+        energy = 0.5 * np.einsum("ij,...ij->...", self.coeff, pairings)
+        return float(energy) if X.ndim == 2 else energy
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         return self.coeff @ np.asarray(X, dtype=float)
@@ -161,33 +167,6 @@ def einstein_parameters(n: int) -> tuple[float, float]:
     return p, p ** (-(n - 2))
 
 
-def einstein_hamiltonian_two_ways(
-    space: ProductSpace,
-    p: float,
-    q: float,
-    s: float | None = None,
-    X: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Evaluate the metric Hamiltonian via projections and via the closed form.
-
-    The projection route decomposes X into the diagonal part, the last
-    module copy and the remainder, and weighs the three squared norms by
-    s, q and p.  The closed-form route is the quadratic coefficient matrix.
-    Both must agree to round-off; tests assert 1e-12 relative agreement.
-    """
-    if X is None:
-        raise ValueError("a point X is required")
-    if s is None:
-        s = p
-    X = np.asarray(X, dtype=float)
-    xh = space.proj_h(X)
-    xnu = space.proj_module(space.module_direction(space.n - 1), X)
-    rest = X - xh - xnu
-    via_proj = 0.5 * (s * space.pair(xh, xh) + p * space.pair(rest, rest) + q * space.pair(xnu, xnu))
-    via_form = einstein_hamiltonian(space, p, q, s).value(X)
-    return via_proj, via_form
-
-
 # -- vector fields ------------------------------------------------------------
 
 
@@ -200,8 +179,8 @@ def _euler_kernel(space: ProductSpace, hamiltonian: QuadraticHamiltonian):
     ads3, grad3 = ads.reshape(n, dim, dim), grad.reshape(n, dim, 1)
 
     def field(Y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.dot(Y, rows, out=ads)
-        np.dot(coeff, Y, out=grad)
+        Y.dot(rows, out=ads)
+        coeff.dot(Y, out=grad)
         return np.matmul(ads3, grad3, out=out)
 
     return field
@@ -250,6 +229,9 @@ class FlowSpec:
             raise ConfigurationError(f"stride must be an integer of at least 1, got {self.stride!r}")
         if self.monitors is not None and not isinstance(self.monitors, PolynomialFamily):
             raise ConfigurationError("monitors must be a PolynomialFamily")
+        if self.monitors is not None and self.monitors.domain == "k":
+            # a stack of single-factor points would be read as product points
+            raise ConfigurationError("monitors must be a family on the product, not of domain 'k' (one factor)")
         initial = np.asarray(self.initial, dtype=float)
         shape = (self.space.n, self.space.base.dim)
         if initial.shape != shape or not np.isfinite(initial).all():
@@ -280,26 +262,21 @@ class Trajectory:
         return out
 
 
-def _monitor_row(hamiltonian, monitors, X) -> np.ndarray:
-    energy = [hamiltonian.value(X)]
-    return np.asarray(energy) if monitors is None else np.concatenate([energy, monitors.values(X)])
-
-
 def integrate(flow: FlowSpec) -> Trajectory:
     """Classical RK4 with fixed step, in Butcher-tableau form.
 
-    The energy is always the first monitor, labeled "energy"; the family in
-    ``flow.monitors``, if any, is evaluated in one pass per recorded state.
-    A non-finite state aborts the run and the trajectory keeps the last
-    valid record.  The stages k1..k4 and the state X are the rows of one
-    zeroed (5, n dim) tableau; each stage input X + sum_j a_ij k_j and the
-    update X + dt (k1 + 2 k2 + 2 k3 + k4) / 6 is one GEMV of a fixed weight
-    row against it, the update written into the X row of a second tableau
-    that takes the next step.  A step is 16 NumPy calls: three per field
-    evaluation and four GEMVs.  X is the last row, so the GEMV adds it to
-    the weighted stages last, as the textbook sum does; recorded states
-    differ from the earlier in-place stepper only by round-off (1.6e-15
-    absolute on the su3^4 Einstein flow over 10^4 steps).
+    The energy is always the first monitor, labeled "energy", followed by
+    ``flow.monitors``, if any.  The step loop only advances the state and
+    copies it at each record; a non-finite record aborts the run, keeping
+    the last valid one.  After the loop, the monitors are evaluated on the
+    recorded states, ``MONITOR_CHUNK`` states per call.  The stages k1..k4
+    and the state X are the rows of one zeroed (5, n dim) tableau; each
+    stage input X + sum_j a_ij k_j and the update X + dt (k1 + 2 k2 + 2 k3
+    + k4) / 6 is one GEMV of a fixed weight row against it, written into
+    the X row of a second tableau that takes the next step.  A step is 16
+    calls, three per field evaluation and four GEMVs, each through a bound
+    method, which skips NumPy's function dispatch.  X is the last row, so
+    the GEMV adds it to the weighted stages last, as the textbook sum does.
     """
     h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
     n, dim = flow.space.n, flow.space.base.dim
@@ -318,38 +295,41 @@ def integrate(flow: FlowSpec) -> Trajectory:
         [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0],
     ])
 
-    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
-    X = cur[2]
-    times = [0.0]
-    states = [X.copy()]
-    series = [_monitor_row(h, flow.monitors, X)]
-    aborted = False
-
+    record_steps = np.r_[0:steps:stride, steps]
+    states = np.empty((len(record_steps), n, dim))
+    states[0] = flow.initial
+    recorded = 1
     for step in range(1, steps + 1):
         T, _, X, k1, k2, k3, k4 = cur
         field(X, k1)
-        np.dot(a2, T, out=y)
+        a2.dot(T, out=y)
         field(Y, k2)
-        np.dot(a3, T, out=y)
+        a3.dot(T, out=y)
         field(Y, k3)
-        np.dot(a4, T, out=y)
+        a4.dot(T, out=y)
         field(Y, k4)
-        np.dot(b, T, out=nxt[1])
+        b.dot(T, out=nxt[1])
         cur, nxt = nxt, cur
         if step % stride == 0 or step == steps:
             X = cur[2]
             if not np.isfinite(X).all():
-                aborted = True
                 break
-            times.append(step * dt)
-            states.append(X.copy())
-            series.append(_monitor_row(h, flow.monitors, X))
+            states[recorded] = X
+            recorded += 1
 
+    aborted, states = recorded < len(states), states[:recorded]
+    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
+    series = np.empty((recorded, len(labels)))
+    for start in range(0, recorded, MONITOR_CHUNK):
+        chunk = slice(start, start + MONITOR_CHUNK)
+        series[chunk, 0] = h.value(states[chunk])
+        if flow.monitors is not None:
+            series[chunk, 1:] = flow.monitors.values(states[chunk])
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=record_steps[:recorded] * dt,
+        states=states,
         monitor_labels=labels,
-        monitor_series=np.asarray(series),
+        monitor_series=series,
         aborted=aborted,
     )
 

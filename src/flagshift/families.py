@@ -66,7 +66,10 @@ class FamilyMember:
     size = 1
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.value(X)], dtype=float)
+        """The value at a point, or at each point of a stack, one call per point: shape (..., 1)."""
+        point = X.shape[-1:] if self.domain == "k" else X.shape[-2:]
+        values = [self.value(x) for x in X.reshape(-1, *point)]
+        return np.array(values, dtype=float).reshape(*X.shape[: X.ndim - len(point)], 1)
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.gradient(X), dtype=float)[None]
@@ -100,8 +103,9 @@ class PolynomialFamily:
         return tuple(m.label for m in self.members)
 
     def values(self, X: np.ndarray) -> np.ndarray:
+        """Every member's value at a point, or at each point of a (..., n, dim) stack: shape (..., len)."""
         X = np.asarray(X, dtype=float)
-        return np.concatenate([kernel.values(X)[rows] for kernel, rows in self._groups])
+        return np.concatenate([kernel.values(X)[..., rows] for kernel, rows in self._groups], axis=-1)
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -145,7 +149,20 @@ class _SeriesTraces:
         # zero term: the row [S_e[0] .. S_e[K]] times it is the row of S_(e+1).
         q, j, a, k, b = np.ix_(range(series), range(order), range(m), range(order), range(m))
         lag = np.where((k >= j) & (k - j < terms), k - j, terms)
-        self._gather = (((q * (terms + 1) + lag) * m + a) * m + b).reshape(series, order * m, order * m)
+        gather = (((q * (terms + 1) + lag) * m + a) * m + b).reshape(series, order * m, order * m)
+        # Series q has L_q nonzero terms and its members read S_e[k] for k < K_q
+        # only.  For such k a term S_e[j] C_(k-j) of the row product is zero
+        # when j > e (L_q - 1) (S_e[j] = 0) or j > k (the zero term), so each
+        # power sums over the blocks j < min(K_q, e (L_q - 1) + 1) alone, one
+        # product per run of consecutive series sharing (L_q, K_q).  The terms
+        # left out are exact zeros at the end of each sum, so no sum is reordered
+        # (with OpenBLAS every read block keeps its bits); blocks k >= K_q go unread.
+        lengths = [1 + max(np.flatnonzero(combo[s].any(1) | shift[s].any(1)), default=0) for s in range(series)]
+        reach = [1 + max((e[2] for e in select if e is not None and e[0] == s), default=0) for s in range(series)]
+        self._runs = []
+        for (length, last), run in groupby(range(series), key=lambda s: (lengths[s], reach[s])):
+            run = list(run)
+            self._runs.append((slice(run[0], run[-1] + 1), length, last, gather[run[0] : run[-1] + 1, : last * m]))
         # Traces are tabled by (q, d - 2, k) for d = 2 .. m; gradients read
         # S_e for e = d - 1 under the same index.  Re z = Re(1 z) and
         # Im z = Re(-i z): one phase per entry picks the part that degree reads.
@@ -166,19 +183,29 @@ class _SeriesTraces:
         self._linear_map = linear.reshape(self.size, -1)
 
     def _power_rows(self, X: np.ndarray, top: int) -> np.ndarray:
-        """The rows [S_e[0] .. S_e[K]] for e = 1 .. top, shape (top, Q, m, K + 1, m)."""
-        m, series = self.algebra.m, len(self.combo)
-        mats = (self._combo @ X.reshape(-1, self.algebra.dim) + self._shift) @ self._basis
-        toeplitz = mats.ravel()[self._gather]
-        powers = [toeplitz[:, :m]]
-        for _ in range(top - 1):
-            powers.append(powers[-1] @ toeplitz)
-        return np.stack(powers).reshape(top, series, m, self.order, m)
+        """The rows [S_e[0] .. S_e[K]], e = 1 .. top, shape (top, ..., Q, m, K + 1, m) for a (...) stack X."""
+        m, series, lead = self.algebra.m, len(self.combo), X.shape[:-2]
+        mats = (self._combo @ X.reshape(*lead, -1, self.algebra.dim) + self._shift) @ self._basis
+        flat = mats.reshape(*lead, -1)
+        powers = np.empty((top, *lead, series, m, self.order * m), complex)
+        for run, length, reach, gather in self._runs:
+            # block rows j < K_q of the Toeplitz matrices; take keeps each point's
+            # matrices contiguous for BLAS, where flat[..., gather] would not
+            toeplitz = np.take(flat, gather, axis=-1)
+            powers[0, ..., run, :, :] = toeplitz[..., :m, :]
+            for e in range(1, top):
+                inner = m * min(reach, e * (length - 1) + 1)
+                rows, out = powers[e - 1, ..., run, :, :inner], powers[e, ..., run, :, :]
+                np.matmul(rows, toeplitz[..., :inner, :], out=out)
+        return powers.reshape(top, *lead, series, m, self.order, m)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        traces = np.einsum("eqiki->qek", self._power_rows(X, self.algebra.m)[1:])
-        pairings = (X.reshape(-1, self.algebra.dim) @ self.algebra.gram).ravel()
-        return self._value_map @ (self._phase * traces.ravel()).real + self._linear_map @ pairings
+        """Member values at a point, or at each point of a (..., n, dim) stack: shape (..., size)."""
+        lead = X.shape[:-2]
+        traces = np.einsum("e...qiki->...qek", self._power_rows(X, self.algebra.m)[1:])
+        pairings = (X.reshape(*lead, -1, self.algebra.dim) @ self.algebra.gram).reshape(*lead, -1, 1)
+        parts = (self._phase * traces.reshape(*lead, -1)).real[..., None]
+        return (self._value_map @ parts + self._linear_map @ pairings)[..., 0]
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         m = self.algebra.m

@@ -91,13 +91,6 @@ class ProductSpace:
     def module_directions(self) -> np.ndarray:
         return np.stack([self.module_direction(j) for j in range(1, self.n)])
 
-    def proj_module(self, nu: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the factor copy tagged by unit vector nu."""
-        nu = np.asarray(nu, dtype=float)
-        if nu.shape != (self.n,):
-            raise ValueError(f"direction must have shape ({self.n},)")
-        return np.outer(nu, nu @ self._check(X))
-
     # -- group action -------------------------------------------------------
 
     def diagonal_adjoint(self, y: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -49,3 +49,21 @@ def adjoint():
         return -2.0 * np.real(np.einsum("ij,aji->a", mat, k.basis))
 
     return act
+
+
+@pytest.fixture(scope="session")
+def einstein_by_projections():
+    """Oracle for the metric Hamiltonian from its isotypic decomposition.
+
+    X splits into its diagonal part, its copy of the factor tagged by the
+    last module direction nu (the projection nu nu^T on the block index)
+    and the rest; the three squared norms are weighed by s, q and p.
+    """
+
+    def energy(space, p, q, s, X):
+        nu = space.module_direction(space.n - 1)
+        xh, xnu = space.proj_h(X), np.outer(nu, nu @ X)
+        rest = X - xh - xnu
+        return 0.5 * (s * space.pair(xh, xh) + p * space.pair(rest, rest) + q * space.pair(xnu, xnu))
+
+    return energy

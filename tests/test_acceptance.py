@@ -104,15 +104,16 @@ def test_criterion_05_flag_family_rank(spaces, capsys):
     _verdict(capsys, 5, ok, "; ".join(parts))
 
 
-def test_criterion_06_energy_two_routes(su2n3, su2n4, capsys):
+def test_criterion_06_energy_two_routes(su2n3, su2n4, einstein_by_projections, capsys):
     rng = np.random.default_rng(2026)
     worst = 0.0
     for space in (su2n3, su2n4):
         for _ in range(5):
             p, q, s = rng.uniform(0.3, 3.0, size=3)
+            hamiltonian = dynamics.einstein_hamiltonian(space, p, q, s)
             for _ in range(100):
                 X = space.random_point(rng)
-                via_proj, via_form = dynamics.einstein_hamiltonian_two_ways(space, p, q, s, X)
+                via_proj, via_form = einstein_by_projections(space, p, q, s, X), hamiltonian.value(X)
                 worst = max(worst, abs(via_proj - via_form) / (1.0 + abs(via_proj)))
     _verdict(capsys, 6, worst <= 1e-12, f"max relative gap {worst:.2e} <= 1e-12")
 

@@ -13,11 +13,11 @@ import pytest
 from flagshift import ProductSpace, build_algebra
 from flagshift.certify import generic_point
 from flagshift.dynamics import (
+    MONITOR_CHUNK,
     FlowSpec,
     QuadraticHamiltonian,
     Trajectory,
     einstein_hamiltonian,
-    einstein_hamiltonian_two_ways,
     einstein_parameters,
     enr_closed_form,
     euler_field,
@@ -31,7 +31,7 @@ from flagshift.dynamics import (
     trajectory_to_csv,
 )
 from flagshift.errors import ConfigurationError
-from flagshift.families import flag_shift_family
+from flagshift.families import flag_shift_family, gaudin_family, mf_shift_family
 
 
 def _novi_field_oracle(space, s, t, X):
@@ -77,6 +77,23 @@ def test_quadratic_hamiltonian_value_and_gradient(su2n3):
             fd = (ham.value(X + u) - ham.value(X - u)) / (2 * h)
             euclid = (ham.gradient(X) @ su2n3.base.gram)[i, b]
             assert fd == pytest.approx(euclid, abs=1e-7)
+
+
+def test_quadratic_hamiltonian_value_on_a_stack(su2n3, su3n3):
+    # one call on a (S, n, dim) or (2, S, n, dim) stack is bit for bit one call per point
+    for space in (su2n3, su3n3):
+        rng = np.random.default_rng(1)
+        stack = np.stack([space.random_point(rng) for _ in range(6)])
+        for ham in (
+            normal_hamiltonian(space),
+            novi_hamiltonian(space, (1.0, 1.3), (0.5, 0.7)),
+            gaudin_hamiltonian(space, (1.0, 2.0, 3.0)),
+            einstein_hamiltonian(space, *einstein_parameters(3)),
+        ):
+            per_point = np.array([ham.value(X) for X in stack])
+            assert isinstance(ham.value(stack[0]), float)
+            assert np.array_equal(ham.value(stack), per_point), ham.kind
+            assert np.array_equal(ham.value(stack.reshape(2, 3, *stack.shape[1:])), per_point.reshape(2, 3))
 
 
 def test_quadratic_hamiltonian_requires_symmetry(su2n3):
@@ -160,12 +177,14 @@ def test_einstein_hamiltonian_validation(su2n3):
         einstein_hamiltonian(su2n3, 1.0, 0.0)
 
 
-def test_einstein_two_route_agreement(su2n3, su2n4):
+def test_einstein_two_route_agreement(su2n3, su2n4, einstein_by_projections):
     rng = np.random.default_rng(4)
     for space in (su2n3, su2n4):
         for p, q, s in [(1.0, 2.0, None), (0.5, 1.7, 2.2), (3.0, 0.4, None)]:
             X = space.random_point(rng)
-            via_proj, via_form = einstein_hamiltonian_two_ways(space, p, q, s, X)
+            # s defaults to p
+            via_proj = einstein_by_projections(space, p, q, p if s is None else s, X)
+            via_form = einstein_hamiltonian(space, p, q, s).value(X)
             assert abs(via_proj - via_form) < 1e-12 * (1.0 + abs(via_proj))
 
 
@@ -223,6 +242,63 @@ def test_integrate_aborts_on_overflow(su2n3):
     assert len(traj.times) == len(traj.states) == len(traj.monitor_series)
 
 
+def _per_state_series(flow, trajectory):
+    return np.array([[flow.hamiltonian.value(X), *flow.monitors.values(X)] for X in trajectory.states])
+
+
+def test_monitor_series_is_the_per_state_evaluation(su2n3, su3n3):
+    # the monitors run after the step loop, in chunks: the series must be
+    # the energy and the family at each recorded state, in that order
+    X0 = generic_point(su3n3, [42, 17], "v")
+    ham = einstein_hamiltonian(su3n3, *einstein_parameters(3))
+    long_run = FlowSpec(su3n3, ham, X0, t_end=10.0, dt=1e-3, stride=10, monitors=flag_shift_family(su3n3))
+    odd_stride = FlowSpec(su3n3, ham, X0, t_end=0.1, dt=1e-3, stride=7, monitors=flag_shift_family(su3n3))
+    weights = (1.0, 2.0, 3.0)
+    blow_up = FlowSpec(
+        su2n3, gaudin_hamiltonian(su2n3, weights), su2n3.random_point(np.random.default_rng(7)) * 5e3,
+        t_end=1.0, stride=1, monitors=gaudin_family(su2n3, weights),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = [(flow, integrate(flow)) for flow in (long_run, odd_stride, blow_up)]
+        expected = [_per_state_series(flow, traj) for flow, traj in runs]
+    (_, long_traj), (_, odd_traj), (_, blow_traj) = runs
+    # 1001 records: full chunks and a last, partial one
+    assert len(long_traj.times) == 1001 and 1001 % MONITOR_CHUNK
+    # 100 steps at stride 7: records at 0, 7, .., 98 and the final step 100
+    assert np.array_equal(odd_traj.times, np.r_[0:100:7, 100] * 1e-3)
+    # a few finite records before the overflow, the last ones past the
+    # range of the monitors
+    assert blow_traj.aborted and 1 < len(blow_traj.times)
+    assert not np.isfinite(blow_traj.monitor_series).all()
+    for (flow, traj), series in zip(runs, expected):
+        assert traj.monitor_labels == ("energy",) + flow.monitors.labels
+        assert traj.monitor_series.shape == series.shape == (len(traj.times), 1 + len(flow.monitors))
+        assert np.array_equal(traj.monitor_series, series, equal_nan=True)
+
+
+def test_integrate_never_monitors_one_state_at_a_time(su3n3, monkeypatch):
+    # a guard against a return to one monitor call per recorded sample
+    family = flag_shift_family(su3n3)
+    kernel, calls = family.members[0].kernel, []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append((name, np.shape(args[-1])))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(kernel, "values", spy("family", kernel.values))
+    monkeypatch.setattr(QuadraticHamiltonian, "value", spy("energy", QuadraticHamiltonian.value))
+    X0 = generic_point(su3n3, [42, 17], "v")
+    ham = einstein_hamiltonian(su3n3, *einstein_parameters(3))
+    traj = integrate(FlowSpec(su3n3, ham, X0, t_end=2.0, dt=1e-3, stride=10, monitors=family))
+    chunks = -(-len(traj.times) // MONITOR_CHUNK)
+    assert chunks > 1
+    assert [name for name, _ in calls].count("family") == chunks
+    assert [name for name, _ in calls].count("energy") == chunks
+    assert all(len(shape) == 3 for _, shape in calls), calls
+
+
 def test_flow_spec_validation(su2n3):
     ham = normal_hamiltonian(su2n3)
     X = np.zeros((3, 3))
@@ -244,6 +320,10 @@ def test_flow_spec_validation(su2n3):
     with pytest.raises(ConfigurationError):
         # monitors are a family, evaluated in one pass, not a tuple of members
         FlowSpec(su2n3, ham, X, t_end=1.0, monitors=tuple(flag_shift_family(su2n3)))
+    # a single-factor family takes (dim,) points, not product states: a
+    # stack of them would be read as a product point
+    with pytest.raises(ConfigurationError, match="domain 'k'"):
+        FlowSpec(su2n3, ham, X, t_end=1.0, monitors=mf_shift_family(su2n3.base, np.array([1.0, 0.3, -0.2])))
     # the initial state is one finite (n, dim) point
     for bad in (np.zeros((3, 8)), np.zeros((2, 3)), np.zeros(9), np.zeros((1, 3, 3))):
         with pytest.raises(ConfigurationError, match="initial state"):

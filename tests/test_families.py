@@ -463,3 +463,30 @@ def test_momentum_pullback_rejects_ad_hoc_members(su2n3, su2):
     adhoc = PolynomialFamily("adhoc", "k", (FamilyMember("x", "k", lambda x: x[0], lambda x: unit),))
     with pytest.raises(ConfigurationError):
         momentum_pullback(su2n3, adhoc)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (5, 3)])
+def test_family_values_on_a_stack_match_points(m, n):
+    # one pass over a (S, n, dim) stack, or a nested (2, S, n, dim) one, is
+    # bit for bit one pass per point, for every built-in family and for a
+    # merged family whose ad-hoc member is called point by point
+    space = ProductSpace(build_algebra("su", m), n)
+    rng = np.random.default_rng(10 * m + n)
+    stack = np.stack([space.random_point(rng) for _ in range(6)])
+    pair = FamilyMember(
+        "pair[0,1]", "g", lambda X: space.base.pair(X[0], X[1]), lambda X: np.zeros_like(X)
+    )
+    families = (
+        flag_shift_family(space),
+        restrict_family(space, flag_shift_family(space)),
+        gaudin_family(space, np.arange(1.0, n + 1.0)),
+        flag_momentum_family(space, generic_point(space.base, [42, 7], "k")),
+        casimir_family(space),
+        PolynomialFamily.merge("merged", flag_shift_family(space), PolynomialFamily("adhoc", "g", (pair,))),
+    )
+    for family in families:
+        per_point = np.array([family.values(X) for X in stack])
+        assert per_point.shape == (len(stack), len(family))
+        assert np.array_equal(family.values(stack), per_point), family.name
+        nested = family.values(stack.reshape(2, 3, n, space.base.dim))
+        assert np.array_equal(nested, per_point.reshape(2, 3, -1)), family.name

@@ -62,7 +62,8 @@ def test_module_directions_span_projector(su2n4):
     assert np.allclose(accum, expect, atol=1e-13)
     rng = np.random.default_rng(3)
     X = su2n4.random_point(rng)
-    total = sum(su2n4.proj_module(nu, X) for nu in nus)
+    # nu nu^T on the block index projects onto the factor copy tagged by nu
+    total = sum(np.outer(nu, nu @ X) for nu in nus)
     assert np.allclose(total, su2n4.proj_v(X), atol=1e-12)
 
 
