@@ -16,6 +16,20 @@ even-degree generators the real part; either way the value is a real
 polynomial in the coordinates and the real/imaginary split only discards
 floating-point residue of the other component.
 
+Construction validates the structure constants.  The Jacobi identity
+J[i, j, k, l] = sum_m c[j, k, m] c[i, m, l] + c[k, i, m] c[j, m, l]
++ c[i, j, m] c[k, m, l] must vanish to 1e-12.  Each term pairs an entry
+(a, b, m) with an entry (p, m, q), so J is accumulated over the pairs of
+exactly nonzero constants that share m: a skipped product has an exact-zero
+factor and is exactly zero.  About 2 000 of the 250 000 constants of su(8)
+are nonzero, and no dim^4 array is formed.
+
+The gap gate decides regularity without an SVD.  If rho(x) has eigenvalues
+i lam_j, then ad_x, which is normal in this basis, has eigenvalues
+i (lam_j - lam_k); its singular values are the gaps |lam_j - lam_k| (j != k)
+and m - 1 zeros.  One batched eigvalsh over a stack of elements gives them,
+and the rank policy's cutoff and margin judge them as they judge an SVD.
+
 The adjoint action's group element comes from one eigh: rho(y) = i H with H
 Hermitian, so exp(rho(y)) = V exp(i lambda) V^*, and one Newton-Schulz step
 U (3 - U^* U) / 2 puts it back on the unitary group to round-off.
@@ -26,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .ranks import DEFAULT_POLICY, numerical_rank
+from .ranks import DEFAULT_POLICY, RankPolicy
 
 __all__ = ["LieAlgebra", "build_algebra"]
 
@@ -83,9 +97,15 @@ class LieAlgebra:
         self._hs = np.real(np.einsum("aij,bji->ab", self.basis, self.basis))
         self._hs_inv = np.linalg.inv(self._hs)
 
-        comm = np.einsum("aik,bkj->abij", self.basis, self.basis)
-        comm = comm - comm.transpose(1, 0, 2, 3)
-        self.structure = self._expand_stack(comm)
+        # trace_basis[(i, j), a] = basis[a, j, i]: a flattened matrix times
+        # it gives tr(mat e_a) for every a.
+        self.trace_basis = self.basis.transpose(2, 1, 0).reshape(m * m, self.dim)
+        # [e_a, e_b] and its coordinates by GEMMs: on this basis they equal the
+        # einsums of _expand_stack bit for bit.
+        prods = self.basis.reshape(-1, m) @ self.basis.transpose(1, 0, 2).reshape(m, -1)
+        prods = prods.reshape(self.dim, m, self.dim, m)  # e_a e_b at [a, i, b, j]
+        comm = (prods.transpose(0, 2, 1, 3) - prods.transpose(2, 0, 1, 3)).reshape(-1, m * m)
+        self.structure = np.real(comm @ self.trace_basis).reshape((self.dim,) * 3) @ self._hs_inv.T
         defect = np.abs(self.structure + self.structure.transpose(1, 0, 2)).max()
         if defect > 1e-12:
             raise ConfigurationError("structure constants must be antisymmetric")
@@ -98,23 +118,27 @@ class LieAlgebra:
         if np.linalg.eigvalsh(self.gram).min() <= 0:
             raise ConfigurationError("pairing must be positive definite")
         self.gram_inv = np.linalg.inv(self.gram)
-        # trace_basis[(i, j), a] = basis[a, j, i]: a flattened matrix times
-        # it gives tr(mat e_a) for every a.
-        self.trace_basis = self.basis.transpose(2, 1, 0).reshape(m * m, self.dim)
 
         for arr in (self.basis, self.structure, self.ad_basis, self.gram, self.gram_inv, self.trace_basis):
             arr.setflags(write=False)
         self._ad_rows = self.ad_basis.reshape(self.dim, self.dim * self.dim)  # a read-only view
 
     def _validate_jacobi(self) -> None:
-        c = self.structure
-        jac = (
-            np.einsum("jkm,iml->ijkl", c, c)
-            + np.einsum("kim,jml->ijkl", c, c)
-            + np.einsum("ijm,kml->ijkl", c, c)
-        )
-        if np.abs(jac).max() > 1e-12:
-            raise ConfigurationError("Jacobi identity violated beyond 1e-12")
+        """The Jacobi identity to 1e-12, summed over exactly nonzero constants (module docstring)."""
+        c, d = self.structure, self.dim
+        a, b, mid = np.nonzero(c)
+        shared, p, q = np.nonzero(c.transpose(1, 0, 2))  # grouped by the shared index
+        per_m = np.bincount(shared, minlength=d)
+        counts, start = per_m[mid], (np.cumsum(per_m) - per_m)[mid]
+        first = np.repeat(np.arange(a.size), counts)
+        second = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts - start, counts)
+        prod = c[a, b, mid][first] * c[p, shared, q][second]
+        ijkl = np.stack([p[second], a[first], b[first], q[second]])  # keys of the c[j, k, m] c[i, m, l] term
+        keys = np.ravel_multi_index(np.hstack([ijkl, ijkl[[2, 0, 1, 3]], ijkl[[1, 2, 0, 3]]]), (d,) * 4)
+        _, slot = np.unique(keys, return_inverse=True)
+        worst = np.abs(np.bincount(slot, weights=np.tile(prod, 3))).max(initial=0.0)
+        if worst > 1e-12:
+            raise ConfigurationError(f"Jacobi identity violated beyond 1e-12 (max defect {worst:.3e})")
 
     # -- element arithmetic -------------------------------------------------
 
@@ -204,9 +228,17 @@ class LieAlgebra:
         rng = np.random.default_rng(rng)
         return rng.normal(0.0, scale, self.dim)
 
+    def isotropy(self, xs: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+        """Centralizer dimensions and marginal flags of a stack (..., dim), by the gap gate."""
+        lam = np.linalg.eigvalsh(-1j * self.to_matrices(xs))
+        gaps = np.abs(lam[..., :, None] - lam[..., None, :])  # j = k adds m more exact zeros
+        cut = policy.rel_tol * (lam[..., -1] - lam[..., 0])[..., None, None]
+        marginal = np.any((gaps > cut / policy.margin) & (gaps < cut * policy.margin), axis=(-2, -1))
+        return self.dim - np.count_nonzero(gaps > cut, axis=(-2, -1)), marginal
+
     def isotropy_dim(self, x: np.ndarray) -> int:
         """Dimension of the centralizer ker(ad_x); equals rank for regular x."""
-        return self.dim - numerical_rank(self.ad(x), DEFAULT_POLICY).rank
+        return int(self.isotropy(self._check(x))[0])
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name}, dim={self.dim}, rank={self.rank})"

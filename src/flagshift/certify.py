@@ -161,14 +161,12 @@ def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
 def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
     """Every block is regular; on the product the blocks share no centralizer."""
     algebra = context if isinstance(context, LieAlgebra) else context.base
-    ads = algebra.ads(np.atleast_2d(X))
-    for ad in ads:
-        result = numerical_rank(ad, policy)
-        if result.marginal or algebra.dim - result.rank != algebra.rank:
-            return False
+    dims, marginal = algebra.isotropy(np.atleast_2d(X), policy)
+    if marginal.any() or np.any(dims != algebra.rank):
+        return False
     if domain == "k":
         return True
-    result = numerical_rank(np.vstack(ads), policy)
+    result = numerical_rank(np.vstack(algebra.ads(X)), policy)
     return not result.marginal and result.rank == algebra.dim
 
 

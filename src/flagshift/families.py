@@ -30,7 +30,7 @@ from .product import ProductSpace
 __all__ = [
     "FamilyMember", "PolynomialFamily", "casimir_family", "mf_shift_family", "flag_shift_family",
     "restrict_member", "restrict_family", "gaudin_family", "momentum_coordinates", "momentum_pullback",
-    "flag_momentum_family", "coordinate_member", "pairing_member", "product_member", "member_grad_check",
+    "flag_momentum_family", "coordinate_member", "pairing_member", "product_member",
 ]
 
 DOMAINS = ("k", "g", "v")
@@ -453,42 +453,3 @@ def product_member(f: FamilyMember, g: FamilyMember) -> FamilyMember:
         return f.value(X) * g.gradient(X) + g.value(X) * f.gradient(X)
 
     return FamilyMember(f"({f.label})*({g.label})", f.domain, value, gradient)
-
-
-# -- finite-difference checks ------------------------------------------------
-
-
-def member_grad_check(
-    context: ProductSpace | LieAlgebra,
-    member: FamilyMember,
-    X: np.ndarray,
-) -> float:
-    """Max relative deviation between the analytic gradient and central differences.
-
-    Perturbations stay inside the member's domain: single-factor and product
-    members are probed along coordinate directions, restricted members along
-    an orthonormal basis of the zero-block-sum subspace.
-    """
-    X = np.asarray(X, dtype=float)
-    step = 1e-5
-    algebra = context if isinstance(context, LieAlgebra) else context.base
-    if member.domain == "v":
-        units = np.eye(algebra.dim)
-        directions = [np.outer(nu, unit) for nu in context.module_directions() for unit in units]
-    else:
-        directions = np.eye(X.size).reshape(X.size, *X.shape)
-    euclid = sum(
-        d * (member.value(X + step * d) - member.value(X - step * d)) / (2.0 * step) for d in directions
-    )
-    fd = euclid @ algebra.gram_inv.T
-    if member.domain == "v":
-        fd = context.proj_v(fd)
-
-    analytic = member.gradient(X)
-    scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)))
-    # Central differences bottom out at eps/step times the value magnitude;
-    # below that floor both gradients count as zero.
-    noise = 10.0 * np.finfo(float).eps / step * (1.0 + abs(member.value(X)))
-    if scale < max(1e-12, noise):
-        return 0.0
-    return float(np.linalg.norm(analytic - fd)) / scale

@@ -83,8 +83,14 @@ def nullspace(
 
 
 def row_space(mat: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, bool]:
-    """Orthonormal basis (rows) of the row space of ``mat``."""
+    """Orthonormal basis (rows) of the row space of ``mat``.
+
+    Exactly zero rows are dropped first: they change neither the row space
+    nor the nonzero spectrum, and LAPACK's gesdd can fail to converge on a
+    matrix that carries them.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    mat = mat[np.any(mat != 0.0, axis=1)]
     _, sigmas, vh = np.linalg.svd(mat, full_matrices=False)
     cut = _threshold(sigmas, policy, None)
     rank = int(np.count_nonzero(sigmas > cut))

@@ -5,13 +5,17 @@ commutators for structure constants, explicit closed forms for the su(2)
 quadratic invariant, and central differences for gradients.
 """
 
+import copy
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagshift import build_algebra
 from flagshift.errors import ConfigurationError
-from flagshift.ranks import RankPolicy
+from flagshift.ranks import DEFAULT_POLICY, RankPolicy, numerical_rank
 
 
 E1, E2, E3 = np.eye(3)
@@ -119,6 +123,55 @@ def test_jacobi_identity(seed):
         + k.bracket(z, k.bracket(x, y))
     )
     assert np.abs(total).max() < 1e-12
+
+
+def _dense_jacobi(c):
+    """Oracle: the three-term Jacobi tensor J[i, j, k, l] as dense einsums."""
+    return (
+        np.einsum("jkm,iml->ijkl", c, c)
+        + np.einsum("kim,jml->ijkl", c, c)
+        + np.einsum("ijm,kml->ijkl", c, c)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sparse_jacobi_agrees_with_dense_oracle(m):
+    k = build_algebra("su", m)
+    assert np.abs(_dense_jacobi(k.structure)).max() <= 1e-12
+    k._validate_jacobi()
+    entries = np.argwhere(k.structure != 0.0)
+    rng = np.random.default_rng(m)
+    for a, b, q in entries[rng.choice(len(entries), 4, replace=False)]:
+        # a 0.1% change to one antisymmetric pair c[a, b, q] = -c[b, a, q]
+        broken = copy.copy(k)
+        broken.structure = k.structure.copy()
+        broken.structure[[a, b], [b, a], q] *= 1.001
+        worst = np.abs(_dense_jacobi(broken.structure)).max()
+        if m == 2:  # every antisymmetric bracket on a 3-space is a Lie bracket
+            assert worst == 0.0
+            broken._validate_jacobi()
+            continue
+        assert worst > 1e-5
+        with pytest.raises(ConfigurationError, match=re.escape(f"max defect {worst:.3e}")):
+            broken._validate_jacobi()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_structure_gemms_match_the_einsum_route_bitwise(m):
+    k = build_algebra("su", m)
+    comm = np.einsum("aik,bkj->abij", k.basis, k.basis)
+    assert np.array_equal(k.structure, k._expand_stack(comm - comm.transpose(1, 0, 2, 3)))
+
+
+def test_build_algebra_holds_no_dim4_array():
+    # the dense Jacobi tensor at su(8) alone is 63^4 doubles, 126 MB
+    tracemalloc.start()
+    try:
+        build_algebra("su", 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_matrix_round_trip(su3):
@@ -258,6 +311,35 @@ def test_isotropy_dims(su2, su3):
     degenerate = np.zeros(8)
     degenerate[-1] = 1.0
     assert su3.isotropy_dim(degenerate) == 4
+
+
+def _with_spectrum(k, lam, rng):
+    """Coordinates of U diag(i lam) U^* for a random unitary U (trace form -2 Re tr(mat e_a))."""
+    u, _ = np.linalg.qr(rng.normal(size=(k.m, k.m)) + 1j * rng.normal(size=(k.m, k.m)))
+    mat = u @ np.diag(1j * (lam - lam.mean())) @ u.conj().T
+    return -2.0 * np.real(np.einsum("ij,aji->a", mat, k.basis))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_spectral_isotropy_matches_the_ad_svd(m):
+    k = build_algebra("su", m)
+    rng = np.random.default_rng(100 + m)
+    xs = [10.0 ** rng.uniform(-3, 3) * k.random_element(rng) for _ in range(12)]
+    xs.append(np.zeros(k.dim))
+    for gap in 10.0 ** rng.uniform(-12, -6, size=24):
+        lam = np.sort(rng.normal(size=k.m))
+        lam[1] = lam[0] + gap  # one near-degenerate pair, straddling the margin band
+        xs.append(_with_spectrum(k, lam, rng))
+    xs = np.array(xs)
+    dims, marginal = k.isotropy(xs.reshape(1, *xs.shape), DEFAULT_POLICY)
+    assert dims.shape == marginal.shape == (1, len(xs))
+    oracle = [numerical_rank(k.ad(x), DEFAULT_POLICY) for x in xs]
+    assert dims[0].tolist() == [k.dim - r.rank for r in oracle]
+    assert marginal[0].tolist() == [r.marginal for r in oracle]
+    # the draws reach every verdict: regular, marginal, and degenerate but clear;
+    # in su(2) a lone gap is its own scale, so every nonzero element is regular
+    assert (dims[0] == k.rank).any() and (marginal[0].any() or m == 2)
+    assert (~marginal[0] & (dims[0] > k.rank)).sum() >= (2 if m > 2 else 1)
 
 
 def test_random_element_is_deterministic(su2):

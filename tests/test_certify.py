@@ -31,7 +31,7 @@ from flagshift.families import (
     restrict_family,
     restrict_member,
 )
-from flagshift.ranks import RankPolicy
+from flagshift.ranks import RankPolicy, row_space
 
 
 def test_generic_point_is_deterministic(su2n3):
@@ -317,13 +317,35 @@ def test_certificates_pass_on_the_wider_envelope(m, n, seed, claim):
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [42, 1])
 @pytest.mark.parametrize(
-    "m, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (5, 4), (6, 3), (7, 3), (8, 3)]
+    "m, n",
+    [
+        (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4),
+        (5, 3), (5, 4), (6, 3), (6, 4), (7, 3), (7, 4), (8, 3),
+    ],
 )
 def test_every_claim_passes_on_the_stated_envelope(m, n, seed):
     # every claim, the Gaudin field identity and its 10^4-step flow included
     reports = run_claims(ClaimContext(space=ProductSpace(build_algebra("su", m), n), seed=seed), ["all"])
     assert [r.claim_id for r in reports if not r.passed] == []
     assert len(reports) == 14
+
+
+def test_row_space_converges_on_zero_gradient_rows():
+    # thm2ii at su(6)^4, seed 42, trial 5: the constant members
+    # mu*shift[inv=d-1,k=d] give five exactly zero rows among the 155 x 140
+    # unit gradient rows, and LAPACK's gesdd did not converge on them
+    space = ProductSpace(build_algebra("su", 6), 4)
+    family = flag_momentum_family(space, generic_point(space.base, [42, 104729], "k"))
+    rows = family.gradients(_draw(space, [42, 5, 0], family.domain)).reshape(len(family), -1)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    assert rows.shape == (155, 140) and np.count_nonzero(norms == 0.0) == 5
+    basis, marginal = row_space(rows / np.where(norms > 0.0, norms, 1.0))
+    assert not marginal
+    assert np.abs(basis @ basis.T - np.eye(len(basis))).max() < 1e-12
+    assert np.abs(rows - (rows @ basis.T) @ basis).max() < 1e-8 * np.abs(rows).max()
+    # an all-zero matrix has an empty row space
+    empty, marginal = row_space(np.zeros((3, 4)))
+    assert empty.shape == (0, 4) and not marginal
 
 
 @pytest.mark.parametrize(
