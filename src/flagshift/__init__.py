@@ -7,14 +7,12 @@ from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank, nullspace
 from .families import (
     FamilyMember,
     PolynomialFamily,
-    casimir_family,
     flag_momentum_family,
     flag_shift_family,
     gaudin_family,
     mf_shift_family,
     momentum_coordinates,
     restrict_family,
-    restrict_member,
 )
 from .poisson import bivector_on_span, invariant_tangent_span
 from .certify import (
@@ -57,14 +55,12 @@ __all__ = [
     "nullspace",
     "FamilyMember",
     "PolynomialFamily",
-    "casimir_family",
     "flag_momentum_family",
     "flag_shift_family",
     "gaudin_family",
     "mf_shift_family",
     "momentum_coordinates",
     "restrict_family",
-    "restrict_member",
     "bivector_on_span",
     "invariant_tangent_span",
     "CLAIM_IDS",

@@ -28,7 +28,7 @@ The gap gate decides regularity without an SVD.  If rho(x) has eigenvalues
 i lam_j, then ad_x, which is normal in this basis, has eigenvalues
 i (lam_j - lam_k); its singular values are the gaps |lam_j - lam_k| (j != k)
 and m - 1 zeros.  One batched eigvalsh over a stack of elements gives them,
-and the rank policy's cutoff and margin judge them as they judge an SVD.
+and ``ranks.decide`` judges them as it judges the singular values of an SVD.
 
 The adjoint action's group element comes from one eigh: rho(y) = i H with H
 Hermitian, so exp(rho(y)) = V exp(i lambda) V^*, and one Newton-Schulz step
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .ranks import DEFAULT_POLICY, RankPolicy
+from .ranks import DEFAULT_POLICY, RankPolicy, decide
 
 __all__ = ["LieAlgebra", "build_algebra"]
 
@@ -148,10 +148,6 @@ class LieAlgebra:
             raise ValueError(f"expected coordinate vector of shape ({self.dim},), got {x.shape}")
         return x
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Lie bracket [x, y] in coordinates."""
-        return self.ads(self._check(x)) @ self._check(y)
-
     def pair(self, x: np.ndarray, y: np.ndarray) -> float:
         """Invariant pairing <x, y>, the negative Killing form."""
         return float(self._check(x) @ self.gram @ self._check(y))
@@ -232,9 +228,8 @@ class LieAlgebra:
         """Centralizer dimensions and marginal flags of a stack (..., dim), by the gap gate."""
         lam = np.linalg.eigvalsh(-1j * self.to_matrices(xs))
         gaps = np.abs(lam[..., :, None] - lam[..., None, :])  # j = k adds m more exact zeros
-        cut = policy.rel_tol * (lam[..., -1] - lam[..., 0])[..., None, None]
-        marginal = np.any((gaps > cut / policy.margin) & (gaps < cut * policy.margin), axis=(-2, -1))
-        return self.dim - np.count_nonzero(gaps > cut, axis=(-2, -1)), marginal
+        rank, borderline = decide(gaps.reshape(*lam.shape[:-1], -1), policy)
+        return self.dim - rank, borderline
 
     def isotropy_dim(self, x: np.ndarray) -> int:
         """Dimension of the centralizer ker(ad_x); equals rank for regular x."""

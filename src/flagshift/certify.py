@@ -108,6 +108,8 @@ class ClaimContext:
     gaudin_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
         if not self.tol_bracket > 0:
@@ -259,16 +261,8 @@ def _residual_report(ctx, claim_id, values, tol, witnesses, ok=True) -> Certific
     """Worst residual over the trials against a tolerance; ``ok`` can veto a pass."""
     worst = max(values)
     return CertificateReport(
-        claim_id=claim_id,
-        algebra=ctx.space.base.name,
-        n=ctx.space.n,
-        seed=ctx.seed,
-        trials=len(values),
-        formula_value=0.0,
-        measured_value=worst,
-        tolerance=tol,
-        passed=bool(ok and worst <= tol),
-        witnesses=tuple(witnesses),
+        claim_id, ctx.space.base.name, ctx.space.n, ctx.seed, len(values),
+        0.0, worst, tol, bool(ok and worst <= tol), tuple(witnesses),
     )
 
 
@@ -276,16 +270,8 @@ def _int_report(ctx, claim_id, formula, values, witnesses) -> CertificateReport:
     """Modal integer over the trials against a closed form; trials must agree."""
     value, unanimous = _modal(values)
     return CertificateReport(
-        claim_id=claim_id,
-        algebra=ctx.space.base.name,
-        n=ctx.space.n,
-        seed=ctx.seed,
-        trials=len(values),
-        formula_value=int(formula),
-        measured_value=int(value),
-        tolerance=0.0,
-        passed=unanimous and int(value) == int(formula),
-        witnesses=tuple(witnesses),
+        claim_id, ctx.space.base.name, ctx.space.n, ctx.seed, len(values),
+        int(formula), int(value), 0.0, unanimous and int(value) == int(formula), tuple(witnesses),
     )
 
 
@@ -582,6 +568,8 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
+    if not claim_ids:
+        raise ConfigurationError(f"no claims selected; choose from {', '.join(CLAIM_IDS)} or 'all'")
     unknown = [c for c in claim_ids if c not in _REGISTRY]
     if unknown:
         raise ConfigurationError(f"unknown claim ids: {', '.join(unknown)}")

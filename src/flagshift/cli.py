@@ -55,16 +55,6 @@ def _build_space(algebra: str, n: int) -> ProductSpace:
     return ProductSpace(build_algebra("su", int(match.group(1))), n)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(_ENV_SEED)
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{_ENV_SEED} must be an integer, got {raw!r}")
-
-
 # Config file keys each subcommand reads; any other key is an error.
 _COMMON_KEYS = ("algebra", "n", "seed")
 _CERTIFY_KEYS = _COMMON_KEYS + ("trials", "claims", "tol_rank", "tol_bracket", "gaudin_weights")
@@ -118,6 +108,19 @@ def _pick(flag, config: dict, key: str, fallback, kind=None):
     if kind is None:
         return config[key]
     return _convert(config[key], kind, f"config key {key!r}")
+
+
+def _pick_seed(args: argparse.Namespace, config: dict) -> int:
+    """--seed, then config key 'seed', then $FLAGSHIFT_SEED, then 42; it must not be negative."""
+    raw = os.environ.get(_ENV_SEED, "42")
+    try:
+        fallback = int(raw)
+    except ValueError:
+        raise ConfigurationError(f"{_ENV_SEED} must be an integer, got {raw!r}")
+    seed = _pick(args.seed, config, "seed", fallback, int)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -175,7 +178,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         weights = tuple(_convert(w, float, "config key 'gaudin_weights'") for w in weights)
     ctx = ClaimContext(
         space=_build_space(algebra, n),
-        seed=_pick(args.seed, config, "seed", _default_seed(), int),
+        seed=_pick_seed(args, config),
         trials=_pick(args.trials, config, "trials", 7, int),
         policy=RankPolicy(rel_tol=_pick(args.tol_rank, config, "tol_rank", 1e-8, float)),
         tol_bracket=_pick(args.tol_bracket, config, "tol_bracket", 1e-9, float),
@@ -262,7 +265,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "flow", _FLOW_KEYS)
     algebra = _pick(args.algebra, config, "algebra", "su2", str)
     n = _pick(args.n, config, "n", 3, int)
-    seed = _pick(args.seed, config, "seed", _default_seed(), int)
+    seed = _pick_seed(args, config)
     restrict_v = args.restrict_v or _pick(None, config, "restrict_v", False, bool)
     dt = _pick(args.dt, config, "dt", 1e-3, float)
     t_end = _pick(args.t_end, config, "t_end", 10.0, float)
@@ -335,22 +338,34 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 # -- report -------------------------------------------------------------------
 
 
+_ROW_KEYS = ("claim_id", "algebra", "n", "measured_value", "formula_value", "tolerance", "pass")
+
+
+def _claim_rows(document) -> list[dict]:
+    """The claim rows of a certificate document; a ValueError says why it cannot be rendered."""
+    rows = document.get("claims", []) if isinstance(document, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError("expected a JSON object whose 'claims' is a list of objects")
+    missing = [key for key in _ROW_KEYS if not all(key in row for row in rows)]
+    if missing:
+        raise ValueError(f"claim rows without {', '.join(map(repr, missing))}")
+    return rows
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for path in args.paths:
         try:
             with open(path) as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+                rows.extend(_claim_rows(json.load(handle)))
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             print(f"skipping {path}: {exc}", file=sys.stderr)
-            continue
-        rows.extend(document.get("claims", []))
     if not rows:
         print("no claims found", file=sys.stderr)
         return 2
-    rows.sort(key=lambda row: (row.get("pass", False), row.get("claim_id", "")))
+    rows.sort(key=lambda row: (row["pass"], row["claim_id"]))
     _print_claim_table(rows, sys.stdout)
-    failed = sum(1 for row in rows if not row.get("pass", False))
+    failed = sum(1 for row in rows if not row["pass"])
     print(f"{len(rows) - failed}/{len(rows)} certificates passed")
     return 1 if failed else 0
 

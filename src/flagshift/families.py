@@ -28,9 +28,8 @@ from .errors import ConfigurationError
 from .product import ProductSpace
 
 __all__ = [
-    "FamilyMember", "PolynomialFamily", "casimir_family", "mf_shift_family", "flag_shift_family",
-    "restrict_member", "restrict_family", "gaudin_family", "momentum_coordinates", "momentum_pullback",
-    "flag_momentum_family", "coordinate_member", "pairing_member", "product_member",
+    "FamilyMember", "PolynomialFamily", "mf_shift_family", "flag_shift_family", "restrict_family",
+    "gaudin_family", "momentum_coordinates", "momentum_pullback", "flag_momentum_family",
 ]
 
 DOMAINS = ("k", "g", "v")
@@ -290,20 +289,6 @@ class _Builder:
 # -- basic families ----------------------------------------------------------
 
 
-def _add_casimirs(builder: _Builder) -> None:
-    for block, combo in enumerate(np.eye(builder.blocks)):
-        q = builder.add_series((combo, 0.0))
-        for alpha in range(1, builder.algebra.rank + 1):
-            builder.member(f"casimir[block={block},inv={alpha}]", (q, builder.algebra.invariant_degree(alpha), 0))
-
-
-def casimir_family(space: ProductSpace) -> PolynomialFamily:
-    """Blockwise invariants; central for the product Lie-Poisson bracket."""
-    builder = _Builder(space.base, space.n)
-    _add_casimirs(builder)
-    return builder.family("casimirs", "g")
-
-
 def mf_shift_family(algebra: LieAlgebra, shift: np.ndarray) -> PolynomialFamily:
     """Argument-shift family on a single factor: t-coefficients of f(x + t a).
 
@@ -329,18 +314,16 @@ def flag_shift_family(space: ProductSpace) -> PolynomialFamily:
     x_1 + .. + x_i + t x_{i+1} are expanded in t, and the blockwise
     invariants are appended, so the family contains the Casimirs.
     """
-    n = space.n
-    builder = _Builder(space.base, n)
+    n, k = space.n, space.base
+    builder = _Builder(k, n)
     for prefix, block in enumerate(np.eye(n)[1:], start=1):
         q = builder.add_series((np.r_[np.ones(prefix), np.zeros(n - prefix)], 0.0), (block, 0.0))
         builder.coefficients(f"flag[i={prefix},", q)
-    _add_casimirs(builder)
+    for block, combo in enumerate(np.eye(n)):
+        q = builder.add_series((combo, 0.0))
+        for alpha in range(1, k.rank + 1):
+            builder.member(f"casimir[block={block},inv={alpha}]", (q, k.invariant_degree(alpha), 0))
     return builder.family("flag_shift", "g")
-
-
-def restrict_member(space: ProductSpace, member: FamilyMember) -> FamilyMember:
-    """Restriction to the zero-block-sum subspace; gradients get projected."""
-    return restrict_family(space, PolynomialFamily(member.label, member.domain, (member,))).members[0]
 
 
 def restrict_family(space: ProductSpace, family: PolynomialFamily) -> PolynomialFamily:
@@ -411,45 +394,3 @@ def flag_momentum_family(space: ProductSpace, shift: np.ndarray) -> PolynomialFa
     pulled = momentum_pullback(space, mf_shift_family(space.base, shift))
     return PolynomialFamily.merge("flag_momentum", flag_shift_family(space), momentum_coordinates(space), pulled)
 
-
-# -- ad-hoc members for controls and spot checks -----------------------------
-
-
-def coordinate_member(space: ProductSpace, block: int, direction: np.ndarray | int) -> FamilyMember:
-    """Linear member <x_block, u>; not Ad-invariant, useful as a control."""
-    unit = isinstance(direction, (int, np.integer))
-    u = np.eye(space.base.dim)[int(direction)] if unit else np.asarray(direction, dtype=float)
-    builder = _Builder(space.base, space.n)
-    builder.member(f"coord[block={block}]", linear=np.outer(np.eye(space.n)[block], u))
-    return builder.family("coordinate", "g").members[0]
-
-
-def pairing_member(space: ProductSpace, i: int, j: int) -> FamilyMember:
-    """Quadratic member <x_i, x_j>; Ad-invariant for the diagonal action."""
-
-    def value(X, i=i, j=j):
-        X = np.asarray(X, dtype=float)
-        return space.base.pair(X[i], X[j])
-
-    def gradient(X, i=i, j=j):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        out[i] += X[j]
-        out[j] += X[i]
-        return out
-
-    return FamilyMember(f"pairing[{i},{j}]", "g", value, gradient)
-
-
-def product_member(f: FamilyMember, g: FamilyMember) -> FamilyMember:
-    """Pointwise product with the Leibniz gradient."""
-    if f.domain != g.domain:
-        raise ConfigurationError("product members must share a domain")
-
-    def value(X, f=f, g=g):
-        return f.value(X) * g.value(X)
-
-    def gradient(X, f=f, g=g):
-        return f.value(X) * g.gradient(X) + g.value(X) * f.gradient(X)
-
-    return FamilyMember(f"({f.label})*({g.label})", f.domain, value, gradient)

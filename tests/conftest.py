@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flagshift import ProductSpace, build_algebra
+from flagshift.families import FamilyMember, PolynomialFamily, flag_shift_family
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,63 @@ def einstein_by_projections():
         return 0.5 * (s * space.pair(xh, xh) + p * space.pair(rest, rest) + q * space.pair(xnu, xnu))
 
     return energy
+
+
+# Members built from their own callables, for controls and spot checks.
+
+
+@pytest.fixture(scope="session")
+def pairing_member():
+    """The quadratic member <x_i, x_j>; Ad-invariant for the diagonal action."""
+
+    def build(space, i, j):
+        def gradient(X):
+            out = np.zeros_like(X)
+            out[i] += X[j]
+            out[j] += X[i]
+            return out
+
+        return FamilyMember(f"pairing[{i},{j}]", "g", lambda X: space.base.pair(X[i], X[j]), gradient)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def coordinate_member():
+    """The linear member <x_block, u> (u a vector, or the index of a basis element); not Ad-invariant."""
+
+    def build(space, block, direction):
+        u = np.eye(space.base.dim)[direction] if isinstance(direction, int) else np.asarray(direction, float)
+        grad = np.outer(np.eye(space.n)[block], u)
+
+        def value(X):
+            return space.base.pair(X[block], u)
+
+        return FamilyMember(f"coord[block={block}]", "g", value, lambda X: grad.copy())
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def product_member():
+    """The pointwise product f g with the Leibniz gradient."""
+
+    def build(f, g):
+        return FamilyMember(
+            f"({f.label})*({g.label})", f.domain, lambda X: f.value(X) * g.value(X),
+            lambda X: f.value(X) * g.gradient(X) + g.value(X) * f.gradient(X),
+        )
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def casimirs():
+    """The blockwise invariants, the members of the flag-shift family labelled casimir[...]."""
+
+    def build(space):
+        members = [m for m in flag_shift_family(space) if m.label.startswith("casimir[")]
+        assert len(members) == space.n * space.base.rank
+        return PolynomialFamily("casimirs", "g", tuple(members))
+
+    return build

@@ -15,10 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from flagshift import build_algebra
 from flagshift.errors import ConfigurationError
-from flagshift.ranks import DEFAULT_POLICY, RankPolicy, numerical_rank
+from flagshift.ranks import DEFAULT_POLICY, RankPolicy, decide, numerical_rank
 
 
 E1, E2, E3 = np.eye(3)
+
+
+def _bracket(k, x, y):
+    """Oracle: [x, y] read off the stored structure tensor, c[a, b] = [e_a, e_b]."""
+    return np.einsum("a,b,abc->c", x, y, k.structure)
 
 
 def test_dimensions_and_ranks():
@@ -45,9 +50,9 @@ def test_basis_antihermitian_traceless(su3):
 
 def test_su2_bracket_is_cyclic(su2):
     # [e1, e2] = e3 and cyclic permutations
-    assert np.allclose(su2.bracket(E1, E2), E3, atol=1e-14)
-    assert np.allclose(su2.bracket(E2, E3), E1, atol=1e-14)
-    assert np.allclose(su2.bracket(E3, E1), E2, atol=1e-14)
+    assert np.allclose(_bracket(su2, E1, E2), E3, atol=1e-14)
+    assert np.allclose(_bracket(su2, E2, E3), E1, atol=1e-14)
+    assert np.allclose(_bracket(su2, E3, E1), E2, atol=1e-14)
 
 
 def test_structure_constants_match_matrix_commutators(su3):
@@ -71,7 +76,7 @@ def test_gram_from_ad_traces():
         ad = np.zeros((d, d, d))
         for a in range(d):
             for b in range(d):
-                ad[a][:, b] = k.bracket(np.eye(d)[a], np.eye(d)[b])
+                ad[a][:, b] = _bracket(k, np.eye(d)[a], np.eye(d)[b])
         gram = -np.einsum("aij,bji->ab", ad, ad)
         assert np.abs(gram - expect * np.eye(d)).max() < 1e-12
         assert np.abs(k.gram - gram).max() < 1e-12
@@ -87,15 +92,15 @@ def test_pair_norm_consistency(su2):
 def test_ad_antisymmetry_wrt_gram(su3):
     rng = np.random.default_rng(1)
     x, y, z = (su3.random_element(rng) for _ in range(3))
-    lhs = su3.pair(su3.bracket(x, y), z)
-    rhs = -su3.pair(y, su3.bracket(x, z))
+    lhs = su3.pair(_bracket(su3, x, y), z)
+    rhs = -su3.pair(y, _bracket(su3, x, z))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_ad_matrix_applies_bracket(su3):
     rng = np.random.default_rng(2)
     x, y = su3.random_element(rng), su3.random_element(rng)
-    assert np.allclose(su3.ad(x) @ y, su3.bracket(x, y), atol=1e-13)
+    assert np.allclose(su3.ad(x) @ y, _bracket(su3, x, y), atol=1e-13)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -118,9 +123,9 @@ def test_jacobi_identity(seed):
     rng = np.random.default_rng(seed)
     x, y, z = (k.random_element(rng) for _ in range(3))
     total = (
-        k.bracket(x, k.bracket(y, z))
-        + k.bracket(y, k.bracket(z, x))
-        + k.bracket(z, k.bracket(x, y))
+        _bracket(k, x, _bracket(k, y, z))
+        + _bracket(k, y, _bracket(k, z, x))
+        + _bracket(k, z, _bracket(k, x, y))
     )
     assert np.abs(total).max() < 1e-12
 
@@ -185,7 +190,7 @@ def test_matrix_round_trip(su3):
 def test_to_matrix_intertwines_bracket(su2):
     rng = np.random.default_rng(4)
     x, y = su2.random_element(rng), su2.random_element(rng)
-    lhs = su2.to_matrix(su2.bracket(x, y))
+    lhs = su2.to_matrix(_bracket(su2, x, y))
     rhs = su2.to_matrix(x) @ su2.to_matrix(y) - su2.to_matrix(y) @ su2.to_matrix(x)
     assert np.abs(lhs - rhs).max() < 1e-13
 
@@ -365,3 +370,40 @@ def test_rank_policy_margin_flag():
     mat = np.diag([1.0, 5e-8])  # just above the default cutoff, inside the band
     result = numerical_rank(mat, RankPolicy(rel_tol=1e-8, margin=10.0))
     assert result.marginal
+
+
+def test_decide_on_a_stack_matches_each_spectrum():
+    rng = np.random.default_rng(13)
+    sigmas = 10.0 ** rng.uniform(-11, 0, size=(3, 4, 6))
+    sigmas[0, 0, 1] = 1e-8 * sigmas[0, 0].max()  # exactly at the cutoff
+    sigmas[1, 2] = 0.0
+    rank, marginal = decide(sigmas, DEFAULT_POLICY)
+    assert rank.shape == marginal.shape == (3, 4)
+    singles = [decide(s, DEFAULT_POLICY) for s in sigmas.reshape(-1, 6)]
+    assert rank.ravel().tolist() == [int(r) for r, _ in singles]
+    assert marginal.ravel().tolist() == [bool(m) for _, m in singles]
+    assert marginal.any() and not marginal.all() and rank[1, 2] == 0
+
+
+def test_decide_scale_anchors_noise_at_rank_zero():
+    sigmas = np.linalg.svd(1e-16 * np.random.default_rng(0).standard_normal((5, 5)), compute_uv=False)
+    assert decide(sigmas, DEFAULT_POLICY)[0] == 5
+    rank, marginal = decide(sigmas, DEFAULT_POLICY, scale=1.0)
+    assert rank == 0 and not marginal
+
+
+def test_decide_on_an_empty_spectrum():
+    for scale in (None, 1.0):
+        rank, marginal = decide(np.zeros(0), DEFAULT_POLICY, scale)
+        assert (rank, marginal) == (0, False)
+
+
+def test_decide_margin_band_is_open():
+    # binary fractions: the cutoff is 0.25 and the band (0.125, 0.5), exactly
+    policy = RankPolicy(rel_tol=0.25, margin=2.0)
+    assert [(int(r), bool(m)) for r, m in [decide(np.array(s), policy) for s in (
+        [1.0, 0.5, 0.125],  # both band edges: outside the band
+        [1.0, 0.4],  # inside, above the cutoff
+        [1.0, 0.25],  # at the cutoff: zero, and inside the band
+        [1.0, 0.2],  # inside, below the cutoff
+    )]] == [(2, False), (2, True), (1, True), (1, True)]

@@ -24,12 +24,10 @@ from flagshift.certify import _draw, _measure_at_generic_points, _principal_angl
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
-    coordinate_member,
     flag_momentum_family,
     flag_shift_family,
     gaudin_family,
     restrict_family,
-    restrict_member,
 )
 from flagshift.ranks import RankPolicy, row_space
 
@@ -104,7 +102,7 @@ def test_closed_form_targets(su2n3, su2n4, su3n3):
     assert completeness_target(su3n3) == 30
 
 
-def test_check_involutive_pass_and_control(su2n3):
+def test_check_involutive_pass_and_control(su2n3, coordinate_member):
     fam = flag_shift_family(su2n3)
     report = check_involutive(ClaimContext(su2n3, trials=3), fam, claim_id="probe")
     assert report.passed and report.measured_value < 1e-12
@@ -123,7 +121,7 @@ def test_check_involutive_pass_and_control(su2n3):
     assert bad.measured_value > 1e-3
 
 
-def test_check_ad_invariance_pass_and_control(su2n3):
+def test_check_ad_invariance_pass_and_control(su2n3, coordinate_member):
     report = check_ad_invariance(ClaimContext(su2n3, trials=2), flag_shift_family(su2n3))
     assert report.passed
 
@@ -175,7 +173,7 @@ def test_verify_completeness_detects_wrong_target(su2n3):
     assert report.measured_value == 5
 
 
-def test_verify_span_inclusion_pass_and_control(su2n3):
+def test_verify_span_inclusion_pass_and_control(su2n3, coordinate_member):
     fam = restrict_family(su2n3, flag_shift_family(su2n3))
     report = verify_span_inclusion(ClaimContext(su2n3, trials=3), fam)
     assert report.passed
@@ -183,9 +181,7 @@ def test_verify_span_inclusion_pass_and_control(su2n3):
     # A restricted pairing member is a false control: its projected gradient
     # satisfies both span conditions (the blockwise bracket sum telescopes to
     # zero on v).  A linear coordinate member leaves the span.
-    control = PolynomialFamily(
-        "control_v", "v", (restrict_member(su2n3, coordinate_member(su2n3, 0, 0)),)
-    )
+    control = restrict_family(su2n3, PolynomialFamily("control", "g", (coordinate_member(su2n3, 0, 0),)))
     bad = verify_span_inclusion(ClaimContext(su2n3, trials=3), control)
     assert not bad.passed
 
@@ -238,6 +234,11 @@ def test_run_claims_selection_and_validation(su2n3):
     with pytest.raises(ConfigurationError):
         run_claims(ctx, ["lemma1", "nope"])
     assert CLAIM_IDS == ("lemma1", "thm2i", "thm2ii", "dimB", "thm3", "gaudin")
+
+
+def test_run_claims_refuses_an_empty_selection(su2n3):
+    with pytest.raises(ConfigurationError, match="no claims selected; choose from lemma1, .*, gaudin"):
+        run_claims(ClaimContext(space=su2n3), [])
 
 
 def test_run_claims_is_deterministic(su2n3):
@@ -355,6 +356,7 @@ def test_row_space_converges_on_zero_gradient_rows():
         ({"tol_bracket": 0.0}, "tol_bracket"),
         ({"tol_bracket": float("nan")}, "tol_bracket"),
         ({"policy": RankPolicy(rel_tol=0.0)}, "policy.rel_tol"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_claim_context_rejects_unusable_settings(su2n3, settings, named):

@@ -422,3 +422,55 @@ def test_flow_rejects_t_end_off_the_step_grid(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert main(["unknown-subcommand"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", [["certify", "--claims", "lemma1"], ["flow", "--t-end", "0.01"]],
+                         ids=["certify", "flow"])
+def test_negative_seeds_are_configuration_errors(command, route, tmp_path, monkeypatch, capsys):
+    argv = list(command)
+    if route == "flag":
+        argv += ["--seed", "-1"]
+    elif route == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("FLAGSHIFT_SEED", "-1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: seed must be a non-negative integer, got -1" in err
+    # a later valid flag wins over the first flag, the file and the environment
+    assert main(argv + ["--seed", "0"]) == 0
+
+
+def test_an_empty_claim_selection_is_refused(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"claims": []}))
+    for argv in (["--claims", ","], ["--claims", ""], ["--config", str(config)]):
+        assert main(["certify", "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert "no claims selected" in err and "lemma1" in err and "gaudin" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [[{"claims": []}], {"claims": 5}, {"claims": [{"claim_id": "lemma1.ddim", "algebra": "su2"}]}],
+    ids=["top-level-array", "claims-not-a-list", "row-without-pass"],
+)
+def test_report_skips_documents_it_cannot_render(document, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"skipping {bad}: " in err and "no claims found" in err
+
+    good = tmp_path / "good.json"
+    assert main(["certify", "--claims", "lemma1", "--out", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(bad), str(good)]) == 0
+    captured = capsys.readouterr()
+    assert f"skipping {bad}: " in captured.err
+    assert "2/2 certificates passed" in captured.out

@@ -34,6 +34,11 @@ from flagshift.errors import ConfigurationError
 from flagshift.families import flag_shift_family, gaudin_family, mf_shift_family
 
 
+def _bracket(k, x, y):
+    """[x, y] read off the structure tensor, c[a, b] = [e_a, e_b]."""
+    return np.einsum("a,b,abc->c", x, y, k.structure)
+
+
 def _novi_field_oracle(space, s, t, X):
     # literal chain: h = (1/2) sum_i <y_i, y_i>, y_i = s_i (x_1+..+x_i) + t_i x_{i+1}
     k = space.base
@@ -45,7 +50,7 @@ def _novi_field_oracle(space, s, t, X):
         y = (w[:, None] * X).sum(axis=0)
         for b in range(space.n):
             if w[b] != 0.0:
-                out[b] += w[b] * k.bracket(X[b], y)
+                out[b] += w[b] * _bracket(k, X[b], y)
     return out
 
 
@@ -56,8 +61,8 @@ def _einstein_field_oracle(space, u, v, X):
     sigma = X[: n - 1].sum(axis=0)
     out = np.zeros_like(X)
     for b in range(n - 1):
-        out[b] = k.bracket(X[b], u * sigma + v * X[n - 1])
-    out[n - 1] = k.bracket(X[n - 1], v * sigma)
+        out[b] = _bracket(k, X[b], u * sigma + v * X[n - 1])
+    out[n - 1] = _bracket(k, X[n - 1], v * sigma)
     return out
 
 

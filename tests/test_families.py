@@ -23,18 +23,13 @@ from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     FamilyMember,
     PolynomialFamily,
-    casimir_family,
-    coordinate_member,
     flag_momentum_family,
     flag_shift_family,
     gaudin_family,
     mf_shift_family,
     momentum_coordinates,
     momentum_pullback,
-    pairing_member,
-    product_member,
     restrict_family,
-    restrict_member,
 )
 from flagshift.ranks import RankPolicy
 
@@ -83,10 +78,10 @@ def test_labels_are_unique(su3n3):
     assert len(set(fam.labels)) == len(fam)
 
 
-def test_casimir_values_are_blockwise(su2n3, su2):
+def test_casimir_values_are_blockwise(su2n3, su2, casimirs):
     rng = np.random.default_rng(0)
     X = su2n3.random_point(rng)
-    fam = casimir_family(su2n3)
+    fam = casimirs(su2n3)
     for member, block in zip(fam, range(3)):
         assert member.label == f"casimir[block={block},inv=1]"
         assert member.value(X) == pytest.approx(su2.invariant_value(1, X[block]))
@@ -156,12 +151,12 @@ def test_degenerate_shift_direction_warns(su3):
         mf_shift_family(su3, degenerate)
 
 
-def test_gradient_checks_across_families(su2n3, su3n3, su2):
+def test_gradient_checks_across_families(su2n3, su3n3, su2, casimirs):
     shift = generic_point(su2, [42, 7], "k")
     cases = [
         (su2n3, flag_shift_family(su2n3)),
         (su3n3, flag_shift_family(su3n3)),
-        (su3n3, casimir_family(su3n3)),
+        (su3n3, casimirs(su3n3)),
         (su2n3, momentum_pullback(su2n3, mf_shift_family(su2, shift))),
         (su2n3, gaudin_family(su2n3, (1.0, 2.0, 3.0))),
         (su2n3, restrict_family(su2n3, flag_shift_family(su2n3))),
@@ -264,10 +259,10 @@ def test_restrict_family_gradients_live_in_v(su2n3):
 def test_restrict_member_rejects_wrong_domain(su2n3, su2):
     shifted = mf_shift_family(su2, generic_point(su2, [42, 7], "k")).members[0]
     with pytest.raises(ConfigurationError):
-        restrict_member(su2n3, shifted)
+        restrict_family(su2n3, PolynomialFamily("shifted", "k", (shifted,)))
 
 
-def test_pairing_and_coordinate_members(su2n3, su2):
+def test_pairing_and_coordinate_members(su2n3, su2, pairing_member, coordinate_member):
     rng = np.random.default_rng(6)
     X = su2n3.random_point(rng)
     pairing = pairing_member(su2n3, 0, 2)
@@ -281,7 +276,7 @@ def test_pairing_and_coordinate_members(su2n3, su2):
     assert member_grad_check(su2n3, coord, X) < 1e-8
 
 
-def test_product_member_value_and_gradient(su2n3):
+def test_product_member_value_and_gradient(su2n3, pairing_member, product_member):
     rng = np.random.default_rng(7)
     X = su2n3.random_point(rng)
     f = pairing_member(su2n3, 0, 1)
@@ -446,7 +441,9 @@ def _assert_matches(family, rows, X):
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (3, 4), (4, 3)])
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_batched_families_match_node_sums(m, n, seed):
+def test_batched_families_match_node_sums(
+    m, n, seed, pairing_member, coordinate_member, product_member, casimirs
+):
     space = ProductSpace(build_algebra("su", m), n)
     k = space.base
     rng = np.random.default_rng(seed)
@@ -458,7 +455,7 @@ def test_batched_families_match_node_sums(m, n, seed):
         shift_family = mf_shift_family(k, a)
 
     _assert_matches(flag_shift_family(space), _flag_rows(space, X), X)
-    _assert_matches(casimir_family(space), _casimir_rows(space, X), X)
+    _assert_matches(casimirs(space), _casimir_rows(space, X), X)
     _assert_matches(shift_family, _coefficient_rows(k, "shift[", lambda t: x + t * a, lambda t, g: g), x)
     for gaudin_weights in (weights, (0.5,) + weights[1:-1] + (0.5,)):
         _assert_matches(gaudin_family(space, gaudin_weights), _gaudin_rows(space, gaudin_weights, X), X)
@@ -497,7 +494,7 @@ def test_momentum_pullback_rejects_ad_hoc_members(su2n3, su2):
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (5, 3)])
-def test_family_values_on_a_stack_match_points(m, n):
+def test_family_values_on_a_stack_match_points(m, n, casimirs):
     # one pass over a (S, n, dim) stack, or a nested (2, S, n, dim) one, is
     # bit for bit one pass per point, for every built-in family and for a
     # merged family whose ad-hoc member is called point by point
@@ -512,7 +509,7 @@ def test_family_values_on_a_stack_match_points(m, n):
         restrict_family(space, flag_shift_family(space)),
         gaudin_family(space, np.arange(1.0, n + 1.0)),
         flag_momentum_family(space, generic_point(space.base, [42, 7], "k")),
-        casimir_family(space),
+        casimirs(space),
         PolynomialFamily.merge("merged", flag_shift_family(space), PolynomialFamily("adhoc", "g", (pair,))),
     )
     for family in families:
