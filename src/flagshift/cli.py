@@ -338,7 +338,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 # -- report -------------------------------------------------------------------
 
 
-_ROW_KEYS = ("claim_id", "algebra", "n", "measured_value", "formula_value", "tolerance", "pass")
+# The JSON types of the row fields the table prints and sorts by.
+_ROW_TYPES = {"claim_id": str, "algebra": str, "n": int, "measured_value": (int, float),
+              "formula_value": (int, float), "tolerance": (int, float), "pass": bool}
 
 
 def _claim_rows(document) -> list[dict]:
@@ -346,9 +348,9 @@ def _claim_rows(document) -> list[dict]:
     rows = document.get("claims", []) if isinstance(document, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("expected a JSON object whose 'claims' is a list of objects")
-    missing = [key for key in _ROW_KEYS if not all(key in row for row in rows)]
-    if missing:
-        raise ValueError(f"claim rows without {', '.join(map(repr, missing))}")
+    bad = [key for key, kind in _ROW_TYPES.items() if not all(isinstance(row.get(key), kind) for row in rows)]
+    if bad:
+        raise ValueError(f"claim rows without a valid {', '.join(map(repr, bad))}")
     return rows
 
 

@@ -457,8 +457,14 @@ def test_an_empty_claim_selection_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "document",
-    [[{"claims": []}], {"claims": 5}, {"claims": [{"claim_id": "lemma1.ddim", "algebra": "su2"}]}],
-    ids=["top-level-array", "claims-not-a-list", "row-without-pass"],
+    [
+        [{"claims": []}],
+        {"claims": 5},
+        {"claims": [{"claim_id": "lemma1.ddim", "algebra": "su2"}]},
+        {"claims": [{"claim_id": 5, "algebra": "su2", "n": 3, "measured_value": 3, "formula_value": 3,
+                     "tolerance": 0, "pass": True}]},
+    ],
+    ids=["top-level-array", "claims-not-a-list", "row-without-pass", "claim-id-not-a-string"],
 )
 def test_report_skips_documents_it_cannot_render(document, tmp_path, capsys):
     bad = tmp_path / "bad.json"
