@@ -6,13 +6,17 @@ simultaneous centralizer of the blocks must vanish, and every singular
 value spectrum involved must clear the rank cutoff by the policy margin.
 Points failing a gate are resampled with a fresh derived seed, up to the
 policy retry budget; trials that disagree after resampling fail the
-certificate loudly instead of being averaged away.
+certificate loudly instead of being averaged away.  Within one run every
+seeded point is drawn and gated once and shared by the certificates that
+read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -97,7 +101,9 @@ class ClaimContext:
 
     Each certificate measures at ``trials`` generic points drawn from
     ``seed``, decides ranks under ``policy`` and holds bracket residuals to
-    ``tol_bracket``.
+    ``tol_bracket``.  ``_points`` is not a setting: it is the table of
+    generic points drawn so far (``_Points``), fresh for each new space or
+    policy, shared by ``replace`` otherwise, and fresh for each ``run_claims``.
     """
 
     space: ProductSpace
@@ -106,6 +112,7 @@ class ClaimContext:
     policy: RankPolicy = DEFAULT_POLICY
     tol_bracket: float = 1e-9
     gaudin_weights: tuple[float, ...] | None = None
+    _points: _Points | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -118,6 +125,8 @@ class ClaimContext:
             raise ConfigurationError(
                 f"policy.rel_tol (tol_rank) must be positive, got {self.policy.rel_tol}"
             )
+        if self._points is None or not self._points.serves(self.space, self.policy):
+            object.__setattr__(self, "_points", _Points(self.space, self.policy))
 
     def weights(self) -> tuple[float, ...]:
         if self.gaudin_weights is not None:
@@ -160,16 +169,22 @@ def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
     return context.random_v_point(rng)
 
 
-def _gates_ok(context, X: np.ndarray, domain: str, policy: RankPolicy) -> bool:
-    """Every block is regular; on the product the blocks share no centralizer."""
+def _failed_gate(context, X: np.ndarray, domain: str, policy: RankPolicy) -> str | None:
+    """The first genericity gate X fails, or None.
+
+    Every block must be regular; on the product the blocks must also share
+    no centralizer.
+    """
     algebra = context if isinstance(context, LieAlgebra) else context.base
     dims, marginal = algebra.isotropy(np.atleast_2d(X), policy)
     if marginal.any() or np.any(dims != algebra.rank):
-        return False
+        return "block regularity"
     if domain == "k":
-        return True
+        return None
     result = numerical_rank(np.vstack(algebra.ads(X)), policy)
-    return not result.marginal and result.rank == algebra.dim
+    if result.marginal or result.rank != algebra.dim:
+        return "diagonal centralizer"
+    return None
 
 
 def _at_entropy(entropy: list[int], fn: Callable, *args):
@@ -180,25 +195,92 @@ def _at_entropy(entropy: list[int], fn: Callable, *args):
         raise np.linalg.LinAlgError(f"{exc} (seed entropy {entropy})") from exc
 
 
+class _Points:
+    """The seeded points drawn in ``context`` under ``policy``, each drawn and gated once.
+
+    A (domain, entropy) key holds the accepted point, read-only, or the name
+    of the gate that rejected it.  A v point also keeps its invariant tangent
+    span, and the flag-shift family is built once.  Gradient stacks, the
+    large arrays, are shared only inside ``claim()`` and dropped when it ends.
+    """
+
+    def __init__(self, context, policy: RankPolicy):
+        self.context, self.policy = context, policy
+        self._draws: dict = {}
+        self._spans: dict = {}
+        self._gradients: dict | None = None
+
+    def serves(self, context, policy: RankPolicy) -> bool:
+        return self.context is context and self.policy == policy
+
+    def draw(self, entropy: list[int], domain: str) -> tuple[np.ndarray | None, str | None]:
+        """(point, None) for an accepted draw, (None, gate) for a rejected one."""
+        key = (domain, tuple(entropy))
+        if key not in self._draws:
+            X = _draw(self.context, entropy, domain)
+            gate = _at_entropy(entropy, _failed_gate, self.context, X, domain, self.policy)
+            X.flags.writeable = False
+            self._draws[key] = (None, gate) if gate else (X, None)
+        return self._draws[key]
+
+    def tangent_span(self, entropy: list[int], X: np.ndarray) -> tuple[np.ndarray, bool]:
+        """``invariant_tangent_span`` at the v point drawn from ``entropy``."""
+        key = tuple(entropy)
+        if key not in self._spans:
+            span, marginal = invariant_tangent_span(self.context, X, self.policy)
+            span.flags.writeable = False
+            self._spans[key] = span, marginal
+        return self._spans[key]
+
+    @cached_property
+    def flag_shift(self) -> PolynomialFamily:
+        return flag_shift_family(self.context)
+
+    @contextmanager
+    def claim(self):
+        """Share each family's gradients at each point among the certificates of one claim."""
+        self._gradients = {}
+        try:
+            yield
+        finally:
+            self._gradients = None
+
+    def gradients(self, family: PolynomialFamily, entropy: list[int], X: np.ndarray) -> np.ndarray:
+        """``family.gradients(X)``, computed once per (family, point) inside ``claim()``."""
+        if self._gradients is None:
+            return family.gradients(X)
+        key = (id(family), tuple(entropy))
+        if key not in self._gradients:
+            gens = family.gradients(X)
+            gens.flags.writeable = False
+            self._gradients[key] = family, gens  # the family held keeps its id unique
+        return self._gradients[key][1]
+
+
 def _gated_draws(
-    context, seed_parts: Iterable[int], domain: str, policy: RankPolicy
+    points: _Points, seed_parts: Iterable[int], domain: str
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """Yield (entropy, X) for the seeded draws that pass the genericity gates.
 
     Draw r uses entropy [*seed_parts, r] for r = 0 .. policy.max_retries; a
     caller that rejects a yielded point asks for the next one.  Running out
-    of draws raises a GenericityError naming the domain and the entropy.
+    of draws raises a GenericityError naming the domain, the entropy and the
+    gate that rejected each draw.
     """
     seed_parts = [int(p) for p in seed_parts]
-    for retry in range(policy.max_retries + 1):
+    rejected: dict[str, list[int]] = {}
+    for retry in range(points.policy.max_retries + 1):
         entropy = seed_parts + [retry]
-        X = _draw(context, entropy, domain)
-        if _at_entropy(entropy, _gates_ok, context, X, domain, policy):
+        X, gate = points.draw(entropy, domain)
+        if X is not None:
             yield entropy, X
+            gate = "marginal measurement"
+        rejected.setdefault(gate, []).append(retry)
     pattern = ", ".join(str(p) for p in seed_parts + ["r"])
+    gates = ", ".join(f"{gate} (r = {', '.join(map(str, rs))})" for gate, rs in rejected.items())
     raise GenericityError(
         f"no generic point in domain {domain!r} was accepted from seed entropy "
-        f"[{pattern}], r = 0..{policy.max_retries}"
+        f"[{pattern}], r = 0..{points.policy.max_retries}; rejected by {gates}"
     )
 
 
@@ -208,8 +290,8 @@ def generic_point(
     domain: str = "g",
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Seeded point passing the genericity gates, resampled as needed."""
-    for _, X in _gated_draws(context, seed_parts, domain, policy):
+    """Seeded point passing the genericity gates, resampled as needed; read-only."""
+    for _, X in _gated_draws(_Points(context, policy), seed_parts, domain):
         return X
 
 
@@ -221,7 +303,7 @@ def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure):
     """
     values, witnesses = [], []
     for trial in range(ctx.trials):
-        for entropy, X in _gated_draws(ctx.space, [ctx.seed, trial], domain, ctx.policy):
+        for entropy, X in _gated_draws(ctx._points, [ctx.seed, trial], domain):
             value, marginal, extra = _at_entropy(entropy, measure, X, entropy)
             if not marginal:
                 values.append(value)
@@ -280,12 +362,11 @@ def _int_report(ctx, claim_id, formula, values, witnesses) -> CertificateReport:
 
 def _involutivity_residual(
     space: ProductSpace,
-    family: PolynomialFamily,
+    gens: np.ndarray,
     X: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> float:
-    """Max normalized |{f, g}| over member pairs at X."""
-    gens = family.gradients(X)
+    """Max normalized |{f, g}| over the pairs of members with gradients ``gens`` at X."""
     matrix = bivector_on_span(space, X, gens, weights)
     norms = space.norms(gens)
     scale = np.outer(norms, norms) * space.norm(X)
@@ -302,7 +383,8 @@ def check_involutive(
     """Pairwise bracket residuals of the family at generic points."""
 
     def measure(X, entropy):
-        residual = _involutivity_residual(ctx.space, family, X, weights)
+        gens = ctx._points.gradients(family, entropy, X)
+        residual = _involutivity_residual(ctx.space, gens, X, weights)
         return residual, False, {"residual": residual}
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
@@ -343,7 +425,7 @@ def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateRepo
     target_ddim, target_dind = lemma1_targets(space)
 
     def measure(X, entropy):
-        span, marginal = invariant_tangent_span(space, X, policy)
+        span, marginal = ctx._points.tangent_span(entropy, X)
         if marginal:
             return (0, 0), True, {}
         dind, marginal = _kernel_dim(space, X, span, policy)
@@ -376,7 +458,7 @@ def verify_completeness(
 
     def measure(X, entropy):
         # Unit rows: gradients of degree 2 and degree m members differ by decades.
-        rows = family.gradients(X).reshape(len(family), -1)
+        rows = ctx._points.gradients(family, entropy, X).reshape(len(family), -1)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         basis, marginal = row_space(rows / np.where(norms > 0.0, norms, 1.0), policy)
         if marginal:
@@ -430,14 +512,14 @@ def verify_span_inclusion(
     space, policy = ctx.space, ctx.policy
 
     def measure(X, entropy):
-        etas = family.gradients(X)
+        etas = ctx._points.gradients(family, entropy, X)
         norms = space.norms(etas)
         moved = np.einsum("ikq,aiq->aik", space.base.ads(X), etas)  # [x_i, eta_a_i]
         keep = norms > 1e-14
         defects = space.norms(space.proj_h(moved))[keep] / (space.norm(X) * norms[keep])
         worst = float(defects.max(initial=0.0))
 
-        direct, marginal_a = invariant_tangent_span(space, X, policy)
+        direct, marginal_a = ctx._points.tangent_span(entropy, X)
         ortho, marginal_b = tangent_span_orthocomplement(space, X, policy)
         if marginal_a or marginal_b:
             return 0.0, True, {}
@@ -467,7 +549,7 @@ def _claim_lemma1(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
-    family = flag_shift_family(ctx.space)
+    family = ctx._points.flag_shift
     return [
         check_involutive(ctx, family, "thm2i.involutive"),
         check_ad_invariance(ctx, family, "thm2i.ad_invariance"),
@@ -484,12 +566,12 @@ def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 def _claim_dimb(ctx: ClaimContext) -> list[CertificateReport]:
-    family = flag_shift_family(ctx.space)
+    family = ctx._points.flag_shift
     return [verify_completeness(ctx, family, flag_rank_target(ctx.space), claim_id="dimB.ddim")]
 
 
 def _claim_thm3(ctx: ClaimContext) -> list[CertificateReport]:
-    family = restrict_family(ctx.space, flag_shift_family(ctx.space))
+    family = restrict_family(ctx.space, ctx._points.flag_shift)
     target = restricted_rank_target(ctx.space)
     return [
         verify_completeness(ctx, family, target, claim_id="thm3.ddim"),
@@ -562,9 +644,11 @@ _SLICE_CLAIMS = ("lemma1", "thm3", "gaudin")
 def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> list[CertificateReport]:
     """Run the requested claims (all of them by default) in registry order.
 
-    A claim that finds no generic point, or whose linear algebra fails to
-    converge, gives one failed report with the error message; the other
-    claims still run.
+    The run draws and gates each seeded point once, in a table of its own,
+    and the certificates of one claim share each family's gradients at each
+    point.  A claim that finds no generic point, or whose linear algebra
+    fails to converge, gives one failed report with the error message; the
+    other claims still run.
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
@@ -580,11 +664,13 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
             f"claims {', '.join(on_slice)} need n >= 3 (at n = 2 the zero-momentum slice "
             f"has no generic point); at n = 2 only {apply} apply"
         )
+    ctx = replace(ctx, _points=None)
     reports: list[CertificateReport] = []
     for claim in CLAIM_IDS:
         if claim in claim_ids:
             try:
-                reports.extend(_REGISTRY[claim](ctx))
+                with ctx._points.claim():
+                    reports.extend(_REGISTRY[claim](ctx))
             except (GenericityError, np.linalg.LinAlgError) as exc:
                 detail = exc if isinstance(exc, GenericityError) else f"LinAlgError: {exc}"
                 nan = float("nan")

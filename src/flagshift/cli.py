@@ -111,13 +111,17 @@ def _pick(flag, config: dict, key: str, fallback, kind=None):
 
 
 def _pick_seed(args: argparse.Namespace, config: dict) -> int:
-    """--seed, then config key 'seed', then $FLAGSHIFT_SEED, then 42; it must not be negative."""
-    raw = os.environ.get(_ENV_SEED, "42")
-    try:
-        fallback = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{_ENV_SEED} must be an integer, got {raw!r}")
-    seed = _pick(args.seed, config, "seed", fallback, int)
+    """--seed, then config key 'seed', then $FLAGSHIFT_SEED, then 42; it must not be negative.
+
+    The environment is read only when neither the flag nor the file sets the seed.
+    """
+    seed = _pick(args.seed, config, "seed", None, int)
+    if seed is None:
+        raw = os.environ.get(_ENV_SEED, "42")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"{_ENV_SEED} must be an integer, got {raw!r}")
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     return seed

@@ -1,5 +1,8 @@
 """Certification layer: sampling gates, rank estimates, claim reports."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,106 @@ def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
     with pytest.raises(GenericityError, match=r"domain 'g'.*\[9, 0, r\], r = 0\.\.3"):
         _measure_at_generic_points(ctx, "g", measure)
     assert seen == [[9, 0, r] for r in range(policy.max_retries + 1)]
+
+
+def test_genericity_error_names_the_gate_that_rejected_each_draw(su2):
+    impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
+    (report,) = run_claims(ClaimContext(ProductSpace(su2, 3), policy=impossible), ["dimB"])
+    assert report.error == (
+        "claim dimB: no generic point in domain 'g' was accepted from seed entropy "
+        "[42, 0, r], r = 0..2; rejected by block regularity (r = 0, 1, 2)"
+    )
+    # at n = 2 the slice holds only (x, -x): regular blocks sharing their centralizer
+    with pytest.raises(GenericityError, match=r"rejected by diagonal centralizer \(r = 0, 1, 2, 3, 4, 5\)$"):
+        generic_point(ProductSpace(su2, 2), [5], "v")
+
+
+def test_genericity_error_names_marginal_measurements(su2n3):
+    ctx = ClaimContext(su2n3, seed=9, trials=1, policy=RankPolicy(max_retries=2))
+    with pytest.raises(GenericityError, match=r"rejected by marginal measurement \(r = 0, 1, 2\)$"):
+        _measure_at_generic_points(ctx, "g", lambda X, entropy: (0, True, {}))
+
+
+def test_generic_points_are_read_only(su2n3):
+    def measure(X, entropy):
+        X[0, 0] = 1.0
+        return 0.0, False, {}
+
+    with pytest.raises(ValueError, match="read-only"):
+        _measure_at_generic_points(ClaimContext(su2n3, trials=1), "v", measure)
+    with pytest.raises(ValueError, match="read-only"):
+        generic_point(su2n3, [5, 1], "g")[0, 0] = 1.0
+
+
+def test_a_run_draws_and_gates_each_point_once(su2n3, monkeypatch):
+    from flagshift import certify
+
+    draw, gate = certify._draw, certify._failed_gate
+    draws, gates = Counter(), Counter()
+
+    def counted_draw(context, entropy, domain):
+        draws[domain, tuple(entropy)] += 1
+        return draw(context, entropy, domain)
+
+    def counted_gate(context, X, domain, policy):
+        gates[domain, X.tobytes()] += 1
+        return gate(context, X, domain, policy)
+
+    monkeypatch.setattr(certify, "_draw", counted_draw)
+    monkeypatch.setattr(certify, "_failed_gate", counted_gate)
+    reports = run_claims(ClaimContext(su2n3), ["all"])
+    assert len(reports) == 14 and all(r.passed for r in reports)
+    assert {("g", (42, t, 0)) for t in range(10)} | {("v", (42, t, 0)) for t in range(7)} <= set(draws)
+    assert max(draws.values()) == 1 and max(gates.values()) == 1
+    assert sum(gates.values()) == sum(draws.values())
+
+
+def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monkeypatch):
+    from flagshift import certify
+
+    gradients, spans = PolynomialFamily.gradients, certify.invariant_tangent_span
+    calls = Counter()
+
+    def counted_gradients(family, X):
+        calls[family.name] += 1
+        return gradients(family, X)
+
+    def counted_span(*args):
+        calls["span"] += 1
+        return spans(*args)
+
+    monkeypatch.setattr(PolynomialFamily, "gradients", counted_gradients)
+    monkeypatch.setattr(certify, "invariant_tangent_span", counted_span)
+    ctx = ClaimContext(su2n3, trials=4)
+    run_claims(ctx, ["lemma1", "thm3"])
+    # thm3.ddim, thm3.involutive and thm3.span_inclusion read one stack per
+    # point; lemma1 and thm3.span_inclusion one span per point
+    assert calls == {"flag_shift_v": 4, "span": 4}
+    # outside a claim nothing is shared, and the run left nothing behind
+    calls.clear()
+    check_involutive(ctx, flag_shift_family(su2n3))
+    check_involutive(ctx, flag_shift_family(su2n3))
+    assert calls == {"flag_shift": 8}
+    assert ctx._points._gradients is None and not ctx._points._spans
+
+
+def test_the_point_table_is_not_a_setting(su2n3):
+    ctx = ClaimContext(su2n3)
+    assert ctx == ClaimContext(su2n3) and "_points" not in repr(ctx)
+    assert replace(ctx, trials=10)._points is ctx._points
+    assert replace(ctx, policy=RankPolicy(rel_tol=1e-6))._points is not ctx._points
+    assert replace(ctx, space=ProductSpace(su2n3.base, 4))._points is not ctx._points
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_shared_run_reports_what_separate_runs_report(m, seed):
+    space = ProductSpace(build_algebra("su", m), 3)
+    shared = [r.to_dict() for r in run_claims(ClaimContext(space, seed=seed), ["all"])]
+    separate = [
+        r.to_dict() for claim in CLAIM_IDS for r in run_claims(ClaimContext(space, seed=seed), [claim])
+    ]
+    assert shared == separate
 
 
 def test_closed_form_targets(su2n3, su2n4, su3n3):
@@ -320,8 +423,8 @@ def test_certificates_pass_on_the_wider_envelope(m, n, seed, claim):
 @pytest.mark.parametrize(
     "m, n",
     [
-        (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4),
-        (5, 3), (5, 4), (6, 3), (6, 4), (7, 3), (7, 4), (8, 3),
+        (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4),
+        (4, 5), (5, 3), (5, 4), (5, 5), (6, 3), (6, 4), (7, 3), (7, 4), (8, 3),
     ],
 )
 def test_every_claim_passes_on_the_stated_envelope(m, n, seed):

@@ -70,6 +70,21 @@ def test_certify_env_seed(tmp_path, monkeypatch):
     assert main(["certify", "--claims", "lemma1"]) == 2
 
 
+def test_env_seed_is_read_only_when_nothing_else_sets_the_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FLAGSHIFT_SEED", "eleven")
+    summary = tmp_path / "flow.json"
+    assert main(["flow", "--seed", "3", "--t-end", "0.01", "--summary", str(summary)]) == 0
+    assert _read_json(summary)["config"]["seed"] == 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5}))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--claims", "lemma1", "--config", str(config), "--out", str(out)]) == 0
+    assert _read_json(out)["config"]["seed"] == 5
+    # the environment is the source of the seed: its bad value is still an error
+    assert main(["flow", "--t-end", "0.01"]) == 2
+    assert "FLAGSHIFT_SEED must be an integer, got 'eleven'" in capsys.readouterr().err
+
+
 def test_certify_rejects_bad_input(capsys):
     assert main(["certify", "--algebra", "so3", "--claims", "lemma1"]) == 2
     assert main(["certify", "--claims", "nonsense"]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flagshift import ProductSpace
-from flagshift.certify import _gates_ok
+from flagshift.certify import _failed_gate
 from flagshift.errors import ConfigurationError
 from flagshift.ranks import DEFAULT_POLICY, numerical_rank
 
@@ -92,14 +92,14 @@ def test_isotropy_dimensions(su3n3, su3):
     rng = np.random.default_rng(5)
     X = su3n3.random_point(rng)
     assert [su3.isotropy_dim(x) for x in X] == [2, 2, 2]
-    assert _gates_ok(su3n3, X, "g", DEFAULT_POLICY)
+    assert _failed_gate(su3n3, X, "g", DEFAULT_POLICY) is None
     x = su3.random_element(rng)
     tiled = np.tile(x, (3, 1))
     # equal blocks are each regular but share their rank-2 centralizer
     assert su3.isotropy_dim(x) == 2
-    assert _gates_ok(su3, x, "k", DEFAULT_POLICY)
+    assert _failed_gate(su3, x, "k", DEFAULT_POLICY) is None
     assert su3.dim - numerical_rank(np.vstack(su3.ads(tiled))).rank == 2
-    assert not _gates_ok(su3n3, tiled, "g", DEFAULT_POLICY)
+    assert _failed_gate(su3n3, tiled, "g", DEFAULT_POLICY) == "diagonal centralizer"
 
 
 def test_pair_is_blockwise_killing(su2n3, su2):
