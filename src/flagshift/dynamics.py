@@ -1,14 +1,19 @@
 """Quadratic Hamiltonians and fixed-step integration of their Euler flows.
 
 All flows here are of Euler type: dx_i/dt = [x_i, grad_i h].  Every built-in
-Hamiltonian is a quadratic form with constant blockwise coefficients, so its
-gradient is a coefficient matrix acting on the blocks and the vector field
-is one kernel of three BLAS calls per evaluation.  The integrator is
-classical RK4 with a fixed step in Butcher-tableau form: every stage input
-and the update is one GEMV of a weight row against the stacked stages and
-state.  The step loop never evaluates a conserved quantity: after it, the
-energy and the monitor family are evaluated on the stack of recorded
-states, ``MONITOR_CHUNK`` states per call, and reported as relative drifts.
+Hamiltonian is a quadratic form with constant blockwise coefficients C, so
+its gradient is C acting on the blocks.  The integrator is classical RK4
+with a fixed step in Butcher-tableau form, by one of two steppers chosen
+from the flow's size n dim.  Up to ``FUSED_MAX_SIZE`` the tableau also
+carries the gradient rows C X, so each stage is four two-dimensional BLAS
+or copy calls: its input and gradient from one weight GEMM, the ad
+matrices, all block-by-gradient brackets, and a copy of their block
+diagonal.  Larger flows, where those n^2 terms cost more than the calls
+they save, evaluate the Euler-field kernel of three BLAS calls per stage,
+with one GEMV per stage input.  The step loop never evaluates a conserved
+quantity: after it, the energy and the monitor family are evaluated on the
+stack of recorded states, ``MONITOR_CHUNK`` states per call, and reported
+as relative drifts.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ __all__ = [
 # Recorded states per monitor evaluation: one batched call per chunk, and a
 # working set that stays small however many states a flow records.
 MONITOR_CHUNK = 64
+
+# Largest n dim that ``integrate`` steps with ``_fused_steps``: its weight
+# GEMM and bracket product carry n^2 terms, which outgrow the per-call
+# savings beyond this size.
+FUSED_MAX_SIZE = 48
 
 
 @dataclass(frozen=True)
@@ -262,29 +272,22 @@ class Trajectory:
         return out
 
 
-def integrate(flow: FlowSpec) -> Trajectory:
-    """Classical RK4 with fixed step, in Butcher-tableau form.
+def _kernel_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np.ndarray, dt: float):
+    """RK4 steps through ``_euler_kernel``: yield the state after each step.
 
-    The energy is always the first monitor, labeled "energy", followed by
-    ``flow.monitors``, if any.  The step loop only advances the state and
-    copies it at each record; a non-finite record aborts the run, keeping
-    the last valid one.  After the loop, the monitors are evaluated on the
-    recorded states, ``MONITOR_CHUNK`` states per call.  The stages k1..k4
-    and the state X are the rows of one zeroed (5, n dim) tableau; each
-    stage input X + sum_j a_ij k_j and the update X + dt (k1 + 2 k2 + 2 k3
-    + k4) / 6 is one GEMV of a fixed weight row against it, written into
-    the X row of a second tableau that takes the next step.  A step is 16
-    calls, three per field evaluation and four GEMVs, each through a bound
-    method, which skips NumPy's function dispatch.  X is the last row, so
-    the GEMV adds it to the weighted stages last, as the textbook sum does.
+    The stages k1..k4 and the state X are the rows of one zeroed (5, n dim)
+    tableau.  Each stage input X + sum_j a_ij k_j and the update X + dt (k1
+    + 2 k2 + 2 k3 + k4) / 6 is one GEMV of a fixed weight row against it;
+    the update goes into the X row of a second tableau, which takes the
+    next step.  X is the last row, so the GEMV adds it last, as the
+    textbook sum does.
     """
-    h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
-    n, dim = flow.space.n, flow.space.base.dim
-    field = _euler_kernel(flow.space, h)
+    n, dim = space.n, space.base.dim
+    field = _euler_kernel(space, hamiltonian)
     # rows [k1, k2, k3, k4, X], zeroed so the zero weights never meet
     # uninitialised memory (0 * nan is nan)
     tableaux = np.zeros((2, 5, n * dim))
-    tableaux[0, 4] = flow.initial.ravel()
+    tableaux[0, 4] = X0.ravel()
     cur, nxt = ((T, T[4], T[4].reshape(n, dim), *T[:4].reshape(4, n, dim, 1)) for T in tableaux)
     y = np.empty(n * dim)
     Y = y.reshape(n, dim)
@@ -294,12 +297,7 @@ def integrate(flow: FlowSpec) -> Trajectory:
         [0.0, 0.0, dt, 0.0, 1.0],
         [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0],
     ])
-
-    record_steps = np.r_[0:steps:stride, steps]
-    states = np.empty((len(record_steps), n, dim))
-    states[0] = flow.initial
-    recorded = 1
-    for step in range(1, steps + 1):
+    while True:
         T, _, X, k1, k2, k3, k4 = cur
         field(X, k1)
         a2.dot(T, out=y)
@@ -310,8 +308,93 @@ def integrate(flow: FlowSpec) -> Trajectory:
         field(Y, k4)
         b.dot(T, out=nxt[1])
         cur, nxt = nxt, cur
+        yield cur[2]
+
+
+def _fused_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np.ndarray, dt: float):
+    """RK4 steps with the gradient rows carried in the tableau: yield the state after each step.
+
+    The tableau holds the rows [k1, k2, k3, k4, X, C X], (6n, dim), for the
+    coefficient matrix C.  One (2n, 6n) weight GEMM gives a stage's input Y
+    and its gradient C Y; stage 1 reads X and C X from the tableau as they
+    are.  The ad matrices of Y are one GEMM, and Q = ads(Y) @ (C Y)^T is
+    another: it brackets every block with every gradient row, and the stage
+    is its block diagonal, Q[(i, :), i] = [y_i, (C Y)_i], which one copy
+    writes into the tableau.  The update GEMM writes [X'; C X'] straight
+    into the second tableau, which takes the next step.  The weight GEMM
+    and Q carry n^2 terms, so ``integrate`` takes this route only up to
+    n dim = ``FUSED_MAX_SIZE``.
+    """
+    n, dim = space.n, space.base.dim
+    rows, coeff = space.base._ad_rows, hamiltonian.coeff
+    eye, zero = np.eye(n), np.zeros((n, n))
+
+    def weights(*a):
+        # [Y; C Y] = [X + sum_j a_j k_j; C X + sum_j a_j C k_j], C X from the
+        # X rows: read from the C X rows, its round-off would build up over
+        # the steps
+        a = np.array([a])
+        return np.block([[np.kron(a, eye), eye, zero], [np.kron(a, coeff), coeff, zero]])
+
+    w2, w3, w4 = weights(0.5 * dt, 0, 0, 0), weights(0, 0.5 * dt, 0, 0), weights(0, 0, dt, 0)
+    b = weights(dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+    # zeroed so the zero weights never meet uninitialised memory (0 * nan is nan)
+    tableaux = np.zeros((2, 6 * n, dim))
+    tableaux[0, 4 * n:5 * n] = X0
+    tableaux[0, 5 * n:] = coeff @ X0
+    cur, nxt = ((T, T[4 * n:5 * n], T[5 * n:].T, T[4 * n:], *T[:4 * n].reshape(4, n, dim)) for T in tableaux)
+    yg = np.empty((2 * n, dim))
+    Y, Gt = yg[:n], yg[n:].T
+    ads = np.empty((n, dim * dim))
+    ads2 = ads.reshape(n * dim, dim)
+    q = np.empty((n * dim, n))
+    diag = np.diagonal(q.reshape(n, dim, n), axis1=0, axis2=2).T  # [i, a] = q[(i, a), i]
+    copyto = np.copyto
+    while True:
+        T, X, CXt, _, k1, k2, k3, k4 = cur
+        X.dot(rows, out=ads)
+        ads2.dot(CXt, out=q)
+        copyto(k1, diag)
+        w2.dot(T, out=yg)
+        Y.dot(rows, out=ads)
+        ads2.dot(Gt, out=q)
+        copyto(k2, diag)
+        w3.dot(T, out=yg)
+        Y.dot(rows, out=ads)
+        ads2.dot(Gt, out=q)
+        copyto(k3, diag)
+        w4.dot(T, out=yg)
+        Y.dot(rows, out=ads)
+        ads2.dot(Gt, out=q)
+        copyto(k4, diag)
+        b.dot(T, out=nxt[3])
+        cur, nxt = nxt, cur
+        yield cur[1]
+
+
+def integrate(flow: FlowSpec) -> Trajectory:
+    """Classical RK4 with fixed step, in Butcher-tableau form.
+
+    The energy is always the first monitor, labeled "energy", followed by
+    ``flow.monitors``, if any.  The step loop only advances the state and
+    copies it at each record; a non-finite record aborts the run, keeping
+    the last valid one.  After the loop, the monitors are evaluated on the
+    recorded states, ``MONITOR_CHUNK`` states per call.  Up to n dim =
+    ``FUSED_MAX_SIZE`` a step is ``_fused_steps``: 16 two-dimensional BLAS
+    or copy calls, with the gradient rows carried in the tableau.  Larger
+    flows step through ``_kernel_steps``, whose stages call the
+    ``_euler_kernel`` field.  The two differ by round-off only.
+    """
+    h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
+    n, dim = flow.space.n, flow.space.base.dim
+    stepper = _fused_steps if n * dim <= FUSED_MAX_SIZE else _kernel_steps
+
+    record_steps = np.r_[0:steps:stride, steps]
+    states = np.empty((len(record_steps), n, dim))
+    states[0] = flow.initial
+    recorded = 1
+    for step, X in zip(range(1, steps + 1), stepper(flow.space, h, flow.initial, dt)):
         if step % stride == 0 or step == steps:
-            X = cur[2]
             if not np.isfinite(X).all():
                 break
             states[recorded] = X

@@ -389,8 +389,16 @@ def momentum_pullback(space: ProductSpace, family: PolynomialFamily) -> Polynomi
     return _remap(family, f"mu*{family.name}", "g", lambda label: "mu*" + label, pulled)
 
 
-def flag_momentum_family(space: ProductSpace, shift: np.ndarray) -> PolynomialFamily:
-    """Flag-shift family extended by momentum coordinates and shifted momentum invariants."""
+def flag_momentum_family(
+    space: ProductSpace, shift: np.ndarray, flag_shift: PolynomialFamily | None = None
+) -> PolynomialFamily:
+    """Flag-shift family extended by momentum coordinates and shifted momentum invariants.
+
+    ``flag_shift`` is ``flag_shift_family(space)`` when the caller holds it
+    already; by default it is built here.
+    """
     pulled = momentum_pullback(space, mf_shift_family(space.base, shift))
-    return PolynomialFamily.merge("flag_momentum", flag_shift_family(space), momentum_coordinates(space), pulled)
+    if flag_shift is None:
+        flag_shift = flag_shift_family(space)
+    return PolynomialFamily.merge("flag_momentum", flag_shift, momentum_coordinates(space), pulled)
 

@@ -23,7 +23,7 @@ from flagshift.certify import (
     verify_lemma1,
     verify_span_inclusion,
 )
-from flagshift.certify import _draw, _measure_at_generic_points, _principal_angles
+from flagshift.certify import _draw, _gated_draws, _measure_at_generic_points, _principal_angles
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
@@ -236,6 +236,61 @@ def test_check_ad_invariance_pass_and_control(su2n3, coordinate_member):
     assert bad.measured_value > 1e-2
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_check_ad_invariance_reads_one_stack_per_point(m, monkeypatch):
+    space = ProductSpace(build_algebra("su", m), 3)
+    ctx = ClaimContext(space, trials=3)
+    values, shapes = PolynomialFamily.values, []
+
+    def counted_values(family, X):
+        shapes.append(np.shape(X))
+        return values(family, X)
+
+    for family in (flag_shift_family(space), gaudin_family(space, ctx.weights())):
+        # oracle: one values call per point, ten adjoint actions drawn in order
+        worst = []
+        for trial in range(3):
+            entropy, X = next(_gated_draws(ctx._points, [ctx.seed, trial], family.domain))
+            rng = np.random.default_rng(entropy + [7919])
+            base = family.values(X)
+            moved = (space.diagonal_adjoint(space.base.random_element(rng, 0.8), X) for _ in range(10))
+            worst.append(max(float((np.abs(family.values(Y) - base) / (1.0 + np.abs(base))).max()) for Y in moved))
+        with monkeypatch.context() as patch:
+            patch.setattr(PolynomialFamily, "values", counted_values)
+            report = check_ad_invariance(ctx, family)
+        assert shapes == [(11, 3, space.base.dim)] * 3
+        shapes.clear()
+        assert [w["residual"] for w in report.witnesses] == worst
+
+
+def test_thm2ii_reuses_the_run_tables_flag_shift_family(su2n3, monkeypatch):
+    from flagshift import certify, families
+
+    builds = []
+
+    def counted(build):
+        def wrapped(space):
+            builds.append(space)
+            return build(space)
+        return wrapped
+
+    monkeypatch.setattr(certify, "flag_shift_family", counted(certify.flag_shift_family))
+    monkeypatch.setattr(families, "flag_shift_family", counted(families.flag_shift_family))
+    reports = run_claims(ClaimContext(su2n3), ["thm2i", "thm2ii", "dimB"])
+    assert all(r.passed for r in reports)
+    assert builds == [su2n3]
+    # a family passed in is used as it is, and it is the one built by default
+    shift, own = generic_point(su2n3.base, [42, 104729], "k"), flag_shift_family(su2n3)
+    builds.clear()
+    given = flag_momentum_family(su2n3, shift, own)
+    assert builds == []
+    built = flag_momentum_family(su2n3, shift)
+    assert builds == [su2n3]
+    X = generic_point(su2n3, [42, 5], "g")
+    assert built.labels == given.labels
+    assert np.array_equal(built.values(X), given.values(X))
+
+
 def test_verify_lemma1(su2n3):
     ddim, dind = verify_lemma1(ClaimContext(su2n3, trials=3))
     assert ddim.passed and ddim.measured_value == 3
@@ -419,13 +474,18 @@ def test_certificates_pass_on_the_wider_envelope(m, n, seed, claim):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("seed", [42, 1])
 @pytest.mark.parametrize(
-    "m, n",
+    "m, n, seed",
     [
-        (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4),
-        (4, 5), (5, 3), (5, 4), (5, 5), (6, 3), (6, 4), (7, 3), (7, 4), (8, 3),
-    ],
+        (m, n, seed)
+        for m, n in (
+            (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4),
+            (4, 5), (5, 3), (5, 4), (5, 5), (6, 3), (6, 4), (7, 3), (7, 4), (8, 3),
+        )
+        for seed in (42, 1)
+    ]
+    # wide in n, at one seed
+    + [(2, 32, 42), (3, 16, 42), (4, 10, 42), (5, 8, 42)],
 )
 def test_every_claim_passes_on_the_stated_envelope(m, n, seed):
     # every claim, the Gaudin field identity and its 10^4-step flow included

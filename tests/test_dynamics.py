@@ -10,9 +10,10 @@ import csv
 import numpy as np
 import pytest
 
-from flagshift import ProductSpace, build_algebra
+from flagshift import ProductSpace, build_algebra, dynamics
 from flagshift.certify import generic_point
 from flagshift.dynamics import (
+    FUSED_MAX_SIZE,
     MONITOR_CHUNK,
     FlowSpec,
     QuadraticHamiltonian,
@@ -236,15 +237,17 @@ def test_integrate_records_and_conserves(su2n3):
 
 
 def test_integrate_aborts_on_overflow(su2n3):
-    rng = np.random.default_rng(7)
-    X0 = su2n3.random_point(rng) * 1e200
-    flow = FlowSpec(su2n3, gaudin_hamiltonian(su2n3, (1.0, 2.0, 3.0)), X0, t_end=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = integrate(flow)
-    assert traj.aborted
-    assert np.isfinite(traj.states).all()
-    assert traj.final_time < 1.0
-    assert len(traj.times) == len(traj.states) == len(traj.monitor_series)
+    # one fused flow (n dim = 9) and one through the Euler kernel (56)
+    for space in (su2n3, ProductSpace(build_algebra("su", 3), 7)):
+        rng = np.random.default_rng(7)
+        X0 = space.random_point(rng) * 1e200
+        flow = FlowSpec(space, gaudin_hamiltonian(space, np.arange(1.0, space.n + 1.0)), X0, t_end=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(flow)
+        assert traj.aborted
+        assert np.isfinite(traj.states).all()
+        assert traj.final_time < 1.0
+        assert len(traj.times) == len(traj.states) == len(traj.monitor_series)
 
 
 def _per_state_series(flow, trajectory):
@@ -365,8 +368,19 @@ def _rk4_oracle(space, ham, X, dt, steps, stride):
     return np.array(states)
 
 
-def test_integrate_matches_literal_rk4(su2n3):
-    spaces = (su2n3, ProductSpace(build_algebra("su", 3), 4), ProductSpace(build_algebra("su", 5), 4))
+def test_integrate_matches_literal_rk4(su2n3, monkeypatch):
+    su2, su3 = su2n3.base, build_algebra("su", 3)
+    # su2^16 is the largest fused flow, n dim = 48 = FUSED_MAX_SIZE, and
+    # su3^7 (56) the smallest that steps through the Euler kernel
+    spaces = {
+        su2n3: "fused", ProductSpace(su3, 4): "fused", ProductSpace(su2, 16): "fused",
+        ProductSpace(su3, 7): "kernel", ProductSpace(build_algebra("su", 5), 4): "kernel",
+    }
+    assert 16 * su2.dim == FUSED_MAX_SIZE < 7 * su3.dim
+    routes = []
+    for route in ("fused", "kernel"):
+        steps_of = getattr(dynamics, f"_{route}_steps")
+        monkeypatch.setattr(dynamics, f"_{route}_steps", lambda *a, r=route, f=steps_of: routes.append(r) or f(*a))
     # (steps, stride): a stride that divides the steps, and one that does
     # not, so the last record is the final step, at an odd and an even step
     # count, so the final state is read from each of the two tableaux
@@ -384,6 +398,7 @@ def test_integrate_matches_literal_rk4(su2n3):
             for steps, stride in runs:
                 flow = FlowSpec(space, ham, X0, t_end=steps * 1e-3, dt=1e-3, stride=stride)
                 traj = integrate(flow)
+                assert routes.pop() == spaces[space] and not routes
                 expected = _rk4_oracle(space, ham, X0, 1e-3, steps, stride)
                 records = 1 + -(-steps // stride)
                 assert traj.states.shape == expected.shape == (records, n, space.base.dim)
