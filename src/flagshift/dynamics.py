@@ -330,9 +330,9 @@ def _fused_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np.
     eye, zero = np.eye(n), np.zeros((n, n))
 
     def weights(*a):
-        # [Y; C Y] = [X + sum_j a_j k_j; C X + sum_j a_j C k_j], C X from the
-        # X rows: read from the C X rows, its round-off would build up over
-        # the steps
+        # [Y; C Y] = [X + sum_j a_j k_j; C X + sum_j a_j C k_j], with C X
+        # taken from the X rows: read from the stored C X rows instead, its
+        # round-off would build up over the steps
         a = np.array([a])
         return np.block([[np.kron(a, eye), eye, zero], [np.kron(a, coeff), coeff, zero]])
 

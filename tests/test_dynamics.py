@@ -414,6 +414,24 @@ def test_integrate_matches_literal_rk4(su2n3, monkeypatch):
                     assert all(not np.array_equal(a, b) for a, b in zip(traj.states, traj.states[1:]))
 
 
+def test_fused_stepper_keeps_its_gradient_rows_on_the_state(su2n3):
+    # the fused tableau's C X rows are formed from its X rows at every step,
+    # so after 10^4 steps they are still C X to a few rounding errors;
+    # carried forward on their own they drift by accumulated round-off
+    # (about 5e-15 to 9e-14 relative here), and the flow with them
+    for space in (su2n3, ProductSpace(build_algebra("su", 3), 4)):
+        n = space.n
+        X0 = generic_point(space, [42, 23], "g")
+        einstein = einstein_hamiltonian(space, *einstein_parameters(n))
+        for ham in (einstein, gaudin_hamiltonian(space, np.arange(1.0, n + 1.0))):
+            for _, X in zip(range(10_000), dynamics._fused_steps(space, ham, X0, 1e-3)):
+                pass
+            tableau = next(T for T in X.base if np.shares_memory(T, X))  # rows [k1..k4, X, C X]
+            assert np.array_equal(tableau[4 * n:5 * n], X)
+            CX = ham.coeff @ X
+            assert np.abs(tableau[5 * n:] - CX).max() <= 8 * np.finfo(float).eps * np.abs(CX).max()
+
+
 def test_closed_form_rotation_matches_integrator(su2n3):
     p, q = einstein_parameters(3)
     ham = einstein_hamiltonian(su2n3, p, q)
