@@ -313,7 +313,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         "final_time": trajectory.final_time,
         "aborted": trajectory.aborted,
         "drift": trajectory.drift(),
-        "momentum_drift": dynamics.momentum_drift(space, trajectory),
+        "momentum_drift": dynamics.momentum_drift(trajectory),
     }
     if hamiltonian.kind == "einstein" and restrict_v:
         u_coef = hamiltonian.params["u_coef"]

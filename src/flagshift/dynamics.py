@@ -452,7 +452,7 @@ def enr_closed_form(
 # -- conservation helpers --------------------------------------------------------
 
 
-def momentum_drift(space: ProductSpace, trajectory: Trajectory) -> float:
+def momentum_drift(trajectory: Trajectory) -> float:
     """Max relative drift of the momentum coordinates over recorded states."""
     momenta = trajectory.states.sum(axis=1)
     start = momenta[0]

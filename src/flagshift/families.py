@@ -9,7 +9,7 @@ f(x + t a); the Gaudin family takes the principal parts of tr L(z)^d at the
 poles of the spectral Lax matrix L(z).  Constant coefficients (degree-zero
 members) are kept; they simply contribute zero gradients wherever ranks or
 brackets are measured.  The built-in families are data, evaluated in one
-batched pass (``_SeriesTraces``).
+batched pass (``_SeriesTraces``); every member is a row of such a kernel.
 """
 
 from __future__ import annotations
@@ -35,43 +35,35 @@ __all__ = [
 DOMAINS = ("k", "g", "v")
 
 
+def _row(method: str, kernel, row: int, X: np.ndarray):
+    return getattr(kernel, method)(np.asarray(X, dtype=float))[row]
+
+
 @dataclass(frozen=True)
 class FamilyMember:
-    """A single polynomial with its analytic gradient.
+    """Row ``row`` of the batched ``kernel`` that evaluates a whole family.
 
     ``domain`` is "k" for functions on one factor algebra (arguments are
     coordinate vectors), "g" for functions on the full product and "v" for
     functions restricted to the zero-block-sum subspace (arguments are
     (n, dim) arrays in both cases; "v" gradients are already projected).
 
-    Members of the built-in families are views: ``value`` and ``gradient``
-    read row ``row`` of the batched ``kernel`` that evaluates the whole
-    family.  A member built from its own callables is its own kernel.
+    A kernel is anything with ``values``, ``gradients`` and ``size``;
+    ``value`` and ``gradient`` are views of the member's row of it.
     """
 
     label: str
     domain: str
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    kernel: object = field(default=None, repr=False, compare=False)
-    row: int = 0
+    kernel: object = field(repr=False)
+    row: int
+    value: Callable[[np.ndarray], float] = field(init=False, repr=False, compare=False)
+    gradient: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ConfigurationError(f"unknown member domain {self.domain!r}")
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", self)
-
-    size = 1
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """The value at a point, or at each point of a stack, one call per point: shape (..., 1)."""
-        point = X.shape[-1:] if self.domain == "k" else X.shape[-2:]
-        values = [self.value(x) for x in X.reshape(-1, *point)]
-        return np.array(values, dtype=float).reshape(*X.shape[: X.ndim - len(point)], 1)
-
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradient(X), dtype=float)[None]
+        object.__setattr__(self, "value", partial(_row, "values", self.kernel, self.row))
+        object.__setattr__(self, "gradient", partial(_row, "gradients", self.kernel, self.row))
 
 
 @dataclass(frozen=True)
@@ -233,19 +225,10 @@ class _Projected:
         return self.space.proj_v(self.kernel.gradients(X))
 
 
-def _row(method: str, kernel, row: int, X: np.ndarray):
-    return getattr(kernel, method)(np.asarray(X, dtype=float))[row]
-
-
-def _view(label: str, domain: str, kernel, row: int) -> FamilyMember:
-    value, gradient = partial(_row, "values", kernel, row), partial(_row, "gradients", kernel, row)
-    return FamilyMember(label, domain, value, gradient, kernel, row)
-
-
 def _remap(family: PolynomialFamily, name: str, domain: str, relabel, transform) -> PolynomialFamily:
     """The family's members read through ``transform`` of each kernel behind them."""
     kernels = {id(kernel): transform(kernel) for kernel, _ in family._groups}
-    members = tuple(_view(relabel(m.label), domain, kernels[id(m.kernel)], m.row) for m in family)
+    members = tuple(FamilyMember(relabel(m.label), domain, kernels[id(m.kernel)], m.row) for m in family)
     return PolynomialFamily(name, domain, members)
 
 
@@ -282,7 +265,7 @@ class _Builder:
             for l, (c, a) in enumerate(series):
                 combo[q, l], shift[q, l] = c, a
         kernel = _SeriesTraces(self.algebra, combo, shift, tuple(self.select), np.array(self.linear))
-        members = tuple(_view(label, domain, kernel, f) for f, label in enumerate(self.labels))
+        members = tuple(FamilyMember(label, domain, kernel, f) for f, label in enumerate(self.labels))
         return PolynomialFamily(name, domain, members)
 
 
@@ -389,16 +372,8 @@ def momentum_pullback(space: ProductSpace, family: PolynomialFamily) -> Polynomi
     return _remap(family, f"mu*{family.name}", "g", lambda label: "mu*" + label, pulled)
 
 
-def flag_momentum_family(
-    space: ProductSpace, shift: np.ndarray, flag_shift: PolynomialFamily | None = None
-) -> PolynomialFamily:
-    """Flag-shift family extended by momentum coordinates and shifted momentum invariants.
-
-    ``flag_shift`` is ``flag_shift_family(space)`` when the caller holds it
-    already; by default it is built here.
-    """
+def flag_momentum_family(space: ProductSpace, shift: np.ndarray, flag_shift: PolynomialFamily) -> PolynomialFamily:
+    """``flag_shift``, the ``flag_shift_family(space)``, with momentum coordinates and shifted momentum invariants."""
     pulled = momentum_pullback(space, mf_shift_family(space.base, shift))
-    if flag_shift is None:
-        flag_shift = flag_shift_family(space)
     return PolynomialFamily.merge("flag_momentum", flag_shift, momentum_coordinates(space), pulled)
 

@@ -73,8 +73,35 @@ def einstein_by_projections():
 # Members built from their own callables, for controls and spot checks.
 
 
+class _OneRow:
+    """A one-member kernel from the member's own value and gradient callables, called point by point."""
+
+    size = 1
+
+    def __init__(self, domain, value, gradient):
+        self.domain, self.value, self.gradient = domain, value, gradient
+
+    def values(self, X):
+        point = X.shape[-1:] if self.domain == "k" else X.shape[-2:]
+        values = [self.value(x) for x in X.reshape(-1, *point)]
+        return np.array(values, dtype=float).reshape(*X.shape[: X.ndim - len(point)], 1)
+
+    def gradients(self, X):
+        return np.asarray(self.gradient(X), dtype=float)[None]
+
+
 @pytest.fixture(scope="session")
-def pairing_member():
+def own_member():
+    """A member from its own value and gradient callables: the one row of its own kernel."""
+
+    def build(label, domain, value, gradient):
+        return FamilyMember(label, domain, _OneRow(domain, value, gradient), 0)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def pairing_member(own_member):
     """The quadratic member <x_i, x_j>; Ad-invariant for the diagonal action."""
 
     def build(space, i, j):
@@ -84,13 +111,13 @@ def pairing_member():
             out[j] += X[i]
             return out
 
-        return FamilyMember(f"pairing[{i},{j}]", "g", lambda X: space.base.pair(X[i], X[j]), gradient)
+        return own_member(f"pairing[{i},{j}]", "g", lambda X: space.base.pair(X[i], X[j]), gradient)
 
     return build
 
 
 @pytest.fixture(scope="session")
-def coordinate_member():
+def coordinate_member(own_member):
     """The linear member <x_block, u> (u a vector, or the index of a basis element); not Ad-invariant."""
 
     def build(space, block, direction):
@@ -100,17 +127,17 @@ def coordinate_member():
         def value(X):
             return space.base.pair(X[block], u)
 
-        return FamilyMember(f"coord[block={block}]", "g", value, lambda X: grad.copy())
+        return own_member(f"coord[block={block}]", "g", value, lambda X: grad.copy())
 
     return build
 
 
 @pytest.fixture(scope="session")
-def product_member():
+def product_member(own_member):
     """The pointwise product f g with the Leibniz gradient."""
 
     def build(f, g):
-        return FamilyMember(
+        return own_member(
             f"({f.label})*({g.label})", f.domain, lambda X: f.value(X) * g.value(X),
             lambda X: f.value(X) * g.gradient(X) + g.value(X) * f.gradient(X),
         )

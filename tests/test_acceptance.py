@@ -65,7 +65,7 @@ def test_criterion_03_completeness_sum(spaces, capsys):
     ok, parts = True, []
     for space in spaces:
         shift = generic_point(space.base, [42, 104729], "k")
-        family = flag_momentum_family(space, shift)
+        family = flag_momentum_family(space, shift, flag_shift_family(space))
         report = verify_completeness(
             ClaimContext(space, seed=42, trials=7), family, completeness_target(space), mode="sum"
         )
@@ -180,7 +180,7 @@ def test_criterion_09_gaudin_system(su2n3, capsys):
     trajectory = dynamics.integrate(
         dynamics.FlowSpec(su2n3, hamiltonian, initial, t_end=10.0, dt=1e-3)
     )
-    mu_drift = dynamics.momentum_drift(su2n3, trajectory)
+    mu_drift = dynamics.momentum_drift(trajectory)
 
     ok = (
         field_worst <= 1e-11

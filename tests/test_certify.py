@@ -23,7 +23,7 @@ from flagshift.certify import (
     verify_lemma1,
     verify_span_inclusion,
 )
-from flagshift.certify import _draw, _gated_draws, _measure_at_generic_points, _principal_angles
+from flagshift.certify import _draw, _gated_draws, _measure_at_generic_points, _principal_angles, _residual_report
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
@@ -279,16 +279,18 @@ def test_thm2ii_reuses_the_run_tables_flag_shift_family(su2n3, monkeypatch):
     reports = run_claims(ClaimContext(su2n3), ["thm2i", "thm2ii", "dimB"])
     assert all(r.passed for r in reports)
     assert builds == [su2n3]
-    # a family passed in is used as it is, and it is the one built by default
+    # a family passed in is used as it is: its members lead the merged family
     shift, own = generic_point(su2n3.base, [42, 104729], "k"), flag_shift_family(su2n3)
     builds.clear()
     given = flag_momentum_family(su2n3, shift, own)
     assert builds == []
-    built = flag_momentum_family(su2n3, shift)
-    assert builds == [su2n3]
-    X = generic_point(su2n3, [42, 5], "g")
-    assert built.labels == given.labels
-    assert np.array_equal(built.values(X), given.values(X))
+    assert given.members[: len(own)] == own.members
+
+
+@pytest.mark.parametrize("values", [[1e-12, np.nan], [np.nan, 1e-12]])
+def test_residual_report_fails_on_a_nan_from_any_trial(su2n3, values):
+    report = _residual_report(ClaimContext(su2n3), "x", values, 1e-9, [{}, {}])
+    assert np.isnan(report.measured_value) and not report.passed
 
 
 def test_verify_lemma1(su2n3):
@@ -315,7 +317,7 @@ def test_verify_completeness_modes(su2n3):
     assert ddim.passed
 
     shift = generic_point(su2n3.base, [42, 104729], "k")
-    merged = flag_momentum_family(su2n3, shift)
+    merged = flag_momentum_family(su2n3, shift, fam)
     total = verify_completeness(ClaimContext(su2n3, trials=3), merged, 12, mode="sum")
     assert total.passed
     assert total.witnesses[0]["ddim"] + total.witnesses[0]["dind"] == 12
@@ -499,7 +501,7 @@ def test_row_space_converges_on_zero_gradient_rows():
     # mu*shift[inv=d-1,k=d] give five exactly zero rows among the 155 x 140
     # unit gradient rows, and LAPACK's gesdd did not converge on them
     space = ProductSpace(build_algebra("su", 6), 4)
-    family = flag_momentum_family(space, generic_point(space.base, [42, 104729], "k"))
+    family = flag_momentum_family(space, generic_point(space.base, [42, 104729], "k"), flag_shift_family(space))
     rows = family.gradients(_draw(space, [42, 5, 0], family.domain)).reshape(len(family), -1)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     assert rows.shape == (155, 140) and np.count_nonzero(norms == 0.0) == 5

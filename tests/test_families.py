@@ -11,6 +11,7 @@ integral around each pole for the Gaudin principal parts.
 """
 
 import warnings
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -21,7 +22,6 @@ from flagshift import LieAlgebra, ProductSpace, build_algebra
 from flagshift.certify import ClaimContext, check_involutive, generic_point
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
-    FamilyMember,
     PolynomialFamily,
     flag_momentum_family,
     flag_shift_family,
@@ -238,7 +238,7 @@ def test_momentum_pullback_values(su2n3, su2):
 
 def test_flag_momentum_family_size(su2n3):
     shift = generic_point(su2n3.base, [42, 7], "k")
-    fam = flag_momentum_family(su2n3, shift)
+    fam = flag_momentum_family(su2n3, shift, flag_shift_family(su2n3))
     assert len(fam) == 9 + 3 + 3
     assert len(set(fam.labels)) == len(fam)
 
@@ -461,7 +461,7 @@ def test_batched_families_match_node_sums(
         _assert_matches(gaudin_family(space, gaudin_weights), _gaudin_rows(space, gaudin_weights, X), X)
     _assert_matches(momentum_pullback(space, shift_family), _pullback_rows(space, a, X), X)
     flag_momentum = _flag_rows(space, X) + _momentum_rows(space, X) + _pullback_rows(space, a, X)
-    _assert_matches(flag_momentum_family(space, a), flag_momentum, X)
+    _assert_matches(flag_momentum_family(space, a, flag_shift_family(space)), flag_momentum, X)
     restricted = [(label + "|v", v, space.proj_v(g), sv, sg) for label, v, g, sv, sg in _flag_rows(space, V)]
     _assert_matches(restrict_family(space, flag_shift_family(space)), restricted, V)
 
@@ -483,32 +483,36 @@ def test_member_views_read_the_family_kernel(su3n3):
     for row, member in enumerate(fam):
         assert member.value(X) == values[row]
         assert np.array_equal(member.gradient(X), grads[row])
+    # members compare by kernel: equal labels from another build are other members
+    again = restrict_family(su3n3, flag_shift_family(su3n3))
+    assert again.labels == fam.labels and not set(again.members) & set(fam.members)
+    assert set(fam.members) == {replace(m) for m in fam}
 
 
-def test_momentum_pullback_rejects_ad_hoc_members(su2n3, su2):
+def test_momentum_pullback_rejects_ad_hoc_members(su2n3, su2, own_member):
     unit = np.zeros(3)
     unit[0] = 1.0
-    adhoc = PolynomialFamily("adhoc", "k", (FamilyMember("x", "k", lambda x: x[0], lambda x: unit),))
+    adhoc = PolynomialFamily("adhoc", "k", (own_member("x", "k", lambda x: x[0], lambda x: unit),))
     with pytest.raises(ConfigurationError):
         momentum_pullback(su2n3, adhoc)
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (5, 3)])
-def test_family_values_on_a_stack_match_points(m, n, casimirs):
+def test_family_values_on_a_stack_match_points(m, n, casimirs, own_member):
     # one pass over a (S, n, dim) stack, or a nested (2, S, n, dim) one, is
     # bit for bit one pass per point, for every built-in family and for a
     # merged family whose ad-hoc member is called point by point
     space = ProductSpace(build_algebra("su", m), n)
     rng = np.random.default_rng(10 * m + n)
     stack = np.stack([space.random_point(rng) for _ in range(6)])
-    pair = FamilyMember(
+    pair = own_member(
         "pair[0,1]", "g", lambda X: space.base.pair(X[0], X[1]), lambda X: np.zeros_like(X)
     )
     families = (
         flag_shift_family(space),
         restrict_family(space, flag_shift_family(space)),
         gaudin_family(space, np.arange(1.0, n + 1.0)),
-        flag_momentum_family(space, generic_point(space.base, [42, 7], "k")),
+        flag_momentum_family(space, generic_point(space.base, [42, 7], "k"), flag_shift_family(space)),
         casimirs(space),
         PolynomialFamily.merge("merged", flag_shift_family(space), PolynomialFamily("adhoc", "g", (pair,))),
     )

@@ -15,7 +15,6 @@ from flagshift.certify import generic_point
 from flagshift.dynamics import gaudin_field, gaudin_hamiltonian, euler_field
 from flagshift.errors import ConfigurationError
 from flagshift.families import (
-    FamilyMember,
     PolynomialFamily,
     flag_shift_family,
     mf_shift_family,
@@ -31,7 +30,7 @@ def _bracket(space, f, g, X, weights=None):
     return bivector_on_span(space, X, np.stack([f.gradient(X), g.gradient(X)]), weights)[0, 1]
 
 
-def _fd_member(space, fn, label="fd"):
+def _fd_member(own_member, space, fn, label="fd"):
     """Member with a central-difference gradient, for outer brackets."""
 
     def gradient(X, h=1e-5):
@@ -44,10 +43,10 @@ def _fd_member(space, fn, label="fd"):
                 w[i, b] = (fn(X + u) - fn(X - u)) / (2 * h)
         return w @ space.base.gram_inv.T
 
-    return FamilyMember(label, "g", fn, gradient)
+    return own_member(label, "g", fn, gradient)
 
 
-def test_bracket_matches_flow_derivative(su2n3, pairing_member, coordinate_member):
+def test_bracket_matches_flow_derivative(su2n3, own_member, pairing_member, coordinate_member):
     # d/dt f(X(t)) along the Hamiltonian field of h must equal {f, h}
     rng = np.random.default_rng(0)
     X = su2n3.random_point(rng)
@@ -55,7 +54,7 @@ def test_bracket_matches_flow_derivative(su2n3, pairing_member, coordinate_membe
     ham = gaudin_hamiltonian(su2n3, (1.0, 2.0, 3.0))
     field = euler_field(su2n3, ham, X)
 
-    spectral = FamilyMember("h", "g", ham.value, ham.gradient)
+    spectral = own_member("h", "g", ham.value, ham.gradient)
     for f in [pairing_member(su2n3, 1, 2), coordinate_member(su2n3, 0, np.array([1.0, 0, 0]))]:
         partials = f.gradient(X) @ su2n3.base.gram  # euclidean partials
         time_derivative = float(np.einsum("ib,ib->", partials, field))
@@ -84,7 +83,7 @@ def test_leibniz_rule(su2n3, pairing_member, coordinate_member, product_member):
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_jacobi_identity_via_outer_differences(su2n3, pairing_member):
+def test_jacobi_identity_via_outer_differences(su2n3, own_member, pairing_member):
     rng = np.random.default_rng(3)
     X = su2n3.random_point(rng)
     f = pairing_member(su2n3, 0, 1)
@@ -92,7 +91,7 @@ def test_jacobi_identity_via_outer_differences(su2n3, pairing_member):
     h = pairing_member(su2n3, 0, 2)
 
     def outer(a, b):
-        return _fd_member(su2n3, lambda Y, a=a, b=b: _bracket(su2n3, a, b, Y))
+        return _fd_member(own_member, su2n3, lambda Y, a=a, b=b: _bracket(su2n3, a, b, Y))
 
     total = (
         _bracket(su2n3, f, outer(g, h), X)
