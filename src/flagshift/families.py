@@ -9,7 +9,8 @@ f(x + t a); the Gaudin family takes the principal parts of tr L(z)^d at the
 poles of the spectral Lax matrix L(z).  Constant coefficients (degree-zero
 members) are kept; they simply contribute zero gradients wherever ranks or
 brackets are measured.  The built-in families are data, evaluated in one
-batched pass (``_SeriesTraces``); every member is a row of such a kernel.
+batched pass (``_SeriesTraces``, or ``_Projected`` around it); every member
+is a row of such a kernel.
 """
 
 from __future__ import annotations
