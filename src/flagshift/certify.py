@@ -259,25 +259,27 @@ class _Points:
 
 def _gated_draws(
     points: _Points, seed_parts: Iterable[int], domain: str
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Yield (entropy, X) for the seeded draws that pass the genericity gates.
+) -> Iterator[tuple[list[int], np.ndarray, list[str]]]:
+    """Yield (entropy, X, rejected) for the seeded draws that pass the genericity gates.
 
     Draw r uses entropy [*seed_parts, r] for r = 0 .. policy.max_retries; a
-    caller that rejects a yielded point asks for the next one.  Running out
+    caller that rejects a yielded point asks for the next one.  ``rejected``
+    names the gate that rejected each earlier draw, in order.  Running out
     of draws raises a GenericityError naming the domain, the entropy and the
     gate that rejected each draw.
     """
     seed_parts = [int(p) for p in seed_parts]
-    rejected: dict[str, list[int]] = {}
+    rejected: list[str] = []
     for retry in range(points.policy.max_retries + 1):
         entropy = seed_parts + [retry]
         X, gate = points.draw(entropy, domain)
         if X is not None:
-            yield entropy, X
+            yield entropy, X, list(rejected)
             gate = "marginal measurement"
-        rejected.setdefault(gate, []).append(retry)
+        rejected.append(gate)
+    retries = {gate: ", ".join(str(r) for r, g in enumerate(rejected) if g == gate) for gate in rejected}
+    gates = ", ".join(f"{gate} (r = {rs})" for gate, rs in retries.items())
     pattern = ", ".join(str(p) for p in seed_parts + ["r"])
-    gates = ", ".join(f"{gate} (r = {', '.join(map(str, rs))})" for gate, rs in rejected.items())
     raise GenericityError(
         f"no generic point in domain {domain!r} was accepted from seed entropy "
         f"[{pattern}], r = 0..{points.policy.max_retries}; rejected by {gates}"
@@ -291,7 +293,7 @@ def generic_point(
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Seeded point passing the genericity gates, resampled as needed; read-only."""
-    for _, X in _gated_draws(_Points(context, policy), seed_parts, domain):
+    for _, X, _ in _gated_draws(_Points(context, policy), seed_parts, domain):
         return X
 
 
@@ -299,15 +301,17 @@ def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure):
     """Run ``measure`` at one generic point per trial, resampling marginal points.
 
     ``measure`` returns (value, marginal, extra); a marginal result discards
-    the point and burns a retry, exactly like a failed genericity gate.
+    the point and burns a retry, exactly like a failed genericity gate.  A
+    witness that burned retries names the gate that rejected each one.
     """
     values, witnesses = [], []
     for trial in range(ctx.trials):
-        for entropy, X in _gated_draws(ctx._points, [ctx.seed, trial], domain):
+        for entropy, X, rejected in _gated_draws(ctx._points, [ctx.seed, trial], domain):
             value, marginal, extra = _at_entropy(entropy, measure, X, entropy)
             if not marginal:
                 values.append(value)
-                witnesses.append({"trial": trial, "retries": entropy[-1], **extra})
+                burned = {"rejected": rejected} if rejected else {}
+                witnesses.append({"trial": trial, "retries": entropy[-1], **burned, **extra})
                 break
     return values, witnesses
 
@@ -459,34 +463,29 @@ def verify_completeness(
         # Unit rows: gradients of degree 2 and degree m members differ by decades.
         rows = ctx._points.gradients(family, entropy, X).reshape(len(family), -1)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        basis, marginal = row_space(rows / np.where(norms > 0.0, norms, 1.0), policy)
+        rows = rows / np.where(norms > 0.0, norms, 1.0)
+        if mode == "ddim":  # the rank alone: singular values, no basis
+            span_dim, marginal = numerical_rank(rows, policy)
+            return span_dim, marginal, {"ddim": span_dim}
+        basis, marginal = row_space(rows, policy)
         if marginal:
             return 0, True, {}
-        span_dim = basis.shape[0]
-        if mode == "ddim":
-            return span_dim, False, {"ddim": span_dim}
         span = basis.reshape(-1, space.n, space.base.dim)
         dind, marginal = _kernel_dim(space, X, span, policy)
-        return span_dim + dind, marginal, {"ddim": span_dim, "dind": dind}
+        return len(span) + dind, marginal, {"ddim": len(span), "dind": dind}
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
     return _int_report(ctx, claim_id, target, values, witnesses)
 
 
-def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of ``a`` and ``b``, largest first.
+def _principal_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of orthonormal columns ``qa`` and ``qb``, largest first.
 
-    As scipy's subspace_angles (Knyazev and Argentati, SIAM J. Sci. Comput.
-    23, 2002): cosines are the singular values of Qa^T Qb, sines those of
-    Qb - Qa Qa^T Qb, and an angle with cos^2 >= 1/2 is read from its sine,
-    which keeps the digits of small angles.
+    ``nullspace`` returns such bases.  As scipy's subspace_angles (Knyazev and
+    Argentati, SIAM J. Sci. Comput. 23, 2002): cosines are the singular values
+    of Qa^T Qb, sines those of Qb - Qa Qa^T Qb, and an angle with cos^2 >= 1/2
+    is read from its sine, which keeps the digits of small angles.
     """
-
-    def orth(m):  # range basis, cut at eps * max(shape) * sigma_max
-        u, sigmas, _ = np.linalg.svd(m, full_matrices=False)
-        return u[:, : np.count_nonzero(sigmas > sigmas.max(initial=0.0) * np.finfo(float).eps * max(m.shape))]
-
-    qa, qb = orth(a), orth(b)
     if qa.shape[1] < qb.shape[1]:
         qa, qb = qb, qa
     cross = qa.T @ qb

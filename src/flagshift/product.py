@@ -62,15 +62,16 @@ class ProductSpace:
 
     def pair(self, X: np.ndarray, Y: np.ndarray) -> float:
         X, Y = self._check(X), self._check(Y)
-        return float(np.einsum("ia,ab,ib->", X, self.base.gram, Y))
+        return float(np.vdot(X @ self.base.gram, Y))
 
     def norm(self, X: np.ndarray) -> float:
         return float(np.sqrt(max(self.pair(X, X), 0.0)))
 
     def norms(self, X: np.ndarray) -> np.ndarray:
-        """Pairing norm of each element of a (..., n, dim) stack."""
+        """Pairing norm of each element of a (..., n, dim) stack: one GEMM with the Gram, then a sum."""
         X = self._check(X, stack=True)
-        return np.sqrt(np.clip(np.einsum("...ia,ab,...ib->...", X, self.base.gram, X), 0.0, None))
+        moved = (X.reshape(-1, self.base.dim) @ self.base.gram).reshape(X.shape)
+        return np.sqrt(np.clip(np.einsum("...ia,...ia->...", moved, X), 0.0, None))
 
     # -- module directions ------------------------------------------------
 

@@ -46,11 +46,18 @@ def decide(sigmas: np.ndarray, policy: RankPolicy, scale: float | None = None) -
     return rank, marginal
 
 
+def _nonzero_rows(mat: np.ndarray) -> np.ndarray:
+    # Exactly zero rows change neither the row space nor the nonzero spectrum,
+    # and LAPACK's gesdd can fail to converge on a matrix that carries them.
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    return mat[np.any(mat != 0.0, axis=1)]
+
+
 def numerical_rank(
     mat: np.ndarray, policy: RankPolicy = DEFAULT_POLICY, scale: float | None = None
 ) -> RankResult:
-    """Rank of ``mat`` under the relative cutoff, with a margin flag; ``scale`` as in ``decide``."""
-    sigmas = np.linalg.svd(np.atleast_2d(np.asarray(mat, dtype=float)), compute_uv=False)
+    """Rank of ``mat`` from its singular values alone, with a margin flag; ``scale`` as in ``decide``."""
+    sigmas = np.linalg.svd(_nonzero_rows(mat), compute_uv=False)
     rank, marginal = decide(sigmas, policy, scale)
     return RankResult(int(rank), bool(marginal))
 
@@ -64,14 +71,7 @@ def nullspace(mat: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> tuple[np.
 
 
 def row_space(mat: np.ndarray, policy: RankPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, bool]:
-    """Orthonormal basis (rows) of the row space of ``mat``.
-
-    Exactly zero rows are dropped first: they change neither the row space
-    nor the nonzero spectrum, and LAPACK's gesdd can fail to converge on a
-    matrix that carries them.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    mat = mat[np.any(mat != 0.0, axis=1)]
-    _, sigmas, vh = np.linalg.svd(mat, full_matrices=False)
+    """Orthonormal basis (rows) of the row space of ``mat``, with the marginal flag of its spectrum."""
+    _, sigmas, vh = np.linalg.svd(_nonzero_rows(mat), full_matrices=False)
     rank, marginal = decide(sigmas, policy)
     return vh[:rank], bool(marginal)

@@ -32,7 +32,7 @@ from flagshift.families import (
     gaudin_family,
     restrict_family,
 )
-from flagshift.ranks import RankPolicy, row_space
+from flagshift.ranks import RankPolicy, numerical_rank, row_space
 
 
 def test_generic_point_is_deterministic(su2n3):
@@ -72,7 +72,7 @@ def test_sampler_resamples_marginal_measurements(su2n3):
     values, witnesses = _measure_at_generic_points(ctx, "g", measure)
     assert [entropy for entropy, _ in seen] == [[9, 0, r] for r in range(k + 1)]
     assert values == [k + 1]
-    assert witnesses == [{"trial": 0, "retries": k}]
+    assert witnesses == [{"trial": 0, "retries": k, "rejected": ["marginal measurement"] * k}]
     assert np.array_equal(seen[-1][1], _draw(su2n3, [9, 0, k], "g"))
 
 
@@ -100,6 +100,30 @@ def test_genericity_error_names_the_gate_that_rejected_each_draw(su2):
     # at n = 2 the slice holds only (x, -x): regular blocks sharing their centralizer
     with pytest.raises(GenericityError, match=r"rejected by diagonal centralizer \(r = 0, 1, 2, 3, 4, 5\)$"):
         generic_point(ProductSpace(su2, 2), [5], "v")
+
+
+def test_a_witness_names_the_gate_that_rejected_each_retry(su2n3, monkeypatch):
+    from flagshift import certify
+
+    gate = certify._failed_gate
+    irregular = _draw(su2n3, [42, 0, 0], "g")
+
+    def first_draw_irregular(context, X, domain, policy):
+        return "block regularity" if np.array_equal(X, irregular) else gate(context, X, domain, policy)
+
+    monkeypatch.setattr(certify, "_failed_gate", first_draw_irregular)
+    (report,) = run_claims(ClaimContext(su2n3, trials=3), ["dimB"])
+    assert report.passed
+    assert report.witnesses[0] == {"trial": 0, "retries": 1, "rejected": ["block regularity"], "ddim": 5}
+    # a trial that burned no retry has no "rejected" key
+    assert [w.get("rejected") for w in report.witnesses[1:]] == [None, None]
+
+    # gates and marginal measurements in the order the retries were burned
+    ctx = ClaimContext(su2n3, trials=1)
+    values, witnesses = _measure_at_generic_points(ctx, "g", lambda X, entropy: (0, entropy[-1] < 2, {}))
+    assert witnesses == [
+        {"trial": 0, "retries": 2, "rejected": ["block regularity", "marginal measurement"]}
+    ]
 
 
 def test_genericity_error_names_marginal_measurements(su2n3):
@@ -250,7 +274,7 @@ def test_check_ad_invariance_reads_one_stack_per_point(m, monkeypatch):
         # oracle: one values call per point, ten adjoint actions drawn in order
         worst = []
         for trial in range(3):
-            entropy, X = next(_gated_draws(ctx._points, [ctx.seed, trial], family.domain))
+            entropy, X, _ = next(_gated_draws(ctx._points, [ctx.seed, trial], family.domain))
             rng = np.random.default_rng(entropy + [7919])
             base = family.values(X)
             moved = (space.diagonal_adjoint(space.base.random_element(rng, 0.8), X) for _ in range(10))
@@ -350,7 +374,8 @@ def test_verify_span_inclusion_pass_and_control(su2n3, coordinate_member):
 
 
 def test_principal_angles_match_scipy():
-    from scipy.linalg import subspace_angles
+    # _principal_angles takes orthonormal bases; scipy gets the raw inputs
+    from scipy.linalg import orth, subspace_angles
 
     rng = np.random.default_rng(11)
     low_rank = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 5))
@@ -361,12 +386,13 @@ def test_principal_angles_match_scipy():
         (low_rank, rng.normal(size=(12, 4))),
     ]
     for a, b in pairs:
-        ours = _principal_angles(a, b)
+        ours = _principal_angles(orth(a), orth(b))
         assert ours.shape == (min(np.linalg.matrix_rank(a), b.shape[1]),)
         assert np.abs(ours - subspace_angles(a, b)).max() < 1e-14
 
     # Nearly coincident spans with known angles: only the sine branch
-    # resolves angles near 1e-10, the cosines round to 1.
+    # resolves angles near 1e-10, the cosines round to 1.  Both bases are
+    # orthonormal by construction.
     q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
     angles = np.array([3e-10, 1e-10, 2e-11])
     a = q[:, :3]
@@ -496,22 +522,54 @@ def test_every_claim_passes_on_the_stated_envelope(m, n, seed):
     assert len(reports) == 14
 
 
-def test_row_space_converges_on_zero_gradient_rows():
+def _unit_rows(rows):
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
+
+
+@pytest.fixture(scope="module")
+def su6n4_zero_rows():
     # thm2ii at su(6)^4, seed 42, trial 5: the constant members
     # mu*shift[inv=d-1,k=d] give five exactly zero rows among the 155 x 140
     # unit gradient rows, and LAPACK's gesdd did not converge on them
     space = ProductSpace(build_algebra("su", 6), 4)
     family = flag_momentum_family(space, generic_point(space.base, [42, 104729], "k"), flag_shift_family(space))
     rows = family.gradients(_draw(space, [42, 5, 0], family.domain)).reshape(len(family), -1)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    assert rows.shape == (155, 140) and np.count_nonzero(norms == 0.0) == 5
-    basis, marginal = row_space(rows / np.where(norms > 0.0, norms, 1.0))
+    assert rows.shape == (155, 140) and np.count_nonzero(np.abs(rows).max(axis=1) == 0.0) == 5
+    return rows
+
+
+def test_row_space_converges_on_zero_gradient_rows(su6n4_zero_rows):
+    rows = su6n4_zero_rows
+    basis, marginal = row_space(_unit_rows(rows))
     assert not marginal
     assert np.abs(basis @ basis.T - np.eye(len(basis))).max() < 1e-12
     assert np.abs(rows - (rows @ basis.T) @ basis).max() < 1e-8 * np.abs(rows).max()
     # an all-zero matrix has an empty row space
     empty, marginal = row_space(np.zeros((3, 4)))
     assert empty.shape == (0, 4) and not marginal
+
+
+def test_numerical_rank_drops_zero_gradient_rows_as_row_space_does(su6n4_zero_rows):
+    unit = _unit_rows(su6n4_zero_rows)
+    basis, marginal = row_space(unit)
+    assert tuple(numerical_rank(unit)) == (basis.shape[0], marginal)
+    assert tuple(numerical_rank(np.zeros((3, 4)))) == (0, False)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (5, 4), (4, 6)])
+def test_the_ddim_rank_is_the_row_space_rank(m, n):
+    # verify_completeness decides "ddim" on singular values alone; at each
+    # trial's point that must be the rank and flag row_space would give
+    space = ProductSpace(build_algebra("su", m), n)
+    ctx = ClaimContext(space, seed=42, trials=7)
+    flag = flag_shift_family(space)
+    for family in (flag, restrict_family(space, flag)):
+        for trial in range(ctx.trials):
+            _, X, _ = next(_gated_draws(ctx._points, [ctx.seed, trial], family.domain))
+            unit = _unit_rows(family.gradients(X).reshape(len(family), -1))
+            basis, marginal = row_space(unit)
+            assert tuple(numerical_rank(unit)) == (basis.shape[0], marginal)
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,18 @@ def test_tangent_span_via_orthocomplement_agrees(su2n3):
     assert angles.max() < 1e-8
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (5, 4)])
+def test_tangent_span_rows_are_orthonormal(m, n):
+    # _principal_angles in certify takes both spans as orthonormal bases as they come
+    space = ProductSpace(build_algebra("su", m), n)
+    X = generic_point(space, [42, 21], "v")
+    for build in (invariant_tangent_span, tangent_span_orthocomplement):
+        span, marginal = build(space, X)
+        rows = span.reshape(span.shape[0], -1)
+        assert not marginal and rows.shape[0] == (n - 2) * space.base.dim
+        assert np.abs(rows @ rows.T - np.eye(rows.shape[0])).max() < 1e-13
+
+
 def test_restricted_bivector_kernel_is_the_projected_centralizer(spaces):
     # The kernel lemma1.dind counts, against an independent route: each
     # block's centralizer, projected to v.

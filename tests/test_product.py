@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flagshift import ProductSpace
+from flagshift import ProductSpace, build_algebra
 from flagshift.certify import _failed_gate
 from flagshift.errors import ConfigurationError
 from flagshift.ranks import DEFAULT_POLICY, numerical_rank
@@ -108,3 +108,17 @@ def test_pair_is_blockwise_killing(su2n3, su2):
     expect = sum(su2.pair(X[i], Y[i]) for i in range(3))
     assert su2n3.pair(X, Y) == pytest.approx(expect, abs=1e-12)
     assert su2n3.norm(X) == pytest.approx(np.sqrt(su2n3.pair(X, X)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_norms_and_pair_match_the_three_operand_contraction(m):
+    space = ProductSpace(build_algebra("su", m), 4)
+    rng = np.random.default_rng(m)
+    gram = space.base.gram
+    for shape in ((space.n, space.base.dim), (7, space.n, space.base.dim), (3, 5, space.n, space.base.dim)):
+        X = rng.normal(size=shape)
+        oracle = np.sqrt(np.einsum("...ia,ab,...ib->...", X, gram, X))
+        assert np.abs(space.norms(X) - oracle).max() <= 1e-14 * oracle.min()
+    X, Y = rng.normal(size=(2, space.n, space.base.dim))
+    oracle = np.einsum("ia,ab,ib->", X, gram, Y)
+    assert abs(space.pair(X, Y) - oracle) <= 1e-14 * space.norm(X) * space.norm(Y)
