@@ -3,17 +3,20 @@
 All flows here are of Euler type: dx_i/dt = [x_i, grad_i h].  Every built-in
 Hamiltonian is a quadratic form with constant blockwise coefficients C, so
 its gradient is C acting on the blocks.  The integrator is classical RK4
-with a fixed step in Butcher-tableau form, by one of two steppers chosen
-from the flow's size n dim.  Up to ``FUSED_MAX_SIZE`` the tableau also
-carries the gradient rows C X, so each stage is four two-dimensional BLAS
-or copy calls: its input and gradient from one weight GEMM, the ad
-matrices, all block-by-gradient brackets, and a copy of their block
-diagonal.  Larger flows, where those n^2 terms cost more than the calls
-they save, evaluate the Euler-field kernel of three BLAS calls per stage,
-with one GEMV per stage input.  The step loop never evaluates a conserved
-quantity: after it, the energy and the monitor family are evaluated on the
-stack of recorded states, ``MONITOR_CHUNK`` states per call, and reported
-as relative drifts.
+with a fixed step in Butcher-tableau form.  At flow start one eigh splits
+C = d I + U S U^T, with d the eigenvalue of largest multiplicity and r the
+number of the others: 0 for the normal flow, 1 for Gaudin and for Einstein
+at the distinguished parameters, 2 for Einstein at general (p, q, s) and
+n - 1 for the chained sum.  Since [y_i, d y_i] = 0, the field only brackets
+each block with the r rows M = S U^T Y.  Up to n r = ``COUPLED_MAX_ROWS``
+the tableau carries M, so each stage is at most three two-dimensional
+BLAS calls: its input and M from one weight GEMM, the ad matrices of M,
+and all n r brackets of the blocks with M.  Larger flows, where those n r
+terms cost more than the calls they save, evaluate the Euler-field kernel
+of three BLAS calls per stage, with one GEMV per stage input.  The step
+loop never evaluates a conserved quantity: after it, the energy and the
+monitor family are evaluated on the stack of recorded states,
+``MONITOR_CHUNK`` states per call, and reported as relative drifts.
 """
 
 from __future__ import annotations
@@ -50,15 +53,24 @@ __all__ = [
 # working set that stays small however many states a flow records.
 MONITOR_CHUNK = 64
 
-# Largest n dim that ``integrate`` steps with ``_fused_steps``: its weight
-# GEMM and bracket product carry n^2 terms, which outgrow the per-call
-# savings beyond this size.
-FUSED_MAX_SIZE = 48
+# Largest n r that ``integrate`` steps with ``_coupled_steps``, for r the
+# rank of the coupling term: past about this many bracket rows its weight
+# GEMMs cost more than the Euler kernel's batched products (README).
+COUPLED_MAX_ROWS = 90
+
+# Eigenvalues closer than this many n eps max|lambda| are one in
+# ``_coupling``; eigh splits a multiple eigenvalue of a built-in
+# Hamiltonian by under one such unit.
+COUPLING_TOL = 4
 
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """h(X) = (1/2) sum_ij coeff[i, j] <x_i, x_j> with symmetric coefficients."""
+    """h(X) = (1/2) sum_ij coeff[i, j] <x_i, x_j> with symmetric coefficients.
+
+    A coefficient matrix within 1e-12 of symmetric is stored as its
+    symmetric part (C + C^T) / 2.
+    """
 
     kind: str
     space: ProductSpace
@@ -74,6 +86,10 @@ class QuadraticHamiltonian:
             raise ConfigurationError("coefficient matrix must be finite")
         if np.abs(coeff - coeff.T).max() > 1e-12:
             raise ConfigurationError("coefficient matrix must be symmetric")
+        # value() reads the symmetric part, so gradient() must use it too;
+        # halved before the sum, which could overflow, so no bit changes
+        # in a symmetric matrix
+        coeff = 0.5 * coeff + 0.5 * coeff.T
         object.__setattr__(self, "coeff", coeff)
         coeff.setflags(write=False)
 
@@ -311,65 +327,87 @@ def _kernel_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np
         yield cur[2]
 
 
-def _fused_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np.ndarray, dt: float):
-    """RK4 steps with the gradient rows carried in the tableau: yield the state after each step.
+def _coupling(coeff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Split a symmetric coefficient matrix as C = d I + U diag(s) U^T, by one eigh.
 
-    The tableau holds the rows [k1, k2, k3, k4, X, C X], (6n, dim), for the
-    coefficient matrix C.  One (2n, 6n) weight GEMM gives a stage's input Y
-    and its gradient C Y; stage 1 reads X and C X from the tableau as they
-    are.  The ad matrices of Y are one GEMM, and Q = ads(Y) @ (C Y)^T is
-    another: it brackets every block with every gradient row, and the stage
-    is its block diagonal, Q[(i, :), i] = [y_i, (C Y)_i], which one copy
-    writes into the tableau.  The update GEMM writes [X'; C X'] straight
-    into the second tableau, which takes the next step.  The weight GEMM
-    and Q carry n^2 terms, so ``integrate`` takes this route only up to
-    n dim = ``FUSED_MAX_SIZE``.
+    d is the eigenvalue of largest multiplicity, the first such in ascending
+    order on a tie; eigenvalues closer than eigh's own round-off,
+    ``COUPLING_TOL`` n eps max|lambda|, count as one.  U (n, r) holds the
+    eigenvectors of the other r eigenvalues lambda, and s = lambda - d.
+    Since [y_i, d y_i] = 0, only U and s enter the Euler field.
     """
-    n, dim = space.n, space.base.dim
-    rows, coeff = space.base._ad_rows, hamiltonian.coeff
-    eye, zero = np.eye(n), np.zeros((n, n))
+    lam, vecs = np.linalg.eigh(coeff)
+    tol = COUPLING_TOL * lam.size * np.finfo(float).eps * np.abs(lam).max()
+    edges = np.r_[0, np.flatnonzero(np.diff(lam) > tol) + 1, lam.size]
+    group = np.argmax(np.diff(edges))
+    lo, hi = edges[group], edges[group + 1]
+    d = float(lam[lo:hi].mean())
+    others = np.r_[0:lo, hi:lam.size]
+    return d, vecs[:, others], lam[others] - d
+
+
+def _coupled_steps(space: ProductSpace, U: np.ndarray, s: np.ndarray, X0: np.ndarray, dt: float):
+    """RK4 steps of the Euler flow of C = d I + U diag(s) U^T: yield the state after each step.
+
+    With M = diag(s) U^T Y, the r rows that couple the blocks, the field is
+    k_i = [y_i, (C Y)_i] = -sum_k U_ik [M_k, y_i].  Stage j keeps the n r
+    brackets Z_j[(i, k)] = [M_k, y_i], and the tableau holds the rows
+    [Z4, Z3, Z2, Z1, X, M(X)], (4 n r + n + r, dim).  One weight GEMM gives
+    a stage's input Y and its M, with the selection -U_ik and S U^T folded
+    into the weights; it reads only the rows from the last stage's Z to X,
+    which lie together in this order.  Stage 1 reads X and M(X) as they
+    stand.  The ad matrices of M are one GEMM, and ``Y @ ads.reshape(r dim,
+    dim).T`` writes Z_j straight into its rows.  The update GEMM writes
+    [X'; M(X')] into the second tableau, which takes the next step: 12 BLAS
+    calls per step.  The weight GEMMs and the brackets carry n r terms, so
+    ``integrate`` takes this route only up to n r = ``COUPLED_MAX_ROWS``.
+    """
+    n, dim, r = space.n, space.base.dim, s.size
+    rows = space.base._ad_rows
+    select = -(np.eye(n)[:, :, None] * U).reshape(n, n * r)  # k = select @ Z_j
+    couple = s[:, None] * U.T  # M = couple @ Y
 
     def weights(*a):
-        # [Y; C Y] = [X + sum_j a_j k_j; C X + sum_j a_j C k_j], with C X
-        # taken from the X rows: read from the stored C X rows instead, its
-        # round-off would build up over the steps
-        a = np.array([a])
-        return np.block([[np.kron(a, eye), eye, zero], [np.kron(a, coeff), coeff, zero]])
+        # [Y; M] = [X + sum_j a_j k_j; S U^T (X + sum_j a_j k_j)] over the
+        # rows [Z_j, .., Z1, X], with S U^T X taken from the X rows: read
+        # from the stored M rows instead, its round-off would build up over
+        # the steps
+        a = np.array([a[::-1]])
+        return np.block([[np.kron(a, select), np.eye(n)], [np.kron(a, couple @ select), couple]])
 
-    w2, w3, w4 = weights(0.5 * dt, 0, 0, 0), weights(0, 0.5 * dt, 0, 0), weights(0, 0, dt, 0)
+    w2, w3, w4 = weights(0.5 * dt), weights(0, 0.5 * dt), weights(0, 0, dt)
     b = weights(dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
-    # zeroed so the zero weights never meet uninitialised memory (0 * nan is nan)
-    tableaux = np.zeros((2, 6 * n, dim))
-    tableaux[0, 4 * n:5 * n] = X0
-    tableaux[0, 5 * n:] = coeff @ X0
-    cur, nxt = ((T, T[4 * n:5 * n], T[5 * n:].T, T[4 * n:], *T[:4 * n].reshape(4, n, dim)) for T in tableaux)
-    yg = np.empty((2 * n, dim))
-    Y, Gt = yg[:n], yg[n:].T
-    ads = np.empty((n, dim * dim))
-    ads2 = ads.reshape(n * dim, dim)
-    q = np.empty((n * dim, n))
-    diag = np.diagonal(q.reshape(n, dim, n), axis1=0, axis2=2).T  # [i, a] = q[(i, a), i]
-    copyto = np.copyto
+    nr, x = n * r, 4 * n * r
+    # every row a GEMM reads is written earlier in the step, so the zero
+    # weights never meet uninitialised memory (0 * nan is nan)
+    tableaux = np.empty((2, x + n + r, dim))
+    tableaux[0, x:x + n] = X0
+    tableaux[0, x + n:] = couple @ X0
+    cur, nxt = ((
+        T[x:x + n], T[x + n:], T[x:],
+        T[3 * nr:x + n], T[2 * nr:x + n], T[nr:x + n], T[:x + n],
+        *T[:x].reshape(4, n, r * dim)[::-1],
+    ) for T in tableaux)
+    ym = np.empty((n + r, dim))
+    Y, M = ym[:n], ym[n:]
+    ads = np.empty((r, dim * dim))
+    adst = ads.reshape(r * dim, dim).T
     while True:
-        T, X, CXt, _, k1, k2, k3, k4 = cur
-        X.dot(rows, out=ads)
-        ads2.dot(CXt, out=q)
-        copyto(k1, diag)
-        w2.dot(T, out=yg)
-        Y.dot(rows, out=ads)
-        ads2.dot(Gt, out=q)
-        copyto(k2, diag)
-        w3.dot(T, out=yg)
-        Y.dot(rows, out=ads)
-        ads2.dot(Gt, out=q)
-        copyto(k3, diag)
-        w4.dot(T, out=yg)
-        Y.dot(rows, out=ads)
-        ads2.dot(Gt, out=q)
-        copyto(k4, diag)
-        b.dot(T, out=nxt[3])
+        X, MX, _, T2, T3, T4, Tb, z1, z2, z3, z4 = cur
+        MX.dot(rows, out=ads)
+        X.dot(adst, out=z1)
+        w2.dot(T2, out=ym)
+        M.dot(rows, out=ads)
+        Y.dot(adst, out=z2)
+        w3.dot(T3, out=ym)
+        M.dot(rows, out=ads)
+        Y.dot(adst, out=z3)
+        w4.dot(T4, out=ym)
+        M.dot(rows, out=ads)
+        Y.dot(adst, out=z4)
+        b.dot(Tb, out=nxt[2])
         cur, nxt = nxt, cur
-        yield cur[1]
+        yield cur[0]
 
 
 def integrate(flow: FlowSpec) -> Trajectory:
@@ -379,21 +417,27 @@ def integrate(flow: FlowSpec) -> Trajectory:
     ``flow.monitors``, if any.  The step loop only advances the state and
     copies it at each record; a non-finite record aborts the run, keeping
     the last valid one.  After the loop, the monitors are evaluated on the
-    recorded states, ``MONITOR_CHUNK`` states per call.  Up to n dim =
-    ``FUSED_MAX_SIZE`` a step is ``_fused_steps``: 16 two-dimensional BLAS
-    or copy calls, with the gradient rows carried in the tableau.  Larger
-    flows step through ``_kernel_steps``, whose stages call the
-    ``_euler_kernel`` field.  The two differ by round-off only.
+    recorded states, ``MONITOR_CHUNK`` states per call.  The stepper
+    follows from one eigh of the coefficient matrix, C = d I + U S U^T
+    with U of r columns (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS``
+    a step is ``_coupled_steps``: 12 two-dimensional BLAS calls, with the
+    r coupling rows S U^T X carried in the tableau.  Larger flows step
+    through ``_kernel_steps``, whose stages call the ``_euler_kernel``
+    field.  The two differ by round-off only.
     """
     h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
     n, dim = flow.space.n, flow.space.base.dim
-    stepper = _fused_steps if n * dim <= FUSED_MAX_SIZE else _kernel_steps
+    _, U, s = _coupling(h.coeff)
+    if n * s.size <= COUPLED_MAX_ROWS:
+        stepper = _coupled_steps(flow.space, U, s, flow.initial, dt)
+    else:
+        stepper = _kernel_steps(flow.space, h, flow.initial, dt)
 
     record_steps = np.r_[0:steps:stride, steps]
     states = np.empty((len(record_steps), n, dim))
     states[0] = flow.initial
     recorded = 1
-    for step, X in zip(range(1, steps + 1), stepper(flow.space, h, flow.initial, dt)):
+    for step, X in zip(range(1, steps + 1), stepper):
         if step % stride == 0 or step == steps:
             if not np.isfinite(X).all():
                 break

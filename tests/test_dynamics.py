@@ -13,7 +13,7 @@ import pytest
 from flagshift import ProductSpace, build_algebra, dynamics
 from flagshift.certify import generic_point
 from flagshift.dynamics import (
-    FUSED_MAX_SIZE,
+    COUPLED_MAX_ROWS,
     MONITOR_CHUNK,
     FlowSpec,
     QuadraticHamiltonian,
@@ -102,7 +102,7 @@ def test_quadratic_hamiltonian_value_on_a_stack(su2n3, su3n3):
             assert np.array_equal(ham.value(stack.reshape(2, 3, *stack.shape[1:])), per_point.reshape(2, 3))
 
 
-def test_quadratic_hamiltonian_requires_symmetry(su2n3):
+def test_quadratic_hamiltonian_requires_symmetry(su2n3, su3n3):
     coeff = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ConfigurationError):
         QuadraticHamiltonian("probe", su2n3, coeff, {})
@@ -110,6 +110,49 @@ def test_quadratic_hamiltonian_requires_symmetry(su2n3):
     for value in (np.nan, np.inf):
         with pytest.raises(ConfigurationError, match="finite"):
             QuadraticHamiltonian("probe", su2n3, np.full((3, 3), value))
+    # an asymmetry within the gate is stored as the symmetric part, the one
+    # value() reads, so gradient() is the gradient of value(); a symmetric
+    # matrix is kept bit for bit
+    symmetric = einstein_hamiltonian(su3n3, *einstein_parameters(3)).coeff
+    assert np.array_equal(QuadraticHamiltonian("probe", su3n3, symmetric).coeff, symmetric)
+    near = symmetric.copy()
+    near[0, 1] += 5e-13
+    ham = QuadraticHamiltonian("probe", su3n3, near)
+    assert np.array_equal(ham.coeff, ham.coeff.T)
+    assert np.array_equal(ham.coeff, (near + near.T) / 2)
+    X = su3n3.random_point(np.random.default_rng(0))
+    literal = 0.5 * sum(
+        ham.coeff[i, j] * su3n3.base.pair(X[i], X[j]) for i in range(3) for j in range(3)
+    )
+    assert abs(ham.value(X) - literal) <= 1e-14 * abs(literal)
+    assert np.array_equal(ham.gradient(X), ham.coeff @ X)
+
+
+def test_coupling_rebuilds_the_coefficient_matrix(su2n3, su3n3, su2n4):
+    # C = d I + U diag(s) U^T to a few ulps, with r = len(s) the number of
+    # directions the Euler field couples: 0 for the normal flow, 1 for
+    # Gaudin and for Einstein at the distinguished parameters, 2 for
+    # Einstein at general (p, q, s), n - 1 for the chained sum
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    spaces = (su2n3, su3n3, su2n4, ProductSpace(build_algebra("su", 2), 8), ProductSpace(build_algebra("su", 3), 7))
+    for space in spaces:
+        n = space.n
+        random = rng.standard_normal((n, n))
+        cases = (
+            (normal_hamiltonian(space).coeff, 0),
+            (gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)).coeff, 1),
+            (gaudin_hamiltonian(space, np.full(n, 2.5)).coeff, 1),
+            (einstein_hamiltonian(space, *einstein_parameters(n)).coeff, 1),
+            (einstein_hamiltonian(space, 2.0, 1.0, 1.5).coeff, 2),
+            (novi_hamiltonian(space, np.linspace(1.0, 1.5, n - 1), np.linspace(0.5, 0.9, n - 1)).coeff, n - 1),
+            (random + random.T, n - 1),
+        )
+        for coeff, rank in cases:
+            d, U, s = dynamics._coupling(coeff)
+            assert U.shape == (n, rank) and s.shape == (rank,)
+            rebuilt = d * np.eye(n) + (U * s) @ U.T
+            assert np.abs(rebuilt - coeff).max() <= 4 * n * eps * np.abs(coeff).max(), (n, rank)
 
 
 def test_quadratic_hamiltonian_leaves_the_callers_array_writeable(su2n3):
@@ -237,11 +280,19 @@ def test_integrate_records_and_conserves(su2n3):
 
 
 def test_integrate_aborts_on_overflow(su2n3):
-    # one fused flow (n dim = 9) and one through the Euler kernel (56)
-    for space in (su2n3, ProductSpace(build_algebra("su", 3), 7)):
-        rng = np.random.default_rng(7)
-        X0 = space.random_point(rng) * 1e200
-        flow = FlowSpec(space, gaudin_hamiltonian(space, np.arange(1.0, space.n + 1.0)), X0, t_end=1.0)
+    # one coupled flow (su2^3 Gaudin, n r = 3) and one through the Euler
+    # kernel (su2^16 chained sum, n r = 240)
+    su2 = su2n3.base
+    flows = []
+    for space in (su2n3, ProductSpace(su2, 16)):
+        n = space.n
+        X0 = space.random_point(np.random.default_rng(7)) * 1e200
+        flows.append(FlowSpec(space, gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)), X0, t_end=1.0))
+    big = flows[1].space
+    chain = novi_hamiltonian(big, np.linspace(1.0, 1.5, big.n - 1), np.linspace(0.5, 0.9, big.n - 1))
+    flows[1] = FlowSpec(big, chain, flows[1].initial, t_end=1.0)
+    assert 16 * 15 > COUPLED_MAX_ROWS
+    for flow in flows:
         with np.errstate(over="ignore", invalid="ignore"):
             traj = integrate(flow)
         assert traj.aborted
@@ -370,35 +421,39 @@ def _rk4_oracle(space, ham, X, dt, steps, stride):
 
 def test_integrate_matches_literal_rk4(su2n3, monkeypatch):
     su2, su3 = su2n3.base, build_algebra("su", 3)
-    # su2^16 is the largest fused flow, n dim = 48 = FUSED_MAX_SIZE, and
-    # su3^7 (56) the smallest that steps through the Euler kernel
-    spaces = {
-        su2n3: "fused", ProductSpace(su3, 4): "fused", ProductSpace(su2, 16): "fused",
-        ProductSpace(su3, 7): "kernel", ProductSpace(build_algebra("su", 5), 4): "kernel",
-    }
-    assert 16 * su2.dim == FUSED_MAX_SIZE < 7 * su3.dim
+    # the route follows n r, for r the rank of the coupling term (0 for the
+    # normal flow, 1 for Gaudin and Einstein, n - 1 for the chained sum):
+    # su2^10's chained sum is the largest coupled flow, n r = 90 =
+    # COUPLED_MAX_ROWS, and su2^11's (110) the smallest through the Euler
+    # kernel
+    spaces = [su2n3] + [ProductSpace(k, n) for k, n in ((su3, 4), (su2, 10), (su2, 11), (su2, 16), (su3, 7))]
+    spaces.append(ProductSpace(build_algebra("su", 5), 4))
+    assert 10 * 9 == COUPLED_MAX_ROWS < 11 * 10
     routes = []
-    for route in ("fused", "kernel"):
+    for route in ("coupled", "kernel"):
         steps_of = getattr(dynamics, f"_{route}_steps")
         monkeypatch.setattr(dynamics, f"_{route}_steps", lambda *a, r=route, f=steps_of: routes.append(r) or f(*a))
     # (steps, stride): a stride that divides the steps, and one that does
     # not, so the last record is the final step, at an odd and an even step
     # count, so the final state is read from each of the two tableaux
     runs = ((200, 20), (201, 20), (150, 40))
+    seen = set()
     for space in spaces:
         n = space.n
         X0 = generic_point(space, [42, 23], "g")
         kept = X0.copy()
-        for ham in (
-            normal_hamiltonian(space),
-            novi_hamiltonian(space, np.linspace(1.0, 1.5, n - 1), np.linspace(0.5, 0.9, n - 1)),
-            gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)),
-            einstein_hamiltonian(space, *einstein_parameters(n)),
+        for ham, rank in (
+            (normal_hamiltonian(space), 0),
+            (novi_hamiltonian(space, np.linspace(1.0, 1.5, n - 1), np.linspace(0.5, 0.9, n - 1)), n - 1),
+            (gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)), 1),
+            (einstein_hamiltonian(space, *einstein_parameters(n)), 1),
         ):
+            route = "coupled" if n * rank <= COUPLED_MAX_ROWS else "kernel"
+            seen.add(route)
             for steps, stride in runs:
                 flow = FlowSpec(space, ham, X0, t_end=steps * 1e-3, dt=1e-3, stride=stride)
                 traj = integrate(flow)
-                assert routes.pop() == spaces[space] and not routes
+                assert routes.pop() == route and not routes
                 expected = _rk4_oracle(space, ham, X0, 1e-3, steps, stride)
                 records = 1 + -(-steps // stride)
                 assert traj.states.shape == expected.shape == (records, n, space.base.dim)
@@ -412,24 +467,29 @@ def test_integrate_matches_literal_rk4(su2n3, monkeypatch):
                 assert np.array_equal(traj.states[0], X0)
                 if ham.kind != "normal":
                     assert all(not np.array_equal(a, b) for a, b in zip(traj.states, traj.states[1:]))
+    assert seen == {"coupled", "kernel"}
 
 
 def test_fused_stepper_keeps_its_gradient_rows_on_the_state(su2n3):
-    # the fused tableau's C X rows are formed from its X rows at every step,
-    # so after 10^4 steps they are still C X to a few rounding errors;
-    # carried forward on their own they drift by accumulated round-off
-    # (about 5e-15 to 9e-14 relative here), and the flow with them
+    # the coupled tableau's rows [Z4, Z3, Z2, Z1, X, S U^T X] carry the
+    # coupling rows S U^T X of the gradient C X = d X + U S U^T X; they are
+    # formed from the X rows at every step, so after 10^4 steps they are
+    # still S U^T X to a few rounding errors; carried forward on their own
+    # they drift by accumulated round-off, and the flow with them
     for space in (su2n3, ProductSpace(build_algebra("su", 3), 4)):
         n = space.n
         X0 = generic_point(space, [42, 23], "g")
         einstein = einstein_hamiltonian(space, *einstein_parameters(n))
         for ham in (einstein, gaudin_hamiltonian(space, np.arange(1.0, n + 1.0))):
-            for _, X in zip(range(10_000), dynamics._fused_steps(space, ham, X0, 1e-3)):
+            _, U, s = dynamics._coupling(ham.coeff)
+            for _, X in zip(range(10_000), dynamics._coupled_steps(space, U, s, X0, 1e-3)):
                 pass
-            tableau = next(T for T in X.base if np.shares_memory(T, X))  # rows [k1..k4, X, C X]
-            assert np.array_equal(tableau[4 * n:5 * n], X)
-            CX = ham.coeff @ X
-            assert np.abs(tableau[5 * n:] - CX).max() <= 8 * np.finfo(float).eps * np.abs(CX).max()
+            tableau = next(T for T in X.base if np.shares_memory(T, X))
+            x = 4 * n * s.size
+            assert tableau.shape == (x + n + s.size, space.base.dim)
+            assert np.array_equal(tableau[x:x + n], X)
+            M = (s[:, None] * U.T) @ X
+            assert np.abs(tableau[x + n:] - M).max() <= 8 * np.finfo(float).eps * np.abs(M).max()
 
 
 def test_closed_form_rotation_matches_integrator(su2n3):
