@@ -3,20 +3,16 @@
 All flows here are of Euler type: dx_i/dt = [x_i, grad_i h].  Every built-in
 Hamiltonian is a quadratic form with constant blockwise coefficients C, so
 its gradient is C acting on the blocks.  The integrator is classical RK4
-with a fixed step in Butcher-tableau form.  At flow start one eigh splits
-C = d I + U S U^T, with d the eigenvalue of largest multiplicity and r the
-number of the others: 0 for the normal flow, 1 for Gaudin and for Einstein
-at the distinguished parameters, 2 for Einstein at general (p, q, s) and
-n - 1 for the chained sum.  Since [y_i, d y_i] = 0, the field only brackets
-each block with the r rows M = S U^T Y.  Up to n r = ``COUPLED_MAX_ROWS``
-the tableau carries M, so each stage is at most three two-dimensional
-BLAS calls: its input and M from one weight GEMM, the ad matrices of M,
-and all n r brackets of the blocks with M.  Larger flows, where those n r
-terms cost more than the calls they save, evaluate the Euler-field kernel
-of three BLAS calls per stage, with one GEMV per stage input.  The step
-loop never evaluates a conserved quantity: after it, the energy and the
-monitor family are evaluated on the stack of recorded states,
-``MONITOR_CHUNK`` states per call, and reported as relative drifts.
+with a fixed step in Butcher-tableau form.  One eigh splits C = d I +
+U S U^T (``_coupling``), and since [y_i, d y_i] = 0 the field brackets
+each block with the r rows S U^T Y only.  Up to n r = ``COUPLED_MAX_ROWS``
+the tableau carries those rows, and each stage is at most three
+two-dimensional BLAS calls.  Larger flows, where the n r terms cost more
+than the calls they save, evaluate the Euler-field kernel of three BLAS
+calls per stage, with one GEMV per stage input.  The step loop never
+evaluates a conserved quantity: after it, the energy and the monitor
+family are evaluated on the stack of recorded states, ``MONITOR_CHUNK``
+states per call, and reported as relative drifts.
 """
 
 from __future__ import annotations
@@ -333,8 +329,10 @@ def _coupling(coeff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     d is the eigenvalue of largest multiplicity, the first such in ascending
     order on a tie; eigenvalues closer than eigh's own round-off,
     ``COUPLING_TOL`` n eps max|lambda|, count as one.  U (n, r) holds the
-    eigenvectors of the other r eigenvalues lambda, and s = lambda - d.
-    Since [y_i, d y_i] = 0, only U and s enter the Euler field.
+    eigenvectors of the other r eigenvalues lambda, and s = lambda - d: r is
+    0 for the normal flow, 1 for Gaudin and for Einstein at the distinguished
+    parameters, 2 for Einstein at general (p, q, s) and n - 1 for the chained
+    sum.  Since [y_i, d y_i] = 0, only U and s enter the Euler field.
     """
     lam, vecs = np.linalg.eigh(coeff)
     tol = COUPLING_TOL * lam.size * np.finfo(float).eps * np.abs(lam).max()
@@ -377,16 +375,16 @@ def _coupled_steps(space: ProductSpace, U: np.ndarray, s: np.ndarray, X0: np.nda
 
     w2, w3, w4 = weights(0.5 * dt), weights(0, 0.5 * dt), weights(0, 0, dt)
     b = weights(dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
-    nr, x = n * r, 4 * n * r
+    nr, z = n * r, 4 * n * r
     # every row a GEMM reads is written earlier in the step, so the zero
     # weights never meet uninitialised memory (0 * nan is nan)
-    tableaux = np.empty((2, x + n + r, dim))
-    tableaux[0, x:x + n] = X0
-    tableaux[0, x + n:] = couple @ X0
+    tableaux = np.empty((2, z + n + r, dim))
+    tableaux[0, z:z + n] = X0
+    tableaux[0, z + n:] = couple @ X0
     cur, nxt = ((
-        T[x:x + n], T[x + n:], T[x:],
-        T[3 * nr:x + n], T[2 * nr:x + n], T[nr:x + n], T[:x + n],
-        *T[:x].reshape(4, n, r * dim)[::-1],
+        T[z:z + n], T[z + n:], T[z:],
+        T[3 * nr:z + n], T[2 * nr:z + n], T[nr:z + n], T[:z + n],
+        *T[:z].reshape(4, n, r * dim)[::-1],
     ) for T in tableaux)
     ym = np.empty((n + r, dim))
     Y, M = ym[:n], ym[n:]

@@ -282,19 +282,15 @@ def test_integrate_records_and_conserves(su2n3):
 def test_integrate_aborts_on_overflow(su2n3):
     # one coupled flow (su2^3 Gaudin, n r = 3) and one through the Euler
     # kernel (su2^16 chained sum, n r = 240)
-    su2 = su2n3.base
-    flows = []
-    for space in (su2n3, ProductSpace(su2, 16)):
-        n = space.n
-        X0 = space.random_point(np.random.default_rng(7)) * 1e200
-        flows.append(FlowSpec(space, gaudin_hamiltonian(space, np.arange(1.0, n + 1.0)), X0, t_end=1.0))
-    big = flows[1].space
-    chain = novi_hamiltonian(big, np.linspace(1.0, 1.5, big.n - 1), np.linspace(0.5, 0.9, big.n - 1))
-    flows[1] = FlowSpec(big, chain, flows[1].initial, t_end=1.0)
+    big = ProductSpace(su2n3.base, 16)
     assert 16 * 15 > COUPLED_MAX_ROWS
-    for flow in flows:
+    for space, ham in (
+        (su2n3, gaudin_hamiltonian(su2n3, (1.0, 2.0, 3.0))),
+        (big, novi_hamiltonian(big, np.linspace(1.0, 1.5, 15), np.linspace(0.5, 0.9, 15))),
+    ):
+        X0 = space.random_point(np.random.default_rng(7)) * 1e200
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate(flow)
+            traj = integrate(FlowSpec(space, ham, X0, t_end=1.0))
         assert traj.aborted
         assert np.isfinite(traj.states).all()
         assert traj.final_time < 1.0
@@ -426,8 +422,8 @@ def test_integrate_matches_literal_rk4(su2n3, monkeypatch):
     # su2^10's chained sum is the largest coupled flow, n r = 90 =
     # COUPLED_MAX_ROWS, and su2^11's (110) the smallest through the Euler
     # kernel
-    spaces = [su2n3] + [ProductSpace(k, n) for k, n in ((su3, 4), (su2, 10), (su2, 11), (su2, 16), (su3, 7))]
-    spaces.append(ProductSpace(build_algebra("su", 5), 4))
+    su5 = build_algebra("su", 5)
+    spaces = [su2n3] + [ProductSpace(k, n) for k, n in ((su3, 4), (su2, 10), (su2, 11), (su2, 16), (su3, 7), (su5, 4))]
     assert 10 * 9 == COUPLED_MAX_ROWS < 11 * 10
     routes = []
     for route in ("coupled", "kernel"):
