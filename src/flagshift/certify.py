@@ -30,6 +30,7 @@ from .families import (
     flag_shift_family,
     gaudin_family,
     restrict_family,
+    spectral_weights,
 )
 from .poisson import (
     bivector_on_span,
@@ -101,9 +102,10 @@ class ClaimContext:
 
     Each certificate measures at ``trials`` generic points drawn from
     ``seed``, decides ranks under ``policy`` and holds bracket residuals to
-    ``tol_bracket``.  ``_points`` is not a setting: it is the table of
-    generic points drawn so far (``_Points``), fresh for each new space or
-    policy, shared by ``replace`` otherwise, and fresh for each ``run_claims``.
+    ``tol_bracket``; the ``gaudin`` claim reads ``gaudin_weights``, checked by
+    ``spectral_weights`` (None reads 1..n).  ``_points`` is not a setting: it is
+    the table of generic points drawn so far (``_Points``), fresh for each new
+    space or policy, shared by ``replace`` otherwise, and fresh for each ``run_claims``.
     """
 
     space: ProductSpace
@@ -125,13 +127,12 @@ class ClaimContext:
             raise ConfigurationError(
                 f"policy.rel_tol (tol_rank) must be positive, got {self.policy.rel_tol}"
             )
+        self.weights()  # invalid spectral weights are refused before any claim runs
         if self._points is None or not self._points.serves(self.space, self.policy):
             object.__setattr__(self, "_points", _Points(self.space, self.policy))
 
     def weights(self) -> tuple[float, ...]:
-        if self.gaudin_weights is not None:
-            return self.gaudin_weights
-        return tuple(float(i) for i in range(1, self.space.n + 1))
+        return spectral_weights(self.space.n, self.gaudin_weights)
 
 
 # -- closed-form targets -------------------------------------------------------
@@ -478,21 +479,15 @@ def verify_completeness(
     return _int_report(ctx, claim_id, target, values, witnesses)
 
 
-def _principal_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Principal angles between the spans of orthonormal columns ``qa`` and ``qb``, largest first.
+def _largest_principal_angle(qa: np.ndarray, qb: np.ndarray) -> float:
+    """Largest principal angle between the spans of orthonormal columns ``qa`` and ``qb``, as ``nullspace`` gives.
 
-    ``nullspace`` returns such bases.  As scipy's subspace_angles (Knyazev and
-    Argentati, SIAM J. Sci. Comput. 23, 2002): cosines are the singular values
-    of Qa^T Qb, sines those of Qb - Qa Qa^T Qb, and an angle with cos^2 >= 1/2
-    is read from its sine, which keeps the digits of small angles.
+    Its sine, which keeps the digits of small angles, is the largest singular value of Qb - Qa Qa^T Qb with
+    Qa the wider basis (Knyazev and Argentati, SIAM J. Sci. Comput. 23, 2002).
     """
     if qa.shape[1] < qb.shape[1]:
         qa, qb = qb, qa
-    cross = qa.T @ qb
-    cosines = np.linalg.svd(cross, compute_uv=False)
-    sines = np.linalg.svd(qb - qa @ cross, compute_uv=False)
-    from_sine = np.arcsin(np.clip(sines, -1.0, 1.0))
-    return np.where(cosines**2 >= 0.5, from_sine, np.arccos(np.clip(cosines[::-1], -1.0, 1.0)))
+    return float(np.arcsin(min(1.0, np.linalg.norm(qb - qa @ (qa.T @ qb), 2)))) if qb.shape[1] else 0.0
 
 
 def verify_span_inclusion(
@@ -503,7 +498,7 @@ def verify_span_inclusion(
     Membership is checked directly: for each gradient eta the diagonal part
     of the blockwise bracket [X, eta] must vanish.  The span itself is also
     cross-built from its orthogonal-complement characterization and the two
-    constructions must agree to 1e-6 in principal angle.
+    constructions must agree to 1e-6 in their largest principal angle.
     """
     if family.domain != "v":
         raise ConfigurationError("span inclusion applies to restricted families")
@@ -522,10 +517,9 @@ def verify_span_inclusion(
         if marginal_a or marginal_b:
             return 0.0, True, {}
         same_dim = direct.shape[0] == ortho.shape[0]
-        angles = _principal_angles(
+        max_angle = _largest_principal_angle(
             direct.reshape(direct.shape[0], -1).T, ortho.reshape(ortho.shape[0], -1).T
         )
-        max_angle = float(angles.max()) if angles.size else 0.0
         ok = same_dim and max_angle <= 1e-6
         extra = {
             "defect": worst,

@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 import numpy as np
 
@@ -33,19 +32,6 @@ from .product import ProductSpace
 from .ranks import RankPolicy
 
 _ENV_SEED = "FLAGSHIFT_SEED"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _build_space(algebra: str, n: int) -> ProductSpace:
@@ -208,7 +194,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "claims": rows,
     }
     if args.out:
-        _atomic_write(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
+        with dynamics.atomic_open(args.out) as handle:
+            handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     _print_claim_table(rows, sys.stdout)
     failed = [row for row in rows if not row["pass"]]
@@ -249,8 +236,7 @@ def _flow_hamiltonian(args, space: ProductSpace, config: dict):
         return dynamics.novi_hamiltonian(space, s, t)
     if model == "gaudin":
         a_text = _pick(args.a, config, "a", None, str)
-        weights = _parse_floats(a_text) if a_text else tuple(float(i) for i in range(1, space.n + 1))
-        return dynamics.gaudin_hamiltonian(space, weights)
+        return dynamics.gaudin_hamiltonian(space, _parse_floats(a_text) if a_text else None)
     if p_text == "auto":
         p, q = dynamics.einstein_parameters(space.n)
         s = None
@@ -326,7 +312,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if args.csv:
         dynamics.trajectory_to_csv(trajectory, args.csv)
     if args.summary:
-        _atomic_write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        with dynamics.atomic_open(args.summary) as handle:
+            handle.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     worst = max(summary["drift"].values()) if summary["drift"] else 0.0
     print(

@@ -18,13 +18,15 @@ states per call, and reported as relative drifts.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .families import PolynomialFamily
+from .families import PolynomialFamily, spectral_weights
 from .product import ProductSpace
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "momentum_drift",
     "momentum_norm_max",
     "trajectory_to_csv",
+    "atomic_open",
 ]
 
 # Recorded states per monitor evaluation: one batched call per chunk, and a
@@ -133,15 +136,11 @@ def novi_hamiltonian(
     return QuadraticHamiltonian("novi", space, coeff, {"s": tuple(s), "t": tuple(t)})
 
 
-def gaudin_hamiltonian(space: ProductSpace, weights: Sequence[float]) -> QuadraticHamiltonian:
-    """h = (1/2) <sum_i x_i / a_i, sum_j x_j / a_j> for nonzero spectral weights."""
-    a = np.asarray(list(weights), dtype=float)
-    if a.shape != (space.n,):
-        raise ConfigurationError(f"need {space.n} spectral weights")
-    if np.any(a == 0.0):
-        raise ConfigurationError("spectral weights must be nonzero")
-    inv = 1.0 / a
-    return QuadraticHamiltonian("gaudin", space, np.outer(inv, inv), {"a": tuple(a)})
+def gaudin_hamiltonian(space: ProductSpace, weights: Sequence[float] | None = None) -> QuadraticHamiltonian:
+    """h = (1/2) <sum_i x_i / a_i, sum_j x_j / a_j> for the ``spectral_weights`` a."""
+    a = spectral_weights(space.n, weights)
+    inv = 1.0 / np.array(a)
+    return QuadraticHamiltonian("gaudin", space, np.outer(inv, inv), {"a": a})
 
 
 def _einstein_couplings(n: int, p: float, q: float, s: float) -> tuple[float, float, float, float]:
@@ -215,10 +214,8 @@ def euler_field(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X: np.nd
 
 
 def gaudin_field(space: ProductSpace, weights: Sequence[float], X: np.ndarray) -> np.ndarray:
-    """Literal spectral field dx_i/dt = sum_j [x_i, x_j] / (a_i a_j)."""
-    a = np.asarray(list(weights), dtype=float)
-    if a.shape != (space.n,) or np.any(a == 0.0):
-        raise ConfigurationError("spectral weights must be nonzero and match the factor count")
+    """Literal spectral field dx_i/dt = sum_j [x_i, x_j] / (a_i a_j), for the ``spectral_weights`` a."""
+    a = np.array(spectral_weights(space.n, weights))
     X = np.asarray(X, dtype=float)
     pair_brackets = space.base.ads(X) @ X.T  # [i, :, j] = [x_i, x_j]
     return (pair_brackets @ (1.0 / a)) / a[:, None]
@@ -254,10 +251,11 @@ class FlowSpec:
         if self.monitors is not None and self.monitors.domain == "k":
             # a stack of single-factor points would be read as product points
             raise ConfigurationError("monitors must be a family on the product, not of domain 'k' (one factor)")
-        initial = np.asarray(self.initial, dtype=float)
+        initial = np.array(self.initial, dtype=float)  # a copy: freezing must not reach the caller's array
         shape = (self.space.n, self.space.base.dim)
         if initial.shape != shape or not np.isfinite(initial).all():
             raise ConfigurationError(f"initial state must be a finite {shape} array, got shape {initial.shape}")
+        initial.setflags(write=False)
         object.__setattr__(self, "initial", initial)
 
 
@@ -509,11 +507,25 @@ def momentum_norm_max(space: ProductSpace, trajectory: Trajectory) -> float:
     return float(np.sqrt(np.clip(sq, 0.0, None)).max())
 
 
+@contextmanager
+def atomic_open(path):
+    """A text handle on a temporary file beside ``path``, which replaces ``path`` only if the block completes."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    handle = open(tmp, "x", newline="")  # a new file with the mode open() gives; lines as written
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the block or the replace raised
+            os.unlink(tmp)
+
+
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write recorded states and monitors with round-trip float formatting.
 
     Columns: t, then b<i>_<a> for block i and coordinate a (both 1-based),
-    then one monitor:<label> column per monitor.
+    then one monitor:<label> column per monitor.  Written atomically.
     """
     n_blocks, dim = trajectory.states.shape[1], trajectory.states.shape[2]
     header = ["t"]
@@ -524,7 +536,7 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
         trajectory.states.reshape(trajectory.times.size, -1),
         trajectory.monitor_series,
     ])
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path) as handle:
         csv.writer(handle).writerow(header)  # monitor labels may need quoting
         # row by row: one tolist() of the whole table would hold every value
         # as a Python float at once (2.6 MB for the su3^4 flow of 1001 rows)

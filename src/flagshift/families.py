@@ -30,7 +30,7 @@ from .product import ProductSpace
 
 __all__ = [
     "FamilyMember", "PolynomialFamily", "mf_shift_family", "flag_shift_family", "restrict_family",
-    "gaudin_family", "momentum_coordinates", "momentum_pullback", "flag_momentum_family",
+    "spectral_weights", "gaudin_family", "momentum_coordinates", "momentum_pullback", "flag_momentum_family",
 ]
 
 DOMAINS = ("k", "g", "v")
@@ -317,6 +317,15 @@ def restrict_family(space: ProductSpace, family: PolynomialFamily) -> Polynomial
     return _remap(family, family.name + "_v", "v", lambda label: label + "|v", lambda k: _Projected(space, k))
 
 
+def spectral_weights(n: int, weights: Iterable[float] | None = None) -> tuple[float, ...]:
+    """The n spectral weights of a Gaudin model, 1..n by default: finite, with |a_i| >= tiny so 1/a_i is finite."""
+    a = np.arange(1.0, n + 1.0) if weights is None else np.asarray(list(weights), dtype=float)
+    tiny = np.finfo(float).tiny
+    if a.shape != (n,) or not np.all(np.isfinite(a) & (np.abs(a) >= tiny)):
+        raise ConfigurationError(f"need {n} finite spectral weights with |a_i| >= {tiny:.4g}, got {a.tolist()}")
+    return tuple(a.tolist())
+
+
 def gaudin_family(space: ProductSpace, weights: Iterable[float]) -> PolynomialFamily:
     """Gaudin family: principal parts of tr L(z)^d at the poles of L(z) = sum_i x_i / (1 + a_i z).
 
@@ -330,11 +339,7 @@ def gaudin_family(space: ProductSpace, weights: Iterable[float]) -> PolynomialFa
     k = 0 .. d-1, are rho_i^k times the coefficients of (z - z_i)^(k-d) in
     tr L(z)^d: the classical Gaudin Hamiltonians.
     """
-    a = np.asarray(list(weights), dtype=float)
-    if a.shape != (space.n,):
-        raise ConfigurationError(f"need {space.n} spectral weights, got shape {a.shape}")
-    if np.any(a == 0.0):
-        raise ConfigurationError("spectral weights must be nonzero")
+    a = np.array(spectral_weights(space.n, weights))
     poles = np.array(list(dict.fromkeys(a)))
     at_pole = a[None, :] == poles[:, None]
     builder = _Builder(space.base, space.n)

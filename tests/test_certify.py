@@ -23,7 +23,7 @@ from flagshift.certify import (
     verify_lemma1,
     verify_span_inclusion,
 )
-from flagshift.certify import _draw, _gated_draws, _measure_at_generic_points, _principal_angles, _residual_report
+from flagshift.certify import _draw, _gated_draws, _largest_principal_angle, _measure_at_generic_points, _residual_report
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
@@ -373,8 +373,8 @@ def test_verify_span_inclusion_pass_and_control(su2n3, coordinate_member):
         verify_span_inclusion(ClaimContext(su2n3), flag_shift_family(su2n3))
 
 
-def test_principal_angles_match_scipy():
-    # _principal_angles takes orthonormal bases; scipy gets the raw inputs
+def test_largest_principal_angle_matches_scipy():
+    # _largest_principal_angle takes orthonormal bases; scipy gets the raw inputs
     from scipy.linalg import orth, subspace_angles
 
     rng = np.random.default_rng(11)
@@ -386,20 +386,24 @@ def test_principal_angles_match_scipy():
         (low_rank, rng.normal(size=(12, 4))),
     ]
     for a, b in pairs:
-        ours = _principal_angles(orth(a), orth(b))
-        assert ours.shape == (min(np.linalg.matrix_rank(a), b.shape[1]),)
-        assert np.abs(ours - subspace_angles(a, b)).max() < 1e-14
+        ours = _largest_principal_angle(orth(a), orth(b))
+        assert isinstance(ours, float)
+        assert abs(ours - subspace_angles(a, b).max()) < 1e-14
 
-    # Nearly coincident spans with known angles: only the sine branch
-    # resolves angles near 1e-10, the cosines round to 1.  Both bases are
-    # orthonormal by construction.
+    # Nearly coincident spans with known angles: only the sine form resolves
+    # angles near 1e-10, the cosines round to 1.  Both bases are orthonormal
+    # by construction.
     q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
     angles = np.array([3e-10, 1e-10, 2e-11])
     a = q[:, :3]
     b = q[:, :3] * np.cos(angles) + q[:, 3:6] * np.sin(angles)
-    ours = _principal_angles(a, b)
-    assert np.allclose(ours, angles, rtol=1e-5, atol=0.0)
-    assert np.allclose(ours, subspace_angles(a, b), rtol=1e-5, atol=0.0)
+    ours = _largest_principal_angle(a, b)
+    assert ours == pytest.approx(3e-10, rel=1e-5)
+    assert ours == pytest.approx(subspace_angles(a, b).max(), rel=1e-5)
+
+    # an empty narrower basis has no angle
+    assert _largest_principal_angle(a, np.zeros((12, 0))) == 0.0
+    assert _largest_principal_angle(np.zeros((12, 0)), a) == 0.0
 
 
 def test_report_dict_shape(su2n3):

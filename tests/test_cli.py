@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from flagshift import cli
 from flagshift.cli import main
+from flagshift.errors import ConfigurationError
+from flagshift.families import spectral_weights
 
 
 def _strip_timestamp(document: dict) -> dict:
@@ -322,6 +325,37 @@ def test_gaudin_weights_need_the_gaudin_claim(tmp_path, capsys):
     config.write_text(json.dumps({"gaudin_weights": [1, "x", 3], "claims": "gaudin"}))
     assert main(["certify", "--config", str(config)]) == 2
     assert "config key 'gaudin_weights'" in capsys.readouterr().err
+
+
+_BAD_WEIGHTS = {"inf": "1,inf,2", "nan": "1,nan,2", "zero": "1,0,2", "subnormal": "1,1e-320,2", "short": "1,2"}
+
+
+def _weights_message(text: str) -> str:
+    with pytest.raises(ConfigurationError) as raised:
+        spectral_weights(3, [float(a) for a in text.split(",")])
+    return f"configuration error: {raised.value}"
+
+
+@pytest.mark.parametrize("text", _BAD_WEIGHTS.values(), ids=_BAD_WEIGHTS.keys())
+def test_flow_refuses_bad_spectral_weights(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.setattr(cli.dynamics, "integrate", lambda flow: pytest.fail("integrated"))
+    code = main(["flow", "--model", "gaudin", "--a", text, "--t-end", "0.1",
+                 "--csv", str(tmp_path / "flow.csv"), "--summary", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == _weights_message(text)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", _BAD_WEIGHTS.values(), ids=_BAD_WEIGHTS.keys())
+def test_certify_refuses_bad_gaudin_weights(tmp_path, capsys, monkeypatch, text):
+    # refused before any claim runs: no document, no FAIL record
+    monkeypatch.setattr(cli, "run_claims", lambda ctx, claims: pytest.fail("claims ran"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gaudin_weights": text.split(","), "claims": "all"}))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == _weights_message(text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_report_prints_non_finite_values(tmp_path, capsys):

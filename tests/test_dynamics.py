@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flagshift import ProductSpace, build_algebra, dynamics
-from flagshift.certify import generic_point
+from flagshift.certify import ClaimContext, generic_point
 from flagshift.dynamics import (
     COUPLED_MAX_ROWS,
     MONITOR_CHUNK,
@@ -32,7 +32,7 @@ from flagshift.dynamics import (
     trajectory_to_csv,
 )
 from flagshift.errors import ConfigurationError
-from flagshift.families import flag_shift_family, gaudin_family, mf_shift_family
+from flagshift.families import flag_shift_family, gaudin_family, mf_shift_family, spectral_weights
 
 
 def _bracket(k, x, y):
@@ -206,6 +206,38 @@ def test_gaudin_hamiltonian_validation(su2n3):
         gaudin_hamiltonian(su2n3, (1.0, 0.0, 2.0))
     with pytest.raises(ConfigurationError):
         gaudin_hamiltonian(su2n3, (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1.0, np.inf, 2.0), (1.0, np.nan, 2.0), (1.0, 0.0, 2.0), (1.0, 1e-320, 2.0), (1.0, 2.0)],
+    ids=["inf", "nan", "zero", "subnormal", "wrong-length"],
+)
+def test_spectral_weights_are_checked_once(su2n3, weights):
+    # the family, the Hamiltonian, the literal field and the claim settings
+    # refuse a weight whose residue 1/a_i is not finite with one message
+    X = su2n3.random_point(np.random.default_rng(3))
+    with pytest.raises(ConfigurationError) as expected:
+        spectral_weights(3, weights)
+    for build in (
+        lambda: gaudin_family(su2n3, weights),
+        lambda: gaudin_hamiltonian(su2n3, weights),
+        lambda: gaudin_field(su2n3, weights, X),
+        lambda: ClaimContext(su2n3, gaudin_weights=weights),
+    ):
+        with pytest.raises(ConfigurationError) as raised:
+            build()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_spectral_weights_default_and_edge(su2n3):
+    assert spectral_weights(3) == (1.0, 2.0, 3.0)
+    assert ClaimContext(su2n3).weights() == (1.0, 2.0, 3.0)
+    assert gaudin_hamiltonian(su2n3).params["a"] == (1.0, 2.0, 3.0)
+    # the smallest normal float still has a finite residue; signs are free
+    tiny = np.finfo(float).tiny
+    assert spectral_weights(3, [1, -2, tiny]) == (1.0, -2.0, tiny)
+    assert ClaimContext(su2n3, gaudin_weights=(1, 2, 3)).weights() == (1.0, 2.0, 3.0)
 
 
 def test_einstein_parameters():
@@ -553,6 +585,44 @@ def test_trajectory_drift_formula():
         monitor_series=np.array([[1.0], [1.5]]),
     )
     assert fake.drift()["energy"] == pytest.approx(0.25)
+
+
+def test_flow_spec_keeps_its_own_initial_state(su2n3):
+    X = su2n3.random_point(np.random.default_rng(5))
+    flow = FlowSpec(su2n3, normal_hamiltonian(su2n3), X, t_end=0.01)
+    X[0, 0] = 99.0
+    assert flow.initial[0, 0] != 99.0
+    assert not flow.initial.flags.writeable
+    assert X.flags.writeable
+
+
+class _Unprintable(float):
+    def __repr__(self):
+        raise RuntimeError("cannot format this value")
+
+
+def test_csv_write_is_atomic(tmp_path):
+    # a writer that raises after the header leaves the old file as it was
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"t,old\r\n0.0,1.0\r\n")
+    broken = Trajectory(
+        times=np.array([0.0, 1.0]),
+        states=np.zeros((2, 1, 1)),
+        monitor_labels=("energy",),
+        monitor_series=np.array([[1.0], [_Unprintable(2.0)]], dtype=object),
+    )
+    with pytest.raises(RuntimeError, match="cannot format"):
+        trajectory_to_csv(broken, path)
+    assert path.read_bytes() == b"t,old\r\n0.0,1.0\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+    # a completed write gets the mode a plain open() gives a new file
+    with dynamics.atomic_open(tmp_path / "new.txt") as handle:
+        handle.write("a\r\nb\n")
+    with open(tmp_path / "plain.txt", "w") as handle:
+        handle.write("x")
+    assert (tmp_path / "new.txt").read_bytes() == b"a\r\nb\n"
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
 
 def test_csv_round_trip(tmp_path, su2n3):

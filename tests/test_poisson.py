@@ -207,7 +207,7 @@ def test_tangent_span_via_orthocomplement_agrees(su2n3):
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (5, 4)])
 def test_tangent_span_rows_are_orthonormal(m, n):
-    # _principal_angles in certify takes both spans as orthonormal bases as they come
+    # _largest_principal_angle in certify takes both spans as orthonormal bases as they come
     space = ProductSpace(build_algebra("su", m), n)
     X = generic_point(space, [42, 21], "v")
     for build in (invariant_tangent_span, tangent_span_orthocomplement):
