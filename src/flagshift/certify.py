@@ -6,9 +6,11 @@ simultaneous centralizer of the blocks must vanish, and every singular
 value spectrum involved must clear the rank cutoff by the policy margin.
 Points failing a gate are resampled with a fresh derived seed, up to the
 policy retry budget; trials that disagree after resampling fail the
-certificate loudly instead of being averaged away.  Within one run every
-seeded point is drawn and gated once and shared by the certificates that
-read it.
+certificate loudly instead of being averaged away.  A certificate measures
+all of its open trials at once: each retry round gates the fresh draws as
+one stack and measures the accepted points as one stack, while every rank
+is still decided on its own matrix.  Within one run every seeded point is
+drawn and gated once and shared by the certificates that read it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -121,11 +123,12 @@ class ClaimContext:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
-        if not self.tol_bracket > 0:
-            raise ConfigurationError(f"tol_bracket must be positive, got {self.tol_bracket}")
-        if not self.policy.rel_tol > 0:
+        # finite, too: a document writes a number that is not finite as null, which only a failed row may hold
+        if not 0 < self.tol_bracket < np.inf:
+            raise ConfigurationError(f"tol_bracket must be positive and finite, got {self.tol_bracket}")
+        if not 0 < self.policy.rel_tol < np.inf:
             raise ConfigurationError(
-                f"policy.rel_tol (tol_rank) must be positive, got {self.policy.rel_tol}"
+                f"policy.rel_tol (tol_rank) must be positive and finite, got {self.policy.rel_tol}"
             )
         self.weights()  # invalid spectral weights are refused before any claim runs
         if self._points is None or not self._points.serves(self.space, self.policy):
@@ -170,22 +173,25 @@ def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
     return context.random_v_point(rng)
 
 
-def _failed_gate(context, X: np.ndarray, domain: str, policy: RankPolicy) -> str | None:
-    """The first genericity gate X fails, or None.
+def _failed_gates(context, Xs: np.ndarray, domain: str, policy: RankPolicy, entropies: list) -> list[str | None]:
+    """The first genericity gate each point of a stack fails, or None.
 
     Every block must be regular; on the product the blocks must also share
-    no centralizer.
+    no centralizer.  Regularity is one gap gate on the whole stack, the
+    centralizer one SVD per point.
     """
     algebra = context if isinstance(context, LieAlgebra) else context.base
-    dims, marginal = algebra.isotropy(np.atleast_2d(X), policy)
-    if marginal.any() or np.any(dims != algebra.rank):
-        return "block regularity"
-    if domain == "k":
-        return None
-    result = numerical_rank(np.vstack(algebra.ads(X)), policy)
-    if result.marginal or result.rank != algebra.dim:
-        return "diagonal centralizer"
-    return None
+    dims, marginal = _at_entropies(entropies, algebra.isotropy, Xs, policy)
+    irregular = (marginal | (dims != algebra.rank)).reshape(len(Xs), -1).any(axis=1)
+    gates = []
+    for entropy, X, bad in zip(entropies, Xs, irregular):
+        gate = "block regularity" if bad else None
+        if gate is None and domain != "k":
+            result = _at_entropy(entropy, numerical_rank, np.vstack(algebra.ads(X)), policy)
+            if result.marginal or result.rank != algebra.dim:
+                gate = "diagonal centralizer"
+        gates.append(gate)
+    return gates
 
 
 def _at_entropy(entropy: list[int], fn: Callable, *args):
@@ -194,6 +200,16 @@ def _at_entropy(entropy: list[int], fn: Callable, *args):
         return fn(*args)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{exc} (seed entropy {entropy})") from exc
+
+
+def _at_entropies(entropies: list, fn: Callable, points: np.ndarray, *args):
+    """fn(points, *args) on a stack; a LinAlgError names the entropy of the first point that raises it alone."""
+    try:
+        return fn(points, *args)
+    except np.linalg.LinAlgError:
+        for entropy, point in zip(entropies, points):
+            _at_entropy(entropy, fn, point, *args)
+        raise
 
 
 class _Points:
@@ -214,15 +230,16 @@ class _Points:
     def serves(self, context, policy: RankPolicy) -> bool:
         return self.context is context and self.policy == policy
 
-    def draw(self, entropy: list[int], domain: str) -> tuple[np.ndarray | None, str | None]:
-        """(point, None) for an accepted draw, (None, gate) for a rejected one."""
-        key = (domain, tuple(entropy))
-        if key not in self._draws:
-            X = _draw(self.context, entropy, domain)
-            gate = _at_entropy(entropy, _failed_gate, self.context, X, domain, self.policy)
-            X.flags.writeable = False
-            self._draws[key] = (None, gate) if gate else (X, None)
-        return self._draws[key]
+    def draw(self, entropies: list, domain: str) -> list[tuple[np.ndarray | None, str | None]]:
+        """For each entropy, (point, None) for an accepted draw, (None, gate) for a rejected one."""
+        keys = [(domain, tuple(entropy)) for entropy in entropies]
+        new = [entropy for entropy, key in zip(entropies, keys) if key not in self._draws]
+        if new:
+            Xs = np.stack([_draw(self.context, entropy, domain) for entropy in new])
+            Xs.flags.writeable = False
+            for entropy, X, gate in zip(new, Xs, _failed_gates(self.context, Xs, domain, self.policy, new)):
+                self._draws[domain, tuple(entropy)] = (None, gate) if gate else (X, None)
+        return [self._draws[key] for key in keys]
 
     def tangent_span(self, entropy: list[int], X: np.ndarray) -> tuple[np.ndarray, bool]:
         """``invariant_tangent_span`` at the v point drawn from ``entropy``."""
@@ -239,52 +256,72 @@ class _Points:
 
     @contextmanager
     def claim(self):
-        """Share each family's gradients at each point among the certificates of one claim."""
+        """Share each family's gradients at each stack of points among the certificates of one claim."""
         self._gradients = {}
         try:
             yield
         finally:
             self._gradients = None
 
-    def gradients(self, family: PolynomialFamily, entropy: list[int], X: np.ndarray) -> np.ndarray:
-        """``family.gradients(X)``, computed once per (family, point) inside ``claim()``."""
+    def gradients(self, family: PolynomialFamily, entropies: list, Xs: np.ndarray) -> np.ndarray:
+        """``family.gradients(Xs)`` on a stack, computed once per (family, entropies) inside ``claim()``."""
         if self._gradients is None:
-            return family.gradients(X)
-        key = (id(family), tuple(entropy))
+            return family.gradients(Xs)
+        key = (id(family), tuple(map(tuple, entropies)))
         if key not in self._gradients:
-            gens = family.gradients(X)
+            gens = family.gradients(Xs)
             gens.flags.writeable = False
             self._gradients[key] = family, gens  # the family held keeps its id unique
         return self._gradients[key][1]
 
 
-def _gated_draws(
-    points: _Points, seed_parts: Iterable[int], domain: str
-) -> Iterator[tuple[list[int], np.ndarray, list[str]]]:
-    """Yield (entropy, X, rejected) for the seeded draws that pass the genericity gates.
+def _rounds(points: _Points, prefixes: list[list[int]], domain: str, measure) -> tuple[list, list]:
+    """Run ``measure`` at one generic point per seed prefix; (values, witnesses) in prefix order.
 
-    Draw r uses entropy [*seed_parts, r] for r = 0 .. policy.max_retries; a
-    caller that rejects a yielded point asks for the next one.  ``rejected``
-    names the gate that rejected each earlier draw, in order.  Running out
-    of draws raises a GenericityError naming the domain, the entropy and the
-    gate that rejected each draw.
+    Round r draws and gates the entropy [*prefix, r] of every prefix still
+    open, for r = 0 .. policy.max_retries, and calls ``measure(Xs, entropies)``
+    once on the read-only stack of the accepted points.  It returns one
+    (value, marginal, extra) per point; a marginal result discards the point
+    and burns a retry, exactly like a failed genericity gate.  A witness that
+    burned retries names the gate that rejected each one, in order.  A prefix
+    that runs out of draws raises a GenericityError naming the domain, the
+    entropy and the gate that rejected each draw; the lowest such prefix is named.
     """
-    seed_parts = [int(p) for p in seed_parts]
-    rejected: list[str] = []
+    rejected: list[list[str]] = [[] for _ in prefixes]
+    done: dict[int, tuple] = {}
     for retry in range(points.policy.max_retries + 1):
-        entropy = seed_parts + [retry]
-        X, gate = points.draw(entropy, domain)
-        if X is not None:
-            yield entropy, X, list(rejected)
-            gate = "marginal measurement"
-        rejected.append(gate)
-    retries = {gate: ", ".join(str(r) for r, g in enumerate(rejected) if g == gate) for gate in rejected}
-    gates = ", ".join(f"{gate} (r = {rs})" for gate, rs in retries.items())
-    pattern = ", ".join(str(p) for p in seed_parts + ["r"])
-    raise GenericityError(
-        f"no generic point in domain {domain!r} was accepted from seed entropy "
-        f"[{pattern}], r = 0..{points.policy.max_retries}; rejected by {gates}"
-    )
+        trials = [t for t in range(len(prefixes)) if t not in done]
+        if not trials:
+            break
+        entropies = [prefixes[t] + [retry] for t in trials]
+        accepted = []
+        for t, entropy, (X, gate) in zip(trials, entropies, points.draw(entropies, domain)):
+            if X is None:
+                rejected[t].append(gate)
+            else:
+                accepted.append((t, entropy, X))
+        if not accepted:
+            continue
+        ts, measured, Xs = zip(*accepted)
+        Xs = np.stack(Xs)
+        Xs.flags.writeable = False
+        for t, (value, marginal, extra) in zip(ts, measure(Xs, list(measured))):
+            if marginal:
+                rejected[t].append("marginal measurement")
+            else:
+                burned = {"rejected": list(rejected[t])} if rejected[t] else {}
+                done[t] = value, {"trial": t, "retries": retry, **burned, **extra}
+    if len(done) < len(prefixes):
+        t = min(set(range(len(prefixes))) - set(done))
+        retries = {gate: ", ".join(str(r) for r, g in enumerate(rejected[t]) if g == gate) for gate in rejected[t]}
+        gates = ", ".join(f"{gate} (r = {rs})" for gate, rs in retries.items())
+        pattern = ", ".join(str(p) for p in prefixes[t] + ["r"])
+        raise GenericityError(
+            f"no generic point in domain {domain!r} was accepted from seed entropy "
+            f"[{pattern}], r = 0..{points.policy.max_retries}; rejected by {gates}"
+        )
+    values, witnesses = zip(*(done[t] for t in range(len(prefixes))))
+    return list(values), list(witnesses)
 
 
 def generic_point(
@@ -294,27 +331,19 @@ def generic_point(
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Seeded point passing the genericity gates, resampled as needed; read-only."""
-    for _, X, _ in _gated_draws(_Points(context, policy), seed_parts, domain):
-        return X
+    accept_all = lambda Xs, entropies: [(X, False, {}) for X in Xs]  # noqa: E731
+    values, _ = _rounds(_Points(context, policy), [[int(p) for p in seed_parts]], domain, accept_all)
+    return values[0]
 
 
-def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure):
-    """Run ``measure`` at one generic point per trial, resampling marginal points.
+def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure) -> tuple[list, list]:
+    """``_rounds`` over the trials of ``ctx``: entropy [seed, trial, r] for trial = 0 .. trials - 1."""
+    return _rounds(ctx._points, [[ctx.seed, trial] for trial in range(ctx.trials)], domain, measure)
 
-    ``measure`` returns (value, marginal, extra); a marginal result discards
-    the point and burns a retry, exactly like a failed genericity gate.  A
-    witness that burned retries names the gate that rejected each one.
-    """
-    values, witnesses = [], []
-    for trial in range(ctx.trials):
-        for entropy, X, rejected in _gated_draws(ctx._points, [ctx.seed, trial], domain):
-            value, marginal, extra = _at_entropy(entropy, measure, X, entropy)
-            if not marginal:
-                values.append(value)
-                burned = {"rejected": rejected} if rejected else {}
-                witnesses.append({"trial": trial, "retries": entropy[-1], **burned, **extra})
-                break
-    return values, witnesses
+
+def _each(entropies: list, fn: Callable, *stacks) -> list:
+    """fn at each point, on the point's slices of ``stacks``; a LinAlgError names the point's entropy."""
+    return [_at_entropy(entropy, fn, *args) for entropy, *args in zip(entropies, *stacks)]
 
 
 def _modal(values: list) -> tuple:
@@ -365,18 +394,23 @@ def _int_report(ctx, claim_id, formula, values, witnesses) -> CertificateReport:
 # -- involutivity and invariance ------------------------------------------------
 
 
-def _involutivity_residual(
+def _involutivity_residuals(
     space: ProductSpace,
     gens: np.ndarray,
-    X: np.ndarray,
+    Xs: np.ndarray,
     weights: np.ndarray | None = None,
-) -> float:
-    """Max normalized |{f, g}| over the pairs of members with gradients ``gens`` at X."""
-    matrix = bivector_on_span(space, X, gens, weights)
+) -> list[float]:
+    """Max normalized |{f, g}| over the pairs of members, at each point of a stack with gradients ``gens``."""
+    # |M| / scale in place, where the scale is positive, and 0 elsewhere: two (P, count, count) arrays at a time.
+    residuals = np.abs(bivector_on_span(space, Xs, gens, weights))
     norms = space.norms(gens)
-    scale = np.outer(norms, norms) * space.norm(X)
-    residual = np.where(scale > 0.0, np.abs(matrix) / np.where(scale > 0.0, scale, 1.0), 0.0)
-    return float(residual.max())
+    scale = norms[:, :, None] * norms[:, None, :]
+    scale *= np.array([space.norm(X) for X in Xs])[:, None, None]
+    positive = scale > 0.0
+    np.divide(residuals, scale, out=residuals, where=positive)
+    del scale
+    residuals[~positive] = 0.0
+    return [float(r) for r in residuals.max(axis=(1, 2))]
 
 
 def check_involutive(
@@ -387,10 +421,9 @@ def check_involutive(
 ) -> CertificateReport:
     """Pairwise bracket residuals of the family at generic points."""
 
-    def measure(X, entropy):
-        gens = ctx._points.gradients(family, entropy, X)
-        residual = _involutivity_residual(ctx.space, gens, X, weights)
-        return residual, False, {"residual": residual}
+    def measure(Xs, entropies):
+        gens = ctx._points.gradients(family, entropies, Xs)
+        return [(r, False, {"residual": r}) for r in _involutivity_residuals(ctx.space, gens, Xs, weights)]
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
     return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
@@ -401,16 +434,19 @@ def check_ad_invariance(
 ) -> CertificateReport:
     """Invariance of member values under ten random diagonal adjoint actions.
 
-    The values at X and at its ten images come from one call on the stack.
+    At each point, the values at X and at its ten images come from one call on their stack.
     """
     space = ctx.space
 
-    def measure(X, entropy):
+    def measure_one(X, entropy):
         rng = np.random.default_rng(entropy + [7919])
         moved = [space.diagonal_adjoint(space.base.random_element(rng, 0.8), X) for _ in range(10)]
         stacked = family.values(np.stack([X, *moved]))
         worst = float((np.abs(stacked[1:] - stacked[0]) / (1.0 + np.abs(stacked[0]))).max())
         return worst, False, {"residual": worst}
+
+    def measure(Xs, entropies):
+        return _each(entropies, measure_one, Xs, entropies)
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
     return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
@@ -428,12 +464,15 @@ def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateRepo
     space, policy = ctx.space, ctx.policy
     target_ddim, target_dind = lemma1_targets(space)
 
-    def measure(X, entropy):
+    def measure_one(X, entropy):
         span, marginal = ctx._points.tangent_span(entropy, X)
         if marginal:
             return (0, 0), True, {}
         dind, marginal = _kernel_dim(space, X, span, policy)
         return (span.shape[0], dind), marginal, {"ddim": span.shape[0], "dind": dind}
+
+    def measure(Xs, entropies):
+        return _each(entropies, measure_one, Xs, entropies)
 
     values, witnesses = _measure_at_generic_points(ctx, "v", measure)
     ddims, dinds = zip(*values)
@@ -460,9 +499,9 @@ def verify_completeness(
         raise ConfigurationError(f"unknown completeness mode {mode!r}")
     space, policy = ctx.space, ctx.policy
 
-    def measure(X, entropy):
+    def measure_one(gens, X):
         # Unit rows: gradients of degree 2 and degree m members differ by decades.
-        rows = ctx._points.gradients(family, entropy, X).reshape(len(family), -1)
+        rows = gens.reshape(len(family), -1)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         rows = rows / np.where(norms > 0.0, norms, 1.0)
         if mode == "ddim":  # the rank alone: singular values, no basis
@@ -474,6 +513,9 @@ def verify_completeness(
         span = basis.reshape(-1, space.n, space.base.dim)
         dind, marginal = _kernel_dim(space, X, span, policy)
         return len(span) + dind, marginal, {"ddim": len(span), "dind": dind}
+
+    def measure(Xs, entropies):
+        return _each(entropies, measure_one, ctx._points.gradients(family, entropies, Xs), Xs)
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
     return _int_report(ctx, claim_id, target, values, witnesses)
@@ -504,30 +546,35 @@ def verify_span_inclusion(
         raise ConfigurationError("span inclusion applies to restricted families")
     space, policy = ctx.space, ctx.policy
 
-    def measure(X, entropy):
-        etas = ctx._points.gradients(family, entropy, X)
-        norms = space.norms(etas)
-        moved = np.einsum("ikq,aiq->aik", space.base.ads(X), etas)  # [x_i, eta_a_i]
-        keep = norms > 1e-14
-        defects = space.norms(space.proj_h(moved))[keep] / (space.norm(X) * norms[keep])
-        worst = float(defects.max(initial=0.0))
-
+    def agreement(X, entropy):
         direct, marginal_a = ctx._points.tangent_span(entropy, X)
         ortho, marginal_b = tangent_span_orthocomplement(space, X, policy)
         if marginal_a or marginal_b:
-            return 0.0, True, {}
+            return None
         same_dim = direct.shape[0] == ortho.shape[0]
         max_angle = _largest_principal_angle(
             direct.reshape(direct.shape[0], -1).T, ortho.reshape(ortho.shape[0], -1).T
         )
-        ok = same_dim and max_angle <= 1e-6
-        extra = {
-            "defect": worst,
-            "span_dim": direct.shape[0],
-            "max_angle": max_angle,
-            "constructions_agree": bool(ok),
-        }
-        return (worst if ok else float("inf")), False, extra
+        return direct.shape[0], max_angle, same_dim and max_angle <= 1e-6
+
+    def measure(Xs, entropies):
+        etas = ctx._points.gradients(family, entropies, Xs)
+        norms = space.norms(etas)
+        moved = np.einsum("pikq,paiq->paik", space.base.ads(Xs), etas)  # [x_i, eta_a_i]
+        keep = norms > 1e-14
+        sizes = np.array([space.norm(X) for X in Xs])[:, None] * np.where(keep, norms, 1.0)
+        defects = space.norms(space.proj_h(moved)) / sizes
+        del moved
+        results = []
+        for defect, kept, agreed in zip(defects, keep, _each(entropies, agreement, Xs, entropies)):
+            if agreed is None:
+                results.append((0.0, True, {}))
+                continue
+            worst = float(defect[kept].max(initial=0.0))
+            span_dim, max_angle, ok = agreed
+            extra = {"defect": worst, "span_dim": span_dim, "max_angle": max_angle, "constructions_agree": bool(ok)}
+            results.append((worst if ok else float("inf"), False, extra))
+        return results
 
     values, witnesses = _measure_at_generic_points(ctx, "v", measure)
     return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
@@ -578,11 +625,14 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     family = gaudin_family(space, weights)
     ham = dynamics.gaudin_hamiltonian(space, weights)
 
-    def measure(X, entropy):
+    def measure_one(X):
         via_sum = dynamics.gaudin_field(space, weights, X)
         via_euler = dynamics.euler_field(space, ham, X)
         residual = space.norm(via_sum - via_euler) / (1.0 + space.norm(via_euler))
         return residual, False, {"residual": residual}
+
+    def measure(Xs, entropies):
+        return _each(entropies, measure_one, Xs)
 
     values, witnesses = _measure_at_generic_points(replace(ctx, trials=10), "g", measure)
     reports = [

@@ -7,7 +7,9 @@ Three subcommands:
 * ``report``   renders previously written JSON documents as a table.
 
 Exit codes: 0 success, 1 failed claims or failed runs, 2 usage and
-configuration errors.  Output files are written atomically.  Identical
+configuration errors.  Output files are written atomically, into a
+directory that must exist before any work starts, and JSON documents are
+strict: a number that is not finite is written as null.  Identical
 configuration and seed produce byte-identical output apart from the
 ``generated_at`` timestamp.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import math
 import os
 import re
 import sys
@@ -120,8 +123,35 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigurationError(f"expected comma separated floats, got {text!r}")
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse an output path whose directory does not exist, before any work is done."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigurationError(f"cannot write {path}: its directory does not exist")
+
+
+def _finite_or_null(value):
+    """``value`` with every float that is not finite replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path: str, document: dict) -> None:
+    """Write ``document`` atomically as strict JSON (RFC 8259): a number that is not finite is null."""
+    with dynamics.atomic_open(path) as handle:
+        handle.write(json.dumps(_finite_or_null(document), indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def _fmt(value) -> str:
-    # Non-finite values (a failed cross-check reports inf) print as inf / nan.
+    # Non-finite values (a failed cross-check reports inf) print as inf / nan;
+    # a document stores them as null, which prints as n/a.
+    if value is None:
+        return "n/a"
     if isinstance(value, (int, np.integer)) or (np.isfinite(value) and float(value) == int(value)):
         return str(int(value))
     return format(float(value), ".3e")
@@ -146,6 +176,7 @@ def _print_claim_table(rows: list[dict], stream) -> None:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "certify", _CERTIFY_KEYS)
+    _check_output_dirs(args.out)
     algebra = _pick(args.algebra, config, "algebra", "su2", str)
     n = _pick(args.n, config, "n", 3, int)
     claims = _pick(args.claims, config, "claims", "all")
@@ -194,8 +225,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "claims": rows,
     }
     if args.out:
-        with dynamics.atomic_open(args.out) as handle:
-            handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, document)
 
     _print_claim_table(rows, sys.stdout)
     failed = [row for row in rows if not row["pass"]]
@@ -253,6 +283,7 @@ def _flow_hamiltonian(args, space: ProductSpace, config: dict):
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "flow", _FLOW_KEYS)
+    _check_output_dirs(args.csv, args.summary)
     algebra = _pick(args.algebra, config, "algebra", "su2", str)
     n = _pick(args.n, config, "n", 3, int)
     seed = _pick_seed(args, config)
@@ -312,8 +343,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if args.csv:
         dynamics.trajectory_to_csv(trajectory, args.csv)
     if args.summary:
-        with dynamics.atomic_open(args.summary) as handle:
-            handle.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_json(args.summary, summary)
 
     worst = max(summary["drift"].values()) if summary["drift"] else 0.0
     print(
@@ -332,6 +362,13 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 # The JSON types of the row fields the table prints and sorts by.
 _ROW_TYPES = {"claim_id": str, "algebra": str, "n": int, "measured_value": (int, float),
               "formula_value": (int, float), "tolerance": (int, float), "pass": bool}
+# Fields a failed row may hold as null: a number that was not finite.
+_NULLABLE = ("measured_value", "formula_value")
+
+
+def _valid_field(row: dict, key: str, kind) -> bool:
+    value = row.get(key)
+    return isinstance(value, kind) or (value is None and key in _NULLABLE and row.get("pass") is False)
 
 
 def _claim_rows(document) -> list[dict]:
@@ -339,7 +376,7 @@ def _claim_rows(document) -> list[dict]:
     rows = document.get("claims", []) if isinstance(document, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("expected a JSON object whose 'claims' is a list of objects")
-    bad = [key for key, kind in _ROW_TYPES.items() if not all(isinstance(row.get(key), kind) for row in rows)]
+    bad = [key for key, kind in _ROW_TYPES.items() if not all(_valid_field(row, key, kind) for row in rows)]
     if bad:
         raise ValueError(f"claim rows without a valid {', '.join(map(repr, bad))}")
     return rows

@@ -81,8 +81,12 @@ class PolynomialFamily:
             raise ConfigurationError(f"family {self.name!r} has no members")
         if any(m.domain != self.domain for m in self.members):
             raise ConfigurationError(f"family {self.name!r} mixes member domains")
-        runs = groupby(self.members, key=attrgetter("kernel"))
-        object.__setattr__(self, "_groups", tuple((kernel, [m.row for m in run]) for kernel, run in runs))
+        groups = []
+        for kernel, run in groupby(self.members, key=attrgetter("kernel")):
+            rows = [m.row for m in run]
+            # a run of all of a kernel's rows, in order, reads its output in place
+            groups.append((kernel, slice(None) if rows == list(range(kernel.size)) else rows))
+        object.__setattr__(self, "_groups", tuple(groups))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -100,8 +104,11 @@ class PolynomialFamily:
         return np.concatenate([kernel.values(X)[..., rows] for kernel, rows in self._groups], axis=-1)
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
+        """Every member's gradient at a point, shape (len, *point), or at each point of a (..., n, dim) stack."""
         X = np.asarray(X, dtype=float)
-        return np.concatenate([kernel.gradients(X)[rows] for kernel, rows in self._groups])
+        lead = X.ndim - (1 if self.domain == "k" else 2)
+        parts = [kernel.gradients(X)[(slice(None),) * lead + (rows,)] for kernel, rows in self._groups]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, lead)
 
     @staticmethod
     def merge(name: str, *families: "PolynomialFamily") -> "PolynomialFamily":
@@ -170,6 +177,9 @@ class _SeriesTraces:
         self._phase = np.broadcast_to(np.where(np.arange(2, m + 1) % 2 == 0, 1.0, -1.0j)[:, None], table).ravel()
         gradient_map = gradient_map.reshape(self.size * blocks, -1)
         self._used = np.flatnonzero(gradient_map.any(axis=0))
+        # For each power index e: the positions among the used rows of those reading it, with their q and k.
+        q, e, k = np.unravel_index(self._used, table)
+        self._gather = [(np.flatnonzero(e == power), q[e == power], k[e == power]) for power in range(m - 1)]
         self._value_map, self._gradient_map = value_map.reshape(self.size, -1), gradient_map[:, self._used]
         self._trace_gradient = algebra.trace_basis @ algebra.gram_inv.T
         self._linear_map = linear.reshape(self.size, -1)
@@ -200,11 +210,23 @@ class _SeriesTraces:
         return (self._value_map @ parts + self._linear_map @ pairings)[..., 0]
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
-        m = self.algebra.m
-        coefficients = self._power_rows(X, m - 1).transpose(1, 0, 3, 2, 4).reshape(-1, m * m)[self._used]
-        z = coefficients @ self._trace_gradient
-        grads = self._gradient_map @ (self._phase[self._used, None] * z).real
-        return grads.reshape(self.size, *X.shape) + self.linear.reshape(self.size, *X.shape)
+        """Member gradients at a point, shape (size, *point), or at each point of a (..., n, dim) stack."""
+        m, lead = self.algebra.m, X.shape[:-2]
+        point = X.shape[len(lead):]
+        # The used (q, e, k) rows of each point, gathered from (top, ..., Q, m, K, m) one power at a time,
+        # then one GEMM per point.  Each stage's array is dropped before the next one is made.
+        powers = self._power_rows(X, m - 1)
+        coefficients = np.empty((*lead, len(self._used), m, m), complex)
+        for e, (rows, q, k) in enumerate(self._gather):
+            coefficients[..., rows, :, :] = powers[e].swapaxes(-3, -2)[..., q, k, :, :]
+        del powers
+        z = coefficients.reshape(*lead, -1, m * m) @ self._trace_gradient
+        del coefficients
+        z *= self._phase[self._used, None]
+        grads = (self._gradient_map @ z.real).reshape(*lead, self.size, *point)
+        del z
+        grads += self.linear.reshape(self.size, *point)
+        return grads
 
     def pulled_back(self, n: int) -> "_SeriesTraces":
         """The same members composed with the momentum x_1 + .. + x_n."""
@@ -238,18 +260,20 @@ class _Builder:
 
     def __init__(self, algebra: LieAlgebra, blocks: int):
         self.algebra, self.blocks = algebra, blocks
-        self.series, self.select, self.linear, self.labels = [], [], [], []
+        self.series, self.select, self.labels = [], [], []
+        self.linear: dict[int, np.ndarray] = {}  # member index -> its pairing, for the members that have one
 
     def add_series(self, *terms) -> int:
         """Add the series sum_l w^l C_l from terms (combo, shift), C_l = combo @ X + shift; returns its index."""
         self.series.append(terms)
         return len(self.series) - 1
 
-    def member(self, label: str, select=None, linear=0.0) -> None:
-        """Add the trace coefficient select = (series, d, k), if any, plus sum_b <x_b, linear[b]>."""
+    def member(self, label: str, select=None, linear=None) -> None:
+        """Add the trace coefficient select = (series, d, k), if any, plus sum_b <x_b, linear[b]>, if any."""
+        if linear is not None:
+            self.linear[len(self.labels)] = linear
         self.labels.append(label)
         self.select.append(select)
-        self.linear.append(np.broadcast_to(linear, (self.blocks, self.algebra.dim)))
 
     def coefficients(self, label: str, series: int, lag: int = 0) -> None:
         """Add the w^k coefficients, k = 0 .. d - lag, of tr C(w)^d for every invariant degree d."""
@@ -265,7 +289,10 @@ class _Builder:
         for q, series in enumerate(self.series):
             for l, (c, a) in enumerate(series):
                 combo[q, l], shift[q, l] = c, a
-        kernel = _SeriesTraces(self.algebra, combo, shift, tuple(self.select), np.array(self.linear))
+        linear = np.zeros((len(self.labels), self.blocks, self.algebra.dim))
+        for f, pairing in self.linear.items():
+            linear[f] = pairing
+        kernel = _SeriesTraces(self.algebra, combo, shift, tuple(self.select), linear)
         members = tuple(FamilyMember(label, domain, kernel, f) for f, label in enumerate(self.labels))
         return PolynomialFamily(name, domain, members)
 

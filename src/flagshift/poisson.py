@@ -30,16 +30,26 @@ def bivector_on_span(
     generators: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Assemble M[a, b] = -sum_i w_i <x_i, [g_a_i, g_b_i]> for a (count, n, dim) stack."""
+    """Assemble M[a, b] = -sum_i w_i <x_i, [g_a_i, g_b_i]> for a (count, n, dim) stack of generators.
+
+    With a (P, n, dim) stack of points and a (P, count, n, dim) stack of
+    generators, one per point, it gives the (P, count, count) stack of matrices.
+    """
     algebra, gens = space.base, np.asarray(generators, dtype=float)
     # <x, [a, b]> = <[x, a], b>: moved[i, a] = [x_i, g_a_i], then one pairing product.
-    moved = gens.transpose(1, 0, 2) @ algebra.ads(X).transpose(0, 2, 1)
+    moved = gens.swapaxes(-3, -2) @ algebra.ads(X).swapaxes(-1, -2)
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (space.n,):
             raise ConfigurationError(f"need {space.n} block weights, got shape {weights.shape}")
-        moved = moved * weights[:, None, None]
-    return -np.tensordot(moved, gens @ algebra.gram, axes=([0, 2], [1, 2]))
+        moved *= weights[:, None, None]
+    # Each point's product is one GEMM of a C-contiguous (count, n dim) operand
+    # with the transpose of another, as tensordot forms it for a single point.
+    # Each stage's array is dropped before the next one is made.
+    rows = moved.swapaxes(-3, -2).reshape(*gens.shape[:-2], space.dim)
+    del moved
+    matrix = rows @ (gens @ algebra.gram).reshape(rows.shape).swapaxes(-1, -2)
+    return np.negative(matrix, out=matrix)
 
 
 # -- the invariant tangent span -----------------------------------------------

@@ -53,7 +53,7 @@ class ProductSpace:
     def proj_v(self, X: np.ndarray) -> np.ndarray:
         """Zero-block-sum part of an element or of each element of a (..., n, dim) stack."""
         X = self._check(X, stack=True)
-        return X - self.proj_h(X)
+        return X - X.sum(axis=-2, keepdims=True) / self.n
 
     def in_v(self, X: np.ndarray, tol: float = 1e-10) -> bool:
         return self.base.norm(self.momentum(X)) <= tol

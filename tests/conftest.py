@@ -81,13 +81,16 @@ class _OneRow:
     def __init__(self, domain, value, gradient):
         self.domain, self.value, self.gradient = domain, value, gradient
 
-    def values(self, X):
+    def _each(self, fn, X, shape):
         point = X.shape[-1:] if self.domain == "k" else X.shape[-2:]
-        values = [self.value(x) for x in X.reshape(-1, *point)]
-        return np.array(values, dtype=float).reshape(*X.shape[: X.ndim - len(point)], 1)
+        out = [fn(x) for x in X.reshape(-1, *point)]
+        return np.array(out, dtype=float).reshape(*X.shape[: X.ndim - len(point)], *shape(point))
+
+    def values(self, X):
+        return self._each(self.value, X, lambda point: (1,))
 
     def gradients(self, X):
-        return np.asarray(self.gradient(X), dtype=float)[None]
+        return self._each(self.gradient, X, lambda point: (1, *point))
 
 
 @pytest.fixture(scope="session")

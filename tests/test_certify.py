@@ -23,7 +23,7 @@ from flagshift.certify import (
     verify_lemma1,
     verify_span_inclusion,
 )
-from flagshift.certify import _draw, _gated_draws, _largest_principal_angle, _measure_at_generic_points, _residual_report
+from flagshift.certify import _draw, _largest_principal_angle, _measure_at_generic_points, _residual_report, _rounds
 from flagshift.errors import ConfigurationError, GenericityError
 from flagshift.families import (
     PolynomialFamily,
@@ -57,15 +57,24 @@ def test_generic_point_exhausts_retries(su2n3):
         generic_point(su2n3, [5, 5], "g", policy=impossible)
 
 
+def _accepted_draw(ctx, trial, domain):
+    """(entropy, X) of the trial's first draw that passes the gates."""
+    for retry in range(ctx.policy.max_retries + 1):
+        entropy = [ctx.seed, trial, retry]
+        ((X, _),) = ctx._points.draw([entropy], domain)
+        if X is not None:
+            return entropy, X
+
+
 def test_sampler_resamples_marginal_measurements(su2n3):
     # The first k gated draws are flagged marginal; the witness records the
     # burned retries and the accepted point is the draw for [seed, trial, k].
     k = 3
     seen = []
 
-    def measure(X, entropy):
-        seen.append((list(entropy), X))
-        return len(seen), len(seen) <= k, {}
+    def measure(Xs, entropies):
+        seen.extend(zip(map(list, entropies), Xs))
+        return [(len(seen), len(seen) <= k, {}) for _ in Xs]
 
     policy = RankPolicy()
     ctx = ClaimContext(su2n3, seed=9, trials=1, policy=policy)
@@ -81,13 +90,14 @@ def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
     ctx = ClaimContext(su2n3, seed=9, trials=2, policy=policy)
     seen = []
 
-    def measure(X, entropy):
-        seen.append(list(entropy))
-        return 0, True, {}
+    def measure(Xs, entropies):
+        seen.extend(map(list, entropies))
+        return [(0, True, {}) for _ in Xs]
 
     with pytest.raises(GenericityError, match=r"domain 'g'.*\[9, 0, r\], r = 0\.\.3"):
         _measure_at_generic_points(ctx, "g", measure)
-    assert seen == [[9, 0, r] for r in range(policy.max_retries + 1)]
+    # each round measures every open trial in one call; trial 0 is named
+    assert seen == [[9, t, r] for r in range(policy.max_retries + 1) for t in range(2)]
 
 
 def test_genericity_error_names_the_gate_that_rejected_each_draw(su2):
@@ -105,13 +115,14 @@ def test_genericity_error_names_the_gate_that_rejected_each_draw(su2):
 def test_a_witness_names_the_gate_that_rejected_each_retry(su2n3, monkeypatch):
     from flagshift import certify
 
-    gate = certify._failed_gate
+    gates = certify._failed_gates
     irregular = _draw(su2n3, [42, 0, 0], "g")
 
-    def first_draw_irregular(context, X, domain, policy):
-        return "block regularity" if np.array_equal(X, irregular) else gate(context, X, domain, policy)
+    def first_draw_irregular(context, Xs, domain, policy, entropies):
+        found = gates(context, Xs, domain, policy, entropies)
+        return ["block regularity" if np.array_equal(X, irregular) else gate for X, gate in zip(Xs, found)]
 
-    monkeypatch.setattr(certify, "_failed_gate", first_draw_irregular)
+    monkeypatch.setattr(certify, "_failed_gates", first_draw_irregular)
     (report,) = run_claims(ClaimContext(su2n3, trials=3), ["dimB"])
     assert report.passed
     assert report.witnesses[0] == {"trial": 0, "retries": 1, "rejected": ["block regularity"], "ddim": 5}
@@ -120,25 +131,64 @@ def test_a_witness_names_the_gate_that_rejected_each_retry(su2n3, monkeypatch):
 
     # gates and marginal measurements in the order the retries were burned
     ctx = ClaimContext(su2n3, trials=1)
-    values, witnesses = _measure_at_generic_points(ctx, "g", lambda X, entropy: (0, entropy[-1] < 2, {}))
+    values, witnesses = _measure_at_generic_points(
+        ctx, "g", lambda Xs, entropies: [(0, entropy[-1] < 2, {}) for entropy in entropies]
+    )
     assert witnesses == [
         {"trial": 0, "retries": 2, "rejected": ["block regularity", "marginal measurement"]}
     ]
 
 
+def test_rounds_resample_only_the_trials_that_came_back_marginal(su2n3):
+    # trial 1 is marginal at r = 0, trial 3 at r = 0 and 1: round 1 measures
+    # trials 1 and 3, round 2 trial 3 alone, each round in one call
+    ctx = ClaimContext(su2n3, seed=9, trials=5)
+    calls = []
+
+    def measure(Xs, entropies):
+        calls.append([tuple(entropy) for entropy in entropies])
+        for X, entropy in zip(Xs, entropies):
+            assert np.array_equal(X, _draw(su2n3, entropy, "g"))
+        marginal = {(9, 1, 0), (9, 3, 0), (9, 3, 1)}
+        return [(tuple(e), tuple(e) in marginal, {"seen": e[-1]}) for e in entropies]
+
+    values, witnesses = _measure_at_generic_points(ctx, "g", measure)
+    assert calls == [[(9, t, 0) for t in range(5)], [(9, 1, 1), (9, 3, 1)], [(9, 3, 2)]]
+    assert values == [(9, 0, 0), (9, 1, 1), (9, 2, 0), (9, 3, 2), (9, 4, 0)]
+    assert witnesses == [
+        {"trial": 0, "retries": 0, "seen": 0},
+        {"trial": 1, "retries": 1, "rejected": ["marginal measurement"], "seen": 1},
+        {"trial": 2, "retries": 0, "seen": 0},
+        {"trial": 3, "retries": 2, "rejected": ["marginal measurement"] * 2, "seen": 2},
+        {"trial": 4, "retries": 0, "seen": 0},
+    ]
+
+
+def test_running_out_of_draws_names_the_lowest_trial(su2n3):
+    # trials 1 and 2 never give a measurement that is not marginal; the
+    # message is the one a single trial gives, for trial 1
+    ctx = ClaimContext(su2n3, seed=9, trials=3, policy=RankPolicy(max_retries=2))
+    with pytest.raises(GenericityError) as error:
+        _measure_at_generic_points(ctx, "g", lambda Xs, entropies: [(0, e[1] > 0, {}) for e in entropies])
+    assert str(error.value) == (
+        "no generic point in domain 'g' was accepted from seed entropy [9, 1, r], r = 0..2; "
+        "rejected by marginal measurement (r = 0, 1, 2)"
+    )
+
+
 def test_genericity_error_names_marginal_measurements(su2n3):
     ctx = ClaimContext(su2n3, seed=9, trials=1, policy=RankPolicy(max_retries=2))
     with pytest.raises(GenericityError, match=r"rejected by marginal measurement \(r = 0, 1, 2\)$"):
-        _measure_at_generic_points(ctx, "g", lambda X, entropy: (0, True, {}))
+        _measure_at_generic_points(ctx, "g", lambda Xs, entropies: [(0, True, {}) for _ in Xs])
 
 
 def test_generic_points_are_read_only(su2n3):
-    def measure(X, entropy):
-        X[0, 0] = 1.0
-        return 0.0, False, {}
+    def measure(Xs, entropies):
+        Xs[0, 0, 0] = 1.0
+        return [(0.0, False, {}) for _ in Xs]
 
     with pytest.raises(ValueError, match="read-only"):
-        _measure_at_generic_points(ClaimContext(su2n3, trials=1), "v", measure)
+        _measure_at_generic_points(ClaimContext(su2n3, trials=2), "v", measure)
     with pytest.raises(ValueError, match="read-only"):
         generic_point(su2n3, [5, 1], "g")[0, 0] = 1.0
 
@@ -146,19 +196,19 @@ def test_generic_points_are_read_only(su2n3):
 def test_a_run_draws_and_gates_each_point_once(su2n3, monkeypatch):
     from flagshift import certify
 
-    draw, gate = certify._draw, certify._failed_gate
+    draw, gate = certify._draw, certify._failed_gates
     draws, gates = Counter(), Counter()
 
     def counted_draw(context, entropy, domain):
         draws[domain, tuple(entropy)] += 1
         return draw(context, entropy, domain)
 
-    def counted_gate(context, X, domain, policy):
-        gates[domain, X.tobytes()] += 1
-        return gate(context, X, domain, policy)
+    def counted_gate(context, Xs, domain, policy, entropies):
+        gates.update((domain, X.tobytes()) for X in Xs)
+        return gate(context, Xs, domain, policy, entropies)
 
     monkeypatch.setattr(certify, "_draw", counted_draw)
-    monkeypatch.setattr(certify, "_failed_gate", counted_gate)
+    monkeypatch.setattr(certify, "_failed_gates", counted_gate)
     reports = run_claims(ClaimContext(su2n3), ["all"])
     assert len(reports) == 14 and all(r.passed for r in reports)
     assert {("g", (42, t, 0)) for t in range(10)} | {("v", (42, t, 0)) for t in range(7)} <= set(draws)
@@ -184,14 +234,14 @@ def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monke
     monkeypatch.setattr(certify, "invariant_tangent_span", counted_span)
     ctx = ClaimContext(su2n3, trials=4)
     run_claims(ctx, ["lemma1", "thm3"])
-    # thm3.ddim, thm3.involutive and thm3.span_inclusion read one stack per
-    # point; lemma1 and thm3.span_inclusion one span per point
-    assert calls == {"flag_shift_v": 4, "span": 4}
+    # thm3.ddim, thm3.involutive and thm3.span_inclusion read one gradient
+    # stack for the four points; lemma1 and thm3.span_inclusion one span per point
+    assert calls == {"flag_shift_v": 1, "span": 4}
     # outside a claim nothing is shared, and the run left nothing behind
     calls.clear()
     check_involutive(ctx, flag_shift_family(su2n3))
     check_involutive(ctx, flag_shift_family(su2n3))
-    assert calls == {"flag_shift": 8}
+    assert calls == {"flag_shift": 2}
     assert ctx._points._gradients is None and not ctx._points._spans
 
 
@@ -274,7 +324,7 @@ def test_check_ad_invariance_reads_one_stack_per_point(m, monkeypatch):
         # oracle: one values call per point, ten adjoint actions drawn in order
         worst = []
         for trial in range(3):
-            entropy, X, _ = next(_gated_draws(ctx._points, [ctx.seed, trial], family.domain))
+            entropy, X = _accepted_draw(ctx, trial, family.domain)
             rng = np.random.default_rng(entropy + [7919])
             base = family.values(X)
             moved = (space.diagonal_adjoint(space.base.random_element(rng, 0.8), X) for _ in range(10))
@@ -570,7 +620,7 @@ def test_the_ddim_rank_is_the_row_space_rank(m, n):
     flag = flag_shift_family(space)
     for family in (flag, restrict_family(space, flag)):
         for trial in range(ctx.trials):
-            _, X, _ = next(_gated_draws(ctx._points, [ctx.seed, trial], family.domain))
+            _, X = _accepted_draw(ctx, trial, family.domain)
             unit = _unit_rows(family.gradients(X).reshape(len(family), -1))
             basis, marginal = row_space(unit)
             assert tuple(numerical_rank(unit)) == (basis.shape[0], marginal)
@@ -584,6 +634,8 @@ def test_the_ddim_rank_is_the_row_space_rank(m, n):
         ({"tol_bracket": float("nan")}, "tol_bracket"),
         ({"policy": RankPolicy(rel_tol=0.0)}, "policy.rel_tol"),
         ({"seed": -1}, "seed"),
+        ({"tol_bracket": float("inf")}, "tol_bracket"),
+        ({"policy": RankPolicy(rel_tol=float("inf"))}, "policy.rel_tol"),
     ],
 )
 def test_claim_context_rejects_unusable_settings(su2n3, settings, named):

@@ -376,6 +376,71 @@ def test_report_prints_non_finite_values(tmp_path, capsys):
     assert "0/2 certificates passed" in lines[-1]
 
 
+def _strict_json(text: str):
+    """Parse RFC 8259 JSON, which has no NaN or Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_failure_record_is_strict_json_with_null_numbers(tmp_path, capsys):
+    out = tmp_path / "nan.json"
+    argv = ["certify", "--claims", "lemma1", "--algebra", "su2", "--n", "3", "--tol-rank", "0.5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    (row,) = _strict_json(out.read_text())["claims"]
+    assert row["pass"] is False and "error" in row
+    assert row["formula_value"] is None and row["measured_value"] is None
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("lemma1")]
+    assert line.split()[3:5] == ["n/a", "n/a"] and line.endswith("FAIL")
+
+
+def test_non_finite_residuals_witnesses_and_drifts_are_null(tmp_path, monkeypatch):
+    from flagshift import certify, dynamics
+
+    def thm3(ctx):
+        inf, nan = float("inf"), float("nan")
+        witness = {"trial": 0, "retries": 0, "defect": nan, "max_angle": 0.5, "constructions_agree": False}
+        return [
+            certify.CertificateReport("thm3.span_inclusion", "su2", 3, 42, 1, 0.0, inf, 1e-9, False, (witness,)),
+            certify.CertificateReport("thm3.involutive", "su2", 3, 42, 1, 0.0, nan, 1e-9, False, ()),
+        ]
+
+    monkeypatch.setitem(certify._REGISTRY, "thm3", thm3)
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--claims", "thm3", "--out", str(out)]) == 1
+    rows = _strict_json(out.read_text())["claims"]
+    assert [row["measured_value"] for row in rows] == [None, None]
+    assert rows[0]["witnesses"][0]["defect"] is None and rows[0]["witnesses"][0]["max_angle"] == 0.5
+
+    monkeypatch.setattr(dynamics, "momentum_drift", lambda trajectory: float("nan"))
+    summary = tmp_path / "summary.json"
+    assert main(["flow", "--t-end", "0.01", "--summary", str(summary)]) == 0
+    assert _strict_json(summary.read_text())["momentum_drift"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "--claims", "lemma1", "--out"], ["flow", "--t-end", "0.01", "--csv"],
+     ["flow", "--t-end", "0.01", "--summary"]],
+    ids=["certify-out", "flow-csv", "flow-summary"],
+)
+def test_an_output_directory_that_does_not_exist_is_refused_first(argv, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no space is built and no claim or flow runs")
+
+    for name in ("_build_space", "run_claims"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.dynamics, "integrate", never)
+    path = tmp_path / "missing" / "dir" / "out.file"
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: cannot write {path}: its directory does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_all_passing(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", "--claims", "lemma1", "--out", str(out)]) == 0
@@ -512,8 +577,10 @@ def test_an_empty_claim_selection_is_refused(tmp_path, capsys):
         {"claims": [{"claim_id": "lemma1.ddim", "algebra": "su2"}]},
         {"claims": [{"claim_id": 5, "algebra": "su2", "n": 3, "measured_value": 3, "formula_value": 3,
                      "tolerance": 0, "pass": True}]},
+        {"claims": [{"claim_id": "lemma1.ddim", "algebra": "su2", "n": 3, "measured_value": None,
+                     "formula_value": 3, "tolerance": 0, "pass": True}]},
     ],
-    ids=["top-level-array", "claims-not-a-list", "row-without-pass", "claim-id-not-a-string"],
+    ids=["top-level-array", "claims-not-a-list", "row-without-pass", "claim-id-not-a-string", "null-on-a-pass"],
 )
 def test_report_skips_documents_it_cannot_render(document, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -522,3 +522,31 @@ def test_family_values_on_a_stack_match_points(m, n, casimirs, own_member):
         assert np.array_equal(family.values(stack), per_point), family.name
         nested = family.values(stack.reshape(2, 3, n, space.base.dim))
         assert np.array_equal(nested, per_point.reshape(2, 3, -1)), family.name
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 3), (5, 4)])
+def test_family_gradients_on_a_stack_match_points(m, n, own_member):
+    # the gradients of a (S, n, dim) stack, or of a nested (2, S, n, dim) one,
+    # are bit for bit those of one call per point: flag-shift, restricted,
+    # Gaudin, flag-momentum and momentum-coordinate families, and a merged
+    # family whose ad-hoc member is called point by point
+    space = ProductSpace(build_algebra("su", m), n)
+    rng = np.random.default_rng(10 * m + n)
+    stack = np.stack([space.random_point(rng) for _ in range(6)])
+    pair = own_member(
+        "pair[0,1]", "g", lambda X: space.base.pair(X[0], X[1]), lambda X: np.stack([X[1], X[0], *X[2:] * 0.0])
+    )
+    families = (
+        flag_shift_family(space),
+        restrict_family(space, flag_shift_family(space)),
+        gaudin_family(space, np.arange(1.0, n + 1.0)),
+        flag_momentum_family(space, generic_point(space.base, [42, 7], "k"), flag_shift_family(space)),
+        momentum_coordinates(space),
+        PolynomialFamily.merge("merged", flag_shift_family(space), PolynomialFamily("adhoc", "g", (pair,))),
+    )
+    for family in families:
+        per_point = np.array([family.gradients(X) for X in stack])
+        assert per_point.shape == (len(stack), len(family), n, space.base.dim)
+        assert np.array_equal(family.gradients(stack), per_point), family.name
+        nested = family.gradients(stack.reshape(2, 3, n, space.base.dim))
+        assert np.array_equal(nested, per_point.reshape(2, 3, *per_point.shape[1:])), family.name

@@ -302,3 +302,19 @@ def test_bracket_kernel_matches_structure_constant_oracles(m, n):
     pairs = np.einsum("ip,pqk,jq->ijk", X, space.base.structure, X)
     expected = np.einsum("ij,ijk->ik", np.outer(1.0 / a, 1.0 / a), pairs)
     assert np.abs(gaudin_field(space, a, X) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 3), (5, 4)])
+def test_bivector_on_a_stack_matches_each_point_bitwise(m, n):
+    # (P, n, dim) points with (P, count, n, dim) generators: each matrix is the
+    # single-point one bit for bit, with and without block weights
+    space = ProductSpace(build_algebra("su", m), n)
+    rng = np.random.default_rng(100 * m + n)
+    Xs = np.stack([space.random_point(rng) for _ in range(5)])
+    family = restrict_family(space, flag_shift_family(space))
+    for gens in (family.gradients(space.proj_v(Xs)), rng.normal(size=(5, 7, n, space.base.dim)), np.zeros((5, 0, n, space.base.dim))):
+        for weights in (None, rng.uniform(0.5, 2.0, n)):
+            stacked = bivector_on_span(space, Xs, gens, weights)
+            assert stacked.shape == (5, gens.shape[1], gens.shape[1])
+            for X, g, matrix in zip(Xs, gens, stacked):
+                assert np.array_equal(matrix, bivector_on_span(space, X, g, weights))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flagshift import ProductSpace, build_algebra
-from flagshift.certify import _failed_gate
+from flagshift.certify import _failed_gates
 from flagshift.errors import ConfigurationError
 from flagshift.ranks import DEFAULT_POLICY, numerical_rank
 
@@ -92,14 +92,18 @@ def test_isotropy_dimensions(su3n3, su3):
     rng = np.random.default_rng(5)
     X = su3n3.random_point(rng)
     assert [su3.isotropy_dim(x) for x in X] == [2, 2, 2]
-    assert _failed_gate(su3n3, X, "g", DEFAULT_POLICY) is None
+    assert _failed_gates(su3n3, X[None], "g", DEFAULT_POLICY, [[5]]) == [None]
     x = su3.random_element(rng)
     tiled = np.tile(x, (3, 1))
     # equal blocks are each regular but share their rank-2 centralizer
     assert su3.isotropy_dim(x) == 2
-    assert _failed_gate(su3, x, "k", DEFAULT_POLICY) is None
+    assert _failed_gates(su3, x[None], "k", DEFAULT_POLICY, [[5]]) == [None]
     assert su3.dim - numerical_rank(np.vstack(su3.ads(tiled))).rank == 2
-    assert _failed_gate(su3n3, tiled, "g", DEFAULT_POLICY) == "diagonal centralizer"
+    # one stack gates each point on its own
+    stack = np.stack([X, tiled, np.tile(np.zeros(su3.dim), (3, 1)), X])
+    assert _failed_gates(su3n3, stack, "g", DEFAULT_POLICY, [[5, r] for r in range(4)]) == [
+        None, "diagonal centralizer", "block regularity", None
+    ]
 
 
 def test_pair_is_blockwise_killing(su2n3, su2):
