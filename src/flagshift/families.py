@@ -167,13 +167,14 @@ class _SeriesTraces:
         # Im z = Re(-i z): one phase per entry picks the part that degree reads.
         table = (series, m - 1, order)
         value_map, gradient_map = np.zeros((self.size, *table)), np.zeros((self.size, blocks, *table))
-        for f, entry in enumerate(select):
-            if entry is None:
-                continue
-            q, d, k = entry
-            value_map[f, q, d - 2, k] = 1.0
-            for l in range(min(k + 1, terms)):
-                gradient_map[f, :, q, d - 2, k - l] += d * combo[q, l]
+        # Member f reading (q, d, k) takes the trace (q, d - 2, k); term l of its gradient,
+        # d combo[q, l], lands on (q, d - 2, k - l), and no two terms of one member share an entry.
+        f = np.array([f for f, entry in enumerate(select) if entry is not None], dtype=int)
+        q, d, k = np.array([select[i] for i in f], dtype=int).reshape(-1, 3).T
+        value_map[f, q, d - 2, k] = 1.0
+        for l in range(terms):
+            at = k >= l
+            gradient_map[f[at], :, q[at], d[at] - 2, k[at] - l] += d[at, None] * combo[q[at], l]
         self._phase = np.broadcast_to(np.where(np.arange(2, m + 1) % 2 == 0, 1.0, -1.0j)[:, None], table).ravel()
         gradient_map = gradient_map.reshape(self.size * blocks, -1)
         self._used = np.flatnonzero(gradient_map.any(axis=0))
