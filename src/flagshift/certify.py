@@ -10,7 +10,10 @@ certificate loudly instead of being averaged away.  A certificate measures
 all of its open trials at once: each retry round gates the fresh draws as
 one stack and measures the accepted points as one stack, while every rank
 is still decided on its own matrix.  Within one run every seeded point is
-drawn and gated once and shared by the certificates that read it.
+drawn and gated once and shared by the certificates that read it.  Only
+the sampling layer names a point's seed entropy: a gate or measurement
+call on a stack that raises a LinAlgError runs again one point at a time,
+in trial order, and the first point that fails is named.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
     return context.random_v_point(rng)
 
 
-def _failed_gates(context, Xs: np.ndarray, domain: str, policy: RankPolicy, entropies: list) -> list[str | None]:
+def _failed_gates(context, Xs: np.ndarray, domain: str, policy: RankPolicy) -> list[str | None]:
     """The first genericity gate each point of a stack fails, or None.
 
     Every block must be regular; on the product the blocks must also share
@@ -181,34 +184,35 @@ def _failed_gates(context, Xs: np.ndarray, domain: str, policy: RankPolicy, entr
     centralizer one SVD per point.
     """
     algebra = context if isinstance(context, LieAlgebra) else context.base
-    dims, marginal = _at_entropies(entropies, algebra.isotropy, Xs, policy)
+    dims, marginal = algebra.isotropy(Xs, policy)
     irregular = (marginal | (dims != algebra.rank)).reshape(len(Xs), -1).any(axis=1)
     gates = []
-    for entropy, X, bad in zip(entropies, Xs, irregular):
+    for X, bad in zip(Xs, irregular):
         gate = "block regularity" if bad else None
         if gate is None and domain != "k":
-            result = _at_entropy(entropy, numerical_rank, np.vstack(algebra.ads(X)), policy)
+            result = numerical_rank(np.vstack(algebra.ads(X)), policy)
             if result.marginal or result.rank != algebra.dim:
                 gate = "diagonal centralizer"
         gates.append(gate)
     return gates
 
 
-def _at_entropy(entropy: list[int], fn: Callable, *args):
-    """fn(*args), naming the seed entropy in a LinAlgError it raises."""
-    try:
-        return fn(*args)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{exc} (seed entropy {entropy})") from exc
+def _naming_entropy(fn: Callable, Xs: np.ndarray, entropies: list) -> list:
+    """``list(fn(Xs, entropies))`` on a stack of seeded points.
 
-
-def _at_entropies(entropies: list, fn: Callable, points: np.ndarray, *args):
-    """fn(points, *args) on a stack; a LinAlgError names the entropy of the first point that raises it alone."""
+    Only when that raises a LinAlgError, ``fn`` runs again one point at a
+    time in trial order, and the first failure is re-raised as
+    "<message> (seed entropy [...])"; if no single point fails, the stack's
+    own error is re-raised.
+    """
     try:
-        return fn(points, *args)
+        return list(fn(Xs, entropies))  # a list, so that a lazy fn raises inside the try
     except np.linalg.LinAlgError:
-        for entropy, point in zip(entropies, points):
-            _at_entropy(entropy, fn, point, *args)
+        for i, entropy in enumerate(entropies):
+            try:
+                list(fn(Xs[i : i + 1], entropies[i : i + 1]))
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"{exc} (seed entropy {entropy})") from exc
         raise
 
 
@@ -237,7 +241,8 @@ class _Points:
         if new:
             Xs = np.stack([_draw(self.context, entropy, domain) for entropy in new])
             Xs.flags.writeable = False
-            for entropy, X, gate in zip(new, Xs, _failed_gates(self.context, Xs, domain, self.policy, new)):
+            gates = _naming_entropy(lambda stack, _: _failed_gates(self.context, stack, domain, self.policy), Xs, new)
+            for entropy, X, gate in zip(new, Xs, gates):
                 self._draws[domain, tuple(entropy)] = (None, gate) if gate else (X, None)
         return [self._draws[key] for key in keys]
 
@@ -280,8 +285,9 @@ def _rounds(points: _Points, prefixes: list[list[int]], domain: str, measure) ->
 
     Round r draws and gates the entropy [*prefix, r] of every prefix still
     open, for r = 0 .. policy.max_retries, and calls ``measure(Xs, entropies)``
-    once on the read-only stack of the accepted points.  It returns one
-    (value, marginal, extra) per point; a marginal result discards the point
+    once on the read-only stack of the accepted points, through
+    ``_naming_entropy``.  It gives one (value, marginal, extra) per point, in
+    a list or lazily; a marginal result discards the point
     and burns a retry, exactly like a failed genericity gate.  A witness that
     burned retries names the gate that rejected each one, in order.  A prefix
     that runs out of draws raises a GenericityError naming the domain, the
@@ -305,7 +311,7 @@ def _rounds(points: _Points, prefixes: list[list[int]], domain: str, measure) ->
         ts, measured, Xs = zip(*accepted)
         Xs = np.stack(Xs)
         Xs.flags.writeable = False
-        for t, (value, marginal, extra) in zip(ts, measure(Xs, list(measured))):
+        for t, (value, marginal, extra) in zip(ts, _naming_entropy(measure, Xs, list(measured))):
             if marginal:
                 rejected[t].append("marginal measurement")
             else:
@@ -341,17 +347,6 @@ def _measure_at_generic_points(ctx: ClaimContext, domain: str, measure) -> tuple
     return _rounds(ctx._points, [[ctx.seed, trial] for trial in range(ctx.trials)], domain, measure)
 
 
-def _each(entropies: list, fn: Callable, *stacks) -> list:
-    """fn at each point, on the point's slices of ``stacks``; a LinAlgError names the point's entropy."""
-    return [_at_entropy(entropy, fn, *args) for entropy, *args in zip(entropies, *stacks)]
-
-
-def _modal(values: list) -> tuple:
-    counts = Counter(values)
-    value, _ = counts.most_common(1)[0]
-    return value, len(counts) == 1
-
-
 # -- bivector kernel -----------------------------------------------------------
 
 
@@ -384,10 +379,11 @@ def _residual_report(ctx, claim_id, values, tol, witnesses, ok=True) -> Certific
 
 def _int_report(ctx, claim_id, formula, values, witnesses) -> CertificateReport:
     """Modal integer over the trials against a closed form; trials must agree."""
-    value, unanimous = _modal(values)
+    counts = Counter(values)
+    value, _ = counts.most_common(1)[0]
     return CertificateReport(
         claim_id, ctx.space.base.name, ctx.space.n, ctx.seed, len(values),
-        int(formula), int(value), 0.0, unanimous and int(value) == int(formula), tuple(witnesses),
+        int(formula), int(value), 0.0, len(counts) == 1 and int(value) == int(formula), tuple(witnesses),
     )
 
 
@@ -438,15 +434,13 @@ def check_ad_invariance(
     """
     space = ctx.space
 
-    def measure_one(X, entropy):
-        rng = np.random.default_rng(entropy + [7919])
-        moved = [space.diagonal_adjoint(space.base.random_element(rng, 0.8), X) for _ in range(10)]
-        stacked = family.values(np.stack([X, *moved]))
-        worst = float((np.abs(stacked[1:] - stacked[0]) / (1.0 + np.abs(stacked[0]))).max())
-        return worst, False, {"residual": worst}
-
     def measure(Xs, entropies):
-        return _each(entropies, measure_one, Xs, entropies)
+        for X, entropy in zip(Xs, entropies):
+            rng = np.random.default_rng(entropy + [7919])
+            moved = [space.diagonal_adjoint(space.base.random_element(rng, 0.8), X) for _ in range(10)]
+            stacked = family.values(np.stack([X, *moved]))
+            worst = float((np.abs(stacked[1:] - stacked[0]) / (1.0 + np.abs(stacked[0]))).max())
+            yield worst, False, {"residual": worst}
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
     return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
@@ -464,15 +458,14 @@ def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateRepo
     space, policy = ctx.space, ctx.policy
     target_ddim, target_dind = lemma1_targets(space)
 
-    def measure_one(X, entropy):
-        span, marginal = ctx._points.tangent_span(entropy, X)
-        if marginal:
-            return (0, 0), True, {}
-        dind, marginal = _kernel_dim(space, X, span, policy)
-        return (span.shape[0], dind), marginal, {"ddim": span.shape[0], "dind": dind}
-
     def measure(Xs, entropies):
-        return _each(entropies, measure_one, Xs, entropies)
+        for X, entropy in zip(Xs, entropies):
+            span, marginal = ctx._points.tangent_span(entropy, X)
+            if marginal:
+                yield (0, 0), True, {}
+                continue
+            dind, marginal = _kernel_dim(space, X, span, policy)
+            yield (span.shape[0], dind), marginal, {"ddim": span.shape[0], "dind": dind}
 
     values, witnesses = _measure_at_generic_points(ctx, "v", measure)
     ddims, dinds = zip(*values)
@@ -499,23 +492,23 @@ def verify_completeness(
         raise ConfigurationError(f"unknown completeness mode {mode!r}")
     space, policy = ctx.space, ctx.policy
 
-    def measure_one(gens, X):
-        # Unit rows: gradients of degree 2 and degree m members differ by decades.
-        rows = gens.reshape(len(family), -1)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        rows = rows / np.where(norms > 0.0, norms, 1.0)
-        if mode == "ddim":  # the rank alone: singular values, no basis
-            span_dim, marginal = numerical_rank(rows, policy)
-            return span_dim, marginal, {"ddim": span_dim}
-        basis, marginal = row_space(rows, policy)
-        if marginal:
-            return 0, True, {}
-        span = basis.reshape(-1, space.n, space.base.dim)
-        dind, marginal = _kernel_dim(space, X, span, policy)
-        return len(span) + dind, marginal, {"ddim": len(span), "dind": dind}
-
     def measure(Xs, entropies):
-        return _each(entropies, measure_one, ctx._points.gradients(family, entropies, Xs), Xs)
+        for gens, X in zip(ctx._points.gradients(family, entropies, Xs), Xs):
+            # Unit rows: gradients of degree 2 and degree m members differ by decades.
+            rows = gens.reshape(len(family), -1)
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
+            rows = rows / np.where(norms > 0.0, norms, 1.0)
+            if mode == "ddim":  # the rank alone: singular values, no basis
+                span_dim, marginal = numerical_rank(rows, policy)
+                yield span_dim, marginal, {"ddim": span_dim}
+                continue
+            basis, marginal = row_space(rows, policy)
+            if marginal:
+                yield 0, True, {}
+                continue
+            span = basis.reshape(-1, space.n, space.base.dim)
+            dind, marginal = _kernel_dim(space, X, span, policy)
+            yield len(span) + dind, marginal, {"ddim": len(span), "dind": dind}
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
     return _int_report(ctx, claim_id, target, values, witnesses)
@@ -546,17 +539,6 @@ def verify_span_inclusion(
         raise ConfigurationError("span inclusion applies to restricted families")
     space, policy = ctx.space, ctx.policy
 
-    def agreement(X, entropy):
-        direct, marginal_a = ctx._points.tangent_span(entropy, X)
-        ortho, marginal_b = tangent_span_orthocomplement(space, X, policy)
-        if marginal_a or marginal_b:
-            return None
-        same_dim = direct.shape[0] == ortho.shape[0]
-        max_angle = _largest_principal_angle(
-            direct.reshape(direct.shape[0], -1).T, ortho.reshape(ortho.shape[0], -1).T
-        )
-        return direct.shape[0], max_angle, same_dim and max_angle <= 1e-6
-
     def measure(Xs, entropies):
         etas = ctx._points.gradients(family, entropies, Xs)
         norms = space.norms(etas)
@@ -565,26 +547,25 @@ def verify_span_inclusion(
         sizes = np.array([space.norm(X) for X in Xs])[:, None] * np.where(keep, norms, 1.0)
         defects = space.norms(space.proj_h(moved)) / sizes
         del moved
-        results = []
-        for defect, kept, agreed in zip(defects, keep, _each(entropies, agreement, Xs, entropies)):
-            if agreed is None:
-                results.append((0.0, True, {}))
+        for X, entropy, defect, kept in zip(Xs, entropies, defects, keep):
+            direct, marginal_a = ctx._points.tangent_span(entropy, X)
+            ortho, marginal_b = tangent_span_orthocomplement(space, X, policy)
+            if marginal_a or marginal_b:
+                yield 0.0, True, {}
                 continue
             worst = float(defect[kept].max(initial=0.0))
-            span_dim, max_angle, ok = agreed
-            extra = {"defect": worst, "span_dim": span_dim, "max_angle": max_angle, "constructions_agree": bool(ok)}
-            results.append((worst if ok else float("inf"), False, extra))
-        return results
+            max_angle = _largest_principal_angle(
+                direct.reshape(direct.shape[0], -1).T, ortho.reshape(ortho.shape[0], -1).T
+            )
+            ok = direct.shape[0] == ortho.shape[0] and max_angle <= 1e-6
+            extra = {"defect": worst, "span_dim": direct.shape[0], "max_angle": max_angle, "constructions_agree": ok}
+            yield (worst if ok else float("inf")), False, extra
 
     values, witnesses = _measure_at_generic_points(ctx, "v", measure)
     return _residual_report(ctx, claim_id, values, ctx.tol_bracket, witnesses)
 
 
 # -- claims registry ---------------------------------------------------------
-
-
-def _claim_lemma1(ctx: ClaimContext) -> list[CertificateReport]:
-    return list(verify_lemma1(ctx))
 
 
 def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
@@ -625,14 +606,12 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     family = gaudin_family(space, weights)
     ham = dynamics.gaudin_hamiltonian(space, weights)
 
-    def measure_one(X):
-        via_sum = dynamics.gaudin_field(space, weights, X)
-        via_euler = dynamics.euler_field(space, ham, X)
-        residual = space.norm(via_sum - via_euler) / (1.0 + space.norm(via_euler))
-        return residual, False, {"residual": residual}
-
     def measure(Xs, entropies):
-        return _each(entropies, measure_one, Xs)
+        for X in Xs:
+            via_sum = dynamics.gaudin_field(space, weights, X)
+            via_euler = dynamics.euler_field(space, ham, X)
+            residual = space.norm(via_sum - via_euler) / (1.0 + space.norm(via_euler))
+            yield residual, False, {"residual": residual}
 
     values, witnesses = _measure_at_generic_points(replace(ctx, trials=10), "g", measure)
     reports = [
@@ -668,8 +647,8 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
     return reports
 
 
-_REGISTRY: dict[str, Callable[[ClaimContext], list[CertificateReport]]] = {
-    "lemma1": _claim_lemma1,
+_REGISTRY: dict[str, Callable[[ClaimContext], Sequence[CertificateReport]]] = {
+    "lemma1": verify_lemma1,
     "thm2i": _claim_thm2i,
     "thm2ii": _claim_thm2ii,
     "dimB": _claim_dimb,

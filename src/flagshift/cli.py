@@ -224,6 +224,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         },
         "claims": rows,
     }
+    if weights is not None:
+        document["config"]["gaudin_weights"] = list(weights)
     if args.out:
         _write_json(args.out, document)
 
@@ -293,6 +295,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     stride = _pick(args.stride, config, "stride", 10, int)
 
     space = _build_space(algebra, n)
+    if restrict_v and n < 3:
+        source = "--restrict-v" if args.restrict_v else "config key 'restrict_v'"
+        raise ConfigurationError(f"{source} needs n >= 3 (at n = 2 the zero-momentum slice has no generic point)")
     hamiltonian = _flow_hamiltonian(args, space, config)
     domain = "v" if restrict_v else "g"
     initial = generic_point(space, [seed, 17], domain)

@@ -1,34 +1,38 @@
-"""Names the traced benchmark patches from outside the package must exist.
+"""Names the benchmark reads from outside the package must exist.
 
 ``perfbench/spans.py`` replaces functions and methods of ``flagshift`` by
-name and wraps family members as they are constructed.  A refactor that
-renames one of those targets would break the traced benchmark; these
-checks make it fail here instead.  The spans module is only loaded, never
-edited.
+name and wraps family members as they are constructed, and
+``perfbench/workloads.py`` checks each document against the certificate ids
+it expects per claim.  A refactor that renames one of those targets, or
+renames or reorders a certificate, would break the benchmark; these checks
+make it fail here instead.  Both modules are only loaded, never edited.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from flagshift import ProductSpace, build_algebra
+from flagshift.certify import CLAIM_IDS, ClaimContext, run_claims
 from flagshift.cli import main
 from flagshift.families import FamilyMember, flag_shift_family
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their annotations through it
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_target_resolves():
-    spans = _spans()
+    spans = _load("spans")
     for module_name, fn_name in spans.FUNCTIONS:
         module = importlib.import_module(f"flagshift.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
@@ -42,7 +46,7 @@ def test_family_member_defines_its_own_post_init():
 
 
 def test_spans_install_count_and_uninstall(tmp_path):
-    spans = _spans()
+    spans = _load("spans")
     tracer = spans.Tracer()
     installed = spans.install(tracer)
     try:
@@ -64,3 +68,11 @@ def test_spans_install_count_and_uninstall(tmp_path):
     assert tracer.counters["dynamics.integrate.steps"] == 10
     assert tracer.counters["dynamics.integrate.samples"] == 2
     assert not hasattr(FamilyMember.__post_init__, "perfbench_span")
+
+
+def test_each_claim_gives_the_certificates_the_benchmark_expects():
+    certificates = _load("workloads").CERTIFICATES
+    assert tuple(certificates) == CLAIM_IDS
+    ctx = ClaimContext(ProductSpace(build_algebra("su", 2), 3), trials=2)
+    for claim, expected in certificates.items():
+        assert tuple(report.claim_id for report in run_claims(ctx, [claim])) == expected, claim

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flagshift import ProductSpace, build_algebra
+from flagshift.algebra import LieAlgebra
 from flagshift.certify import (
     CLAIM_IDS,
     CertificateReport,
@@ -118,8 +119,8 @@ def test_a_witness_names_the_gate_that_rejected_each_retry(su2n3, monkeypatch):
     gates = certify._failed_gates
     irregular = _draw(su2n3, [42, 0, 0], "g")
 
-    def first_draw_irregular(context, Xs, domain, policy, entropies):
-        found = gates(context, Xs, domain, policy, entropies)
+    def first_draw_irregular(context, Xs, domain, policy):
+        found = gates(context, Xs, domain, policy)
         return ["block regularity" if np.array_equal(X, irregular) else gate for X, gate in zip(Xs, found)]
 
     monkeypatch.setattr(certify, "_failed_gates", first_draw_irregular)
@@ -203,9 +204,9 @@ def test_a_run_draws_and_gates_each_point_once(su2n3, monkeypatch):
         draws[domain, tuple(entropy)] += 1
         return draw(context, entropy, domain)
 
-    def counted_gate(context, Xs, domain, policy, entropies):
+    def counted_gate(context, Xs, domain, policy):
         gates.update((domain, X.tobytes()) for X in Xs)
-        return gate(context, Xs, domain, policy, entropies)
+        return gate(context, Xs, domain, policy)
 
     monkeypatch.setattr(certify, "_draw", counted_draw)
     monkeypatch.setattr(certify, "_failed_gates", counted_gate)
@@ -214,6 +215,45 @@ def test_a_run_draws_and_gates_each_point_once(su2n3, monkeypatch):
     assert {("g", (42, t, 0)) for t in range(10)} | {("v", (42, t, 0)) for t in range(7)} <= set(draws)
     assert max(draws.values()) == 1 and max(gates.values()) == 1
     assert sum(gates.values()) == sum(draws.values())
+
+
+def test_a_gate_that_raises_on_one_point_names_its_entropy(su2n3, monkeypatch):
+    # the batched regularity gate fails on the stack of round 0; run again
+    # point by point in trial order, it fails at trial 1, which is named
+    isotropy = LieAlgebra.isotropy
+    bad = _draw(su2n3, [42, 1, 0], "g")
+    sizes = []
+
+    def fails_at_bad(self, xs, policy):
+        sizes.append(len(xs))
+        if any(np.array_equal(X, bad) for X in xs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return isotropy(self, xs, policy)
+
+    monkeypatch.setattr(LieAlgebra, "isotropy", fails_at_bad)
+    (report,) = run_claims(ClaimContext(su2n3, trials=3), ["dimB"])
+    assert report.error == "claim dimB: LinAlgError: Eigenvalues did not converge (seed entropy [42, 1, 0])"
+    assert sizes == [3, 1, 1]
+
+
+def test_a_rank_svd_that_raises_at_one_trial_names_its_entropy(su2n3, monkeypatch):
+    # dimB decides one rank per point; the SVD of trial 2's unit gradient rows fails
+    from flagshift import certify
+
+    family = flag_shift_family(su2n3)
+    rows = family.gradients(_draw(su2n3, [42, 2, 0], "g")[None])[0].reshape(len(family), -1)
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    rank = certify.numerical_rank
+
+    def fails_at_trial_2(matrix, policy, **kwargs):
+        if matrix.shape == rows.shape and np.allclose(matrix, rows, rtol=0.0, atol=1e-12):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return rank(matrix, policy, **kwargs)
+
+    monkeypatch.setattr(certify, "numerical_rank", fails_at_trial_2)
+    (report,) = run_claims(ClaimContext(su2n3), ["dimB"])
+    assert not report.passed and report.witnesses == ()
+    assert report.error == "claim dimB: LinAlgError: SVD did not converge (seed entropy [42, 2, 0])"
 
 
 def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monkeypatch):

@@ -327,6 +327,17 @@ def test_gaudin_weights_need_the_gaudin_claim(tmp_path, capsys):
     assert "config key 'gaudin_weights'" in capsys.readouterr().err
 
 
+def test_the_config_echoes_gaudin_weights_only_when_set(tmp_path):
+    # the document alone shows which spectral weights the gaudin claim certified
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gaudin_weights": [1, 2, 4], "claims": "gaudin", "trials": 2}))
+    weighted, default = tmp_path / "weighted.json", tmp_path / "default.json"
+    assert main(["certify", "--config", str(config), "--out", str(weighted)]) == 0
+    assert main(["certify", "--claims", "gaudin", "--trials", "2", "--out", str(default)]) == 0
+    assert _read_json(weighted)["config"]["gaudin_weights"] == [1.0, 2.0, 4.0]
+    assert "gaudin_weights" not in _read_json(default)["config"]
+
+
 _BAD_WEIGHTS = {"inf": "1,inf,2", "nan": "1,nan,2", "zero": "1,0,2", "subnormal": "1,1e-320,2", "short": "1,2"}
 
 
@@ -478,6 +489,25 @@ def test_flow_einstein_on_slice(tmp_path, capsys):
     assert lines[0].startswith("t,b1_1")
     # header, the t=0 record, then one record per ten of the 500 steps
     assert len(lines) == 1 + 1 + 500 // 10
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flow_on_the_slice_at_n2_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, source):
+    # at n = 2 the slice holds only (x, -x), so no draw could pass the gates
+    monkeypatch.setattr(cli, "generic_point", lambda *args, **kwargs: pytest.fail("drew a point"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restrict_v": True}))
+    argv = ["flow", "--model", "einstein", "--n", "2", "--csv", str(tmp_path / "t.csv"),
+            "--summary", str(tmp_path / "s.json")]
+    argv += ["--restrict-v"] if source == "flag" else ["--config", str(config)]
+    assert main(argv) == 2
+    named = "--restrict-v" if source == "flag" else "config key 'restrict_v'"
+    reason = "(at n = 2 the zero-momentum slice has no generic point)"
+    assert capsys.readouterr().err == f"configuration error: {named} needs n >= 3 {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    # the reason certify gives for its slice claims at n = 2
+    assert main(["certify", "--claims", "lemma1", "--n", "2"]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_flow_gaudin_summary(tmp_path):

@@ -92,16 +92,16 @@ def test_isotropy_dimensions(su3n3, su3):
     rng = np.random.default_rng(5)
     X = su3n3.random_point(rng)
     assert [su3.isotropy_dim(x) for x in X] == [2, 2, 2]
-    assert _failed_gates(su3n3, X[None], "g", DEFAULT_POLICY, [[5]]) == [None]
+    assert _failed_gates(su3n3, X[None], "g", DEFAULT_POLICY) == [None]
     x = su3.random_element(rng)
     tiled = np.tile(x, (3, 1))
     # equal blocks are each regular but share their rank-2 centralizer
     assert su3.isotropy_dim(x) == 2
-    assert _failed_gates(su3, x[None], "k", DEFAULT_POLICY, [[5]]) == [None]
+    assert _failed_gates(su3, x[None], "k", DEFAULT_POLICY) == [None]
     assert su3.dim - numerical_rank(np.vstack(su3.ads(tiled))).rank == 2
     # one stack gates each point on its own
     stack = np.stack([X, tiled, np.tile(np.zeros(su3.dim), (3, 1)), X])
-    assert _failed_gates(su3n3, stack, "g", DEFAULT_POLICY, [[5, r] for r in range(4)]) == [
+    assert _failed_gates(su3n3, stack, "g", DEFAULT_POLICY) == [
         None, "diagonal centralizer", "block regularity", None
     ]
 
