@@ -133,6 +133,13 @@ class ClaimContext:
             raise ConfigurationError(
                 f"policy.rel_tol (tol_rank) must be positive and finite, got {self.policy.rel_tol}"
             )
+        rel_tol, margin = self.policy.rel_tol, self.policy.margin
+        if rel_tol * margin >= 1.0:
+            raise ConfigurationError(
+                f"policy.rel_tol (tol_rank) must be below 1 / margin = {1.0 / margin:g}, got {rel_tol:g}: "
+                f"its marginal band ({rel_tol / margin:g}, {rel_tol * margin:g}) times the largest singular "
+                f"value reaches the largest, so no kept singular value could clear the cutoff by the margin"
+            )
         self.weights()  # invalid spectral weights are refused before any claim runs
         if self._points is None or not self._points.serves(self.space, self.policy):
             object.__setattr__(self, "_points", _Points(self.space, self.policy))
@@ -475,6 +482,16 @@ def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateRepo
     )
 
 
+def _unit_rows(gens: np.ndarray) -> np.ndarray:
+    """A family's (count, n, dim) gradients at one point as unit rows (a zero row stays zero).
+
+    Gradients of degree 2 and degree m members differ by decades.
+    """
+    rows = gens.reshape(len(gens), -1)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
+
+
 def verify_completeness(
     ctx: ClaimContext,
     family: PolynomialFamily,
@@ -494,10 +511,7 @@ def verify_completeness(
 
     def measure(Xs, entropies):
         for gens, X in zip(ctx._points.gradients(family, entropies, Xs), Xs):
-            # Unit rows: gradients of degree 2 and degree m members differ by decades.
-            rows = gens.reshape(len(family), -1)
-            norms = np.linalg.norm(rows, axis=1, keepdims=True)
-            rows = rows / np.where(norms > 0.0, norms, 1.0)
+            rows = _unit_rows(gens)
             if mode == "ddim":  # the rank alone: singular values, no basis
                 span_dim, marginal = numerical_rank(rows, policy)
                 yield span_dim, marginal, {"ddim": span_dim}
@@ -577,12 +591,28 @@ def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
+    """Completeness of the flag-momentum family F from two ranks: rank W + rank dF_c.
+
+    W is the span of F's gradients and F_c the flag-shift family, F's leading
+    members.  F_c commutes and is diag(K)-invariant (the ``thm2i``
+    certificates), so dF_c lies in W meet its Poisson-orthogonal, and the sum
+    bounds dim W + dim ker(bivector on W) from below; for any family that
+    dimension is at most ``completeness_target``, so reaching the target
+    proves it.  Both ranks come from singular values alone.
+    """
     shift = generic_point(ctx.space.base, [ctx.seed, 104729], "k", policy=ctx.policy)
-    family = flag_momentum_family(ctx.space, shift, ctx._points.flag_shift)
-    target = completeness_target(ctx.space)
-    return [
-        verify_completeness(ctx, family, target, mode="sum", claim_id="thm2ii.completeness_sum")
-    ]
+    central = ctx._points.flag_shift
+    family = flag_momentum_family(ctx.space, shift, central)
+
+    def measure(Xs, entropies):
+        for gens in ctx._points.gradients(family, entropies, Xs):
+            rows = _unit_rows(gens)
+            ddim, marginal = numerical_rank(rows, ctx.policy)
+            central_rank, central_marginal = numerical_rank(rows[: len(central)], ctx.policy)
+            yield ddim + central_rank, marginal or central_marginal, {"ddim": ddim, "central_rank": central_rank}
+
+    values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
+    return [_int_report(ctx, "thm2ii.completeness_sum", completeness_target(ctx.space), values, witnesses)]
 
 
 def _claim_dimb(ctx: ClaimContext) -> list[CertificateReport]:
@@ -669,7 +699,9 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     and the certificates of one claim share each family's gradients at each
     point.  A claim that finds no generic point, or whose linear algebra
     fails to converge, gives one failed report with the error message; the
-    other claims still run.
+    other claims still run.  A request no point could certify is refused
+    before any draw: slice claims at n = 2, and ``gaudin`` with repeated
+    weights, whose blocks share a pole that its rank target does not allow for.
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
@@ -684,6 +716,14 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
         raise ConfigurationError(
             f"claims {', '.join(on_slice)} need n >= 3 (at n = 2 the zero-momentum slice "
             f"has no generic point); at n = 2 only {apply} apply"
+        )
+    weights = ctx.weights()
+    repeated = [a for a in dict.fromkeys(weights) if weights.count(a) > 1]
+    if "gaudin" in claim_ids and repeated:
+        blocks = ", ".join(str(i) for i, a in enumerate(weights) if a == repeated[0])
+        raise ConfigurationError(
+            f"claim gaudin needs distinct gaudin_weights (its rank target assumes one pole per block); "
+            f"weight {repeated[0]:g} repeats at blocks {blocks}, which share one pole"
         )
     ctx = replace(ctx, _points=None)
     reports: list[CertificateReport] = []

@@ -7,6 +7,11 @@ directions at once, and a single bracket is its [0, 1] entry.  Restricting
 gradients to the zero-block-sum subspace gives the almost-Poisson bracket of
 the reduction; it satisfies the Jacobi identity on functions invariant under
 the diagonal action, which is checked by tests rather than assumed.
+
+The invariant tangent span is solved on v's module basis: eta = nu^T xi with
+nu the orthonormal ``module_directions``, so the zero-sum condition holds by
+construction and the kernel is taken of one (d, (n - 1) d) matrix built from
+the module points nu X, not of the stacked (2 d, n d) pair of conditions.
 """
 
 from __future__ import annotations
@@ -55,11 +60,18 @@ def bivector_on_span(
 # -- the invariant tangent span -----------------------------------------------
 
 
-def _span_in_v(space: ProductSpace, rows: np.ndarray, policy: RankPolicy) -> tuple[np.ndarray, bool]:
-    """Directions in v (block sum zero) that ``rows`` annihilate, as a (dim, n, d) stack."""
-    d = space.base.dim
-    basis, marginal = nullspace(np.vstack([np.tile(np.eye(d), (1, space.n)), rows]), policy)
-    return basis.T.reshape(-1, space.n, d), marginal
+def _span_in_v(space: ProductSpace, X: np.ndarray, policy: RankPolicy, rows) -> tuple[np.ndarray, bool]:
+    """Directions in v that the ``rows`` of the module points annihilate, as a (dim, n, d) stack.
+
+    v is parametrised by its module basis: eta = nu^T xi with nu the (n - 1, n)
+    ``module_directions``, whose rows are orthonormal, so an orthonormal kernel
+    basis of xi maps to an orthonormal basis of eta.  Every condition is linear
+    in the blocks of X, so it reads the module points nu X, and
+    ``rows(ads(nu X))`` is the (d, (n - 1) d) matrix to take the kernel of.
+    """
+    nu = space.module_directions()
+    basis, marginal = nullspace(np.hstack(rows(space.base.ads(nu @ X))), policy)
+    return nu.T @ basis.T.reshape(-1, space.n - 1, space.base.dim), marginal
 
 
 def invariant_tangent_span(
@@ -69,10 +81,10 @@ def invariant_tangent_span(
 ) -> tuple[np.ndarray, bool]:
     """Directions eta in v with [X, eta] again in v, as (dim, n, d) stack.
 
-    Solves the two blockwise linear conditions sum_i eta_i = 0 and
-    sum_i [x_i, eta_i] = 0.  Generic points give dimension (n - 2) dim K.
+    Solves sum_i [x_i, eta_i] = 0 on v, where sum_i eta_i = 0 holds by
+    construction.  Generic points give dimension (n - 2) dim K.
     """
-    return _span_in_v(space, np.hstack(space.base.ads(X)), policy)
+    return _span_in_v(space, X, policy, lambda ads: ads)
 
 
 def tangent_span_orthocomplement(
@@ -82,4 +94,4 @@ def tangent_span_orthocomplement(
 ) -> tuple[np.ndarray, bool]:
     """Same span computed as (pairing-orthogonal complement of [X, h]) meet v."""
     # eta must pair to zero with every column of the stacked ad matrices.
-    return _span_in_v(space, np.hstack((space.base.gram @ space.base.ads(X)).transpose(0, 2, 1)), policy)
+    return _span_in_v(space, X, policy, lambda ads: (space.base.gram @ ads).transpose(0, 2, 1))

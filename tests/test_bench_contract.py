@@ -3,8 +3,10 @@
 ``perfbench/spans.py`` replaces functions and methods of ``flagshift`` by
 name and wraps family members as they are constructed, and
 ``perfbench/workloads.py`` checks each document against the certificate ids
-it expects per claim.  A refactor that renames one of those targets, or
-renames or reorders a certificate, would break the benchmark; these checks
+it expects per claim and counts the retries each witness records.  A
+refactor that renames one of those targets, renames or reorders a
+certificate, or drops a witness's retry count would break the benchmark
+or skew it; these checks
 make it fail here instead.  Both modules are only loaded, never edited.
 """
 
@@ -76,3 +78,17 @@ def test_each_claim_gives_the_certificates_the_benchmark_expects():
     ctx = ClaimContext(ProductSpace(build_algebra("su", 2), 3), trials=2)
     for claim, expected in certificates.items():
         assert tuple(report.claim_id for report in run_claims(ctx, [claim])) == expected, claim
+
+
+def test_every_sampled_witness_counts_its_retries():
+    # perfbench's certify.retry_frac sums each witness's "retries" and skips a
+    # witness without the key, so a certificate that dropped it would
+    # undercount with no error.  Only the momentum flow draws no trials.
+    ctx = ClaimContext(ProductSpace(build_algebra("su", 2), 3))
+    for report in run_claims(ctx, ["all"]):
+        if report.claim_id == "gaudin.momentum_drift":
+            continue
+        assert report.witnesses, report.claim_id
+        for witness in report.witnesses:
+            retries = witness.get("retries")
+            assert type(retries) is int and retries >= 0, (report.claim_id, witness)

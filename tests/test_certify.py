@@ -101,9 +101,12 @@ def test_sampler_gives_up_when_every_draw_is_marginal(su2n3):
     assert seen == [[9, t, r] for r in range(policy.max_retries + 1) for t in range(2)]
 
 
-def test_genericity_error_names_the_gate_that_rejected_each_draw(su2):
-    impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
-    (report,) = run_claims(ClaimContext(ProductSpace(su2, 3), policy=impossible), ["dimB"])
+def test_genericity_error_names_the_gate_that_rejected_each_draw(su2, su3):
+    # A band (0.009, 0.9) of the largest gap holds one of su(3)'s two smaller
+    # eigenvalue gaps at almost every draw.  (A ClaimContext refuses a band
+    # that reaches the largest value, which su(2)'s gaps would need.)
+    impossible = RankPolicy(rel_tol=0.09, max_retries=2)
+    (report,) = run_claims(ClaimContext(ProductSpace(su3, 3), policy=impossible), ["dimB"])
     assert report.error == (
         "claim dimB: no generic point in domain 'g' was accepted from seed entropy "
         "[42, 0, r], r = 0..2; rejected by block regularity (r = 0, 1, 2)"
@@ -440,6 +443,42 @@ def test_verify_completeness_modes(su2n3):
         verify_completeness(ClaimContext(su2n3), fam, 5, mode="bogus")
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (4, 3), (5, 4)])
+def test_thm2ii_reads_the_two_ranks_the_bivector_route_measures(m, n):
+    # Per trial, rank W and rank dF_c equal the ddim and dind that
+    # verify_completeness(mode="sum") measures on the same family, and
+    # their sum reaches the closed form.
+    space = ProductSpace(build_algebra("su", m), n)
+    ctx = ClaimContext(space, seed=42)
+    (report,) = run_claims(ctx, ["thm2ii"])
+    shift = generic_point(space.base, [42, 104729], "k")
+    family = flag_momentum_family(space, shift, flag_shift_family(space))
+    target = completeness_target(space)
+    full = verify_completeness(ctx, family, target, mode="sum")
+    assert report.passed and full.passed
+    assert report.measured_value == full.measured_value == target
+    ranks = [(w["trial"], w["retries"], w["ddim"], w["central_rank"]) for w in report.witnesses]
+    assert ranks == [(w["trial"], w["retries"], w["ddim"], w["dind"]) for w in full.witnesses]
+
+
+def test_thm2ii_fails_when_the_degree_m_members_are_dropped(monkeypatch):
+    # Control: without its degree-3 members the flag-shift family no longer
+    # spans enough of W meet its orthogonal, and the two ranks fall short.
+    from flagshift import certify
+
+    space = ProductSpace(build_algebra("su", 3), 3)
+
+    def without_degree_m(context):
+        family = flag_shift_family(context)
+        kept = tuple(member for member in family if "inv=2" not in member.label)
+        return PolynomialFamily(family.name, family.domain, kept)
+
+    monkeypatch.setattr(certify, "flag_shift_family", without_degree_m)
+    (report,) = run_claims(ClaimContext(space, seed=42), ["thm2ii"])
+    assert report.error is None and not report.passed
+    assert report.measured_value < report.formula_value == completeness_target(space)
+
+
 def test_verify_completeness_detects_wrong_target(su2n3):
     fam = flag_shift_family(su2n3)
     report = verify_completeness(ClaimContext(su2n3, trials=3), fam, 4, mode="ddim")
@@ -563,6 +602,26 @@ def test_run_claims_refuses_slice_claims_at_n_2(monkeypatch):
         run_claims(ClaimContext(space=space), ["dimB", "thm3"])
 
 
+def test_run_claims_refuses_repeated_gaudin_weights(monkeypatch):
+    # Blocks with equal weights share one pole, which the rank target of
+    # gaudin.ddim_restricted does not allow for: refused before any draw.
+    from flagshift import certify
+
+    space = ProductSpace(build_algebra("su", 3), 3)
+
+    def no_draws(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(certify, "_draw", no_draws)
+    with pytest.raises(ConfigurationError, match=r"distinct gaudin_weights .* weight 1 repeats at blocks 0, 1,"):
+        run_claims(ClaimContext(space, gaudin_weights=(1.0, 1.0, 2.0)), ["all"])
+    with pytest.raises(ConfigurationError, match="weight 2 repeats at blocks 0, 2,"):
+        run_claims(ClaimContext(space, gaudin_weights=(2.0, 1.0, 2.0)), ["gaudin"])
+    monkeypatch.undo()
+    # the other claims do not read the weights
+    assert all(r.passed for r in run_claims(ClaimContext(space, trials=2, gaudin_weights=(1.0, 1.0, 2.0)), ["dimB"]))
+
+
 # Configurations where the certificates used to fail: a Vandermonde solve
 # for the flag coefficients at su(6)^3, a sampled spectral grid for the
 # Gaudin family, and at su(8)^3 a rank decision on gradient rows whose norms
@@ -676,6 +735,9 @@ def test_the_ddim_rank_is_the_row_space_rank(m, n):
         ({"seed": -1}, "seed"),
         ({"tol_bracket": float("inf")}, "tol_bracket"),
         ({"policy": RankPolicy(rel_tol=float("inf"))}, "policy.rel_tol"),
+        # the marginal band (rel_tol / margin, rel_tol * margin) reaches the largest singular value
+        ({"policy": RankPolicy(rel_tol=0.1)}, r"below 1 / margin = 0\.1, got 0\.1: its marginal band \(0\.01, 1\)"),
+        ({"policy": RankPolicy(rel_tol=1e-3, margin=1e3)}, r"band \(1e-06, 1\)"),
     ],
 )
 def test_claim_context_rejects_unusable_settings(su2n3, settings, named):

@@ -112,9 +112,11 @@ def test_report_orders_failures_first(tmp_path, capsys):
 
 
 def test_certify_genericity_error_names_claim_and_seed(tmp_path, capsys):
+    # at tol_rank 0.09 the marginal band is (0.009, 0.9) times the largest
+    # singular value, and every draw at seed 42 has a spectrum inside it
     out = tmp_path / "cert.json"
     code = main(["certify", "--algebra", "su2", "--n", "3", "--claims", "lemma1",
-                 "--tol-rank", "1", "--out", str(out)])
+                 "--tol-rank", "0.09", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "claim lemma1" in err
@@ -126,18 +128,18 @@ def test_certify_genericity_error_names_claim_and_seed(tmp_path, capsys):
 
 
 def test_certify_linalg_error_is_a_fail_record(tmp_path, capsys, monkeypatch):
-    # The row-space SVD of one claim fails to converge, as LAPACK gesdd can
-    # on a finite matrix: one FAIL record, and the other claims still report.
+    # The values-only rank SVD of one claim fails to converge, as LAPACK gesdd
+    # can on a finite matrix: one FAIL record, and the other claims still report.
     import numpy as np
 
     from flagshift import certify, ranks
 
     svd = np.linalg.svd
 
-    def no_convergence(a, full_matrices=True, **kwargs):
-        if not full_matrices:
+    def no_convergence(a, compute_uv=True, **kwargs):
+        if not compute_uv:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(a, full_matrices=full_matrices, **kwargs)
+        return svd(a, compute_uv=compute_uv, **kwargs)
 
     def thm2ii(ctx):
         with monkeypatch.context() as patch:
@@ -223,7 +225,7 @@ def test_certify_all_document_shape(tmp_path):
         ("lemma1.dind", 3, ranks),
         ("thm2i.involutive", None, residual),
         ("thm2i.ad_invariance", None, residual),
-        ("thm2ii.completeness_sum", 12, ranks),
+        ("thm2ii.completeness_sum", 12, {"central_rank", "ddim", "retries", "trial"}),
         ("dimB.ddim", 5, ddim),
         ("thm3.ddim", 3, ddim),
         ("thm3.involutive", None, residual),
@@ -338,6 +340,36 @@ def test_the_config_echoes_gaudin_weights_only_when_set(tmp_path):
     assert "gaudin_weights" not in _read_json(default)["config"]
 
 
+def test_certify_refuses_repeated_gaudin_weights_before_any_document(tmp_path, capsys):
+    # su(3)^3 with weights 1, 1, 2 measured 2 against 7 and gave no reason
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gaudin_weights": [1, 1, 2]}))
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--claims", "gaudin", "--algebra", "su3", "--n", "3", "--config", str(config)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "needs distinct gaudin_weights" in err and "weight 1 repeats at blocks 0, 1, which share one pole" in err
+    assert not out.exists()
+    # the flow of that model still runs
+    summary = tmp_path / "summary.json"
+    flow = ["flow", "--model", "gaudin", "--a", "1,1,2", "--t-end", "0.01", "--summary", str(summary)]
+    assert main(flow) == 0 and summary.exists()
+
+
+def test_certify_refuses_a_tol_rank_whose_marginal_band_holds_every_spectrum(tmp_path, capsys):
+    # rel_tol * margin >= 1 flagged every draw marginal: nan FAIL records
+    argv = ["certify", "--claims", "dimB,thm2i", "--algebra", "su2", "--n", "3"]
+    for tol, band in (("0.1", "(0.01, 1)"), ("0.5", "(0.05, 5)")):
+        out = tmp_path / f"{tol}.json"
+        assert main(argv + ["--tol-rank", tol, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"must be below 1 / margin = 0.1, got {tol}: its marginal band {band}" in err
+        assert not out.exists()
+    out = tmp_path / "0.05.json"
+    assert main(argv + ["--tol-rank", "0.05", "--out", str(out)]) in (0, 1)
+    assert _read_json(out)["config"]["tol_rank"] == 0.05
+
+
 _BAD_WEIGHTS = {"inf": "1,inf,2", "nan": "1,nan,2", "zero": "1,0,2", "subnormal": "1,1e-320,2", "short": "1,2"}
 
 
@@ -398,7 +430,7 @@ def _strict_json(text: str):
 
 def test_a_failure_record_is_strict_json_with_null_numbers(tmp_path, capsys):
     out = tmp_path / "nan.json"
-    argv = ["certify", "--claims", "lemma1", "--algebra", "su2", "--n", "3", "--tol-rank", "0.5"]
+    argv = ["certify", "--claims", "lemma1", "--algebra", "su2", "--n", "3", "--tol-rank", "0.09"]
     assert main(argv + ["--out", str(out)]) == 1
     (row,) = _strict_json(out.read_text())["claims"]
     assert row["pass"] is False and "error" in row

@@ -217,6 +217,34 @@ def test_tangent_span_rows_are_orthonormal(m, n):
         assert np.abs(rows @ rows.T - np.eye(rows.shape[0])).max() < 1e-13
 
 
+def _stacked_constraint_span(space, rows):
+    """The span as the kernel of the stacked (2 d, n d) matrix [I .. I; rows]: both conditions on all of g."""
+    d = space.base.dim
+    basis, marginal = nullspace(np.vstack([np.tile(np.eye(d), (1, space.n)), rows]))
+    return basis, marginal
+
+
+@pytest.mark.parametrize(
+    "m, n, seed", [(m, n, seed) for m, n in ((2, 3), (3, 4), (4, 6), (5, 4), (6, 4)) for seed in (42, 7)]
+)
+def test_the_module_basis_span_matches_the_stacked_constraint_oracle(m, n, seed):
+    # Both spans are solved on v's module basis; the oracle solves the sum
+    # condition and the bracket condition together on the whole product.
+    space = ProductSpace(build_algebra("su", m), n)
+    for trial in (0, 1):
+        X = generic_point(space, [seed, trial], "v")
+        ads = space.base.ads(X)
+        oracle_rows = {
+            invariant_tangent_span: np.hstack(ads),
+            tangent_span_orthocomplement: np.hstack((space.base.gram @ ads).transpose(0, 2, 1)),
+        }
+        for build, rows in oracle_rows.items():
+            span, marginal = build(space, X)
+            oracle, oracle_marginal = _stacked_constraint_span(space, rows)
+            assert (span.shape[0], marginal) == (oracle.shape[1], oracle_marginal)
+            assert subspace_angles(span.reshape(span.shape[0], -1).T, oracle).max() <= 1e-12
+
+
 def test_restricted_bivector_kernel_is_the_projected_centralizer(spaces):
     # The kernel lemma1.dind counts, against an independent route: each
     # block's centralizer, projected to v.
