@@ -43,7 +43,7 @@ from .poisson import (
     tangent_span_orthocomplement,
 )
 from .product import ProductSpace
-from .ranks import DEFAULT_POLICY, RankPolicy, numerical_rank, row_space
+from .ranks import DEFAULT_POLICY, RankPolicy, RankResult, numerical_rank, row_space
 
 __all__ = [
     "CertificateReport",
@@ -228,14 +228,17 @@ class _Points:
 
     A (domain, entropy) key holds the accepted point, read-only, or the name
     of the gate that rejected it.  A v point also keeps its invariant tangent
-    span, and the flag-shift family is built once.  Gradient stacks, the
-    large arrays, are shared only inside ``claim()`` and dropped when it ends.
+    span, a point keeps the rank of each family's unit gradient rows there
+    (``thm2ii`` and ``dimB`` both read the flag-shift rank), and the
+    flag-shift family is built once.  Gradient stacks, the large arrays, are
+    shared only inside ``claim()`` and dropped when it ends.
     """
 
     def __init__(self, context, policy: RankPolicy):
         self.context, self.policy = context, policy
         self._draws: dict = {}
         self._spans: dict = {}
+        self._ranks: dict = {}
         self._gradients: dict | None = None
 
     def serves(self, context, policy: RankPolicy) -> bool:
@@ -261,6 +264,13 @@ class _Points:
             span.flags.writeable = False
             self._spans[key] = span, marginal
         return self._spans[key]
+
+    def rank(self, family: PolynomialFamily, entropy: list[int], rows: np.ndarray) -> RankResult:
+        """``numerical_rank`` of ``family``'s unit gradient ``rows`` at the point drawn from ``entropy``, decided once."""
+        key = (id(family), tuple(entropy))
+        if key not in self._ranks:
+            self._ranks[key] = family, numerical_rank(rows, self.policy)  # the family held keeps its id unique
+        return self._ranks[key][1]
 
     @cached_property
     def flag_shift(self) -> PolynomialFamily:
@@ -483,10 +493,7 @@ def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateRepo
 
 
 def _unit_rows(gens: np.ndarray) -> np.ndarray:
-    """A family's (count, n, dim) gradients at one point as unit rows (a zero row stays zero).
-
-    Gradients of degree 2 and degree m members differ by decades.
-    """
+    """(count, n, dim) gradients at one point as unit rows: degree 2 and degree m gradients differ by decades."""
     rows = gens.reshape(len(gens), -1)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / np.where(norms > 0.0, norms, 1.0)
@@ -510,10 +517,10 @@ def verify_completeness(
     space, policy = ctx.space, ctx.policy
 
     def measure(Xs, entropies):
-        for gens, X in zip(ctx._points.gradients(family, entropies, Xs), Xs):
+        for gens, X, entropy in zip(ctx._points.gradients(family, entropies, Xs), Xs, entropies):
             rows = _unit_rows(gens)
             if mode == "ddim":  # the rank alone: singular values, no basis
-                span_dim, marginal = numerical_rank(rows, policy)
+                span_dim, marginal = ctx._points.rank(family, entropy, rows)
                 yield span_dim, marginal, {"ddim": span_dim}
                 continue
             basis, marginal = row_space(rows, policy)
@@ -591,24 +598,20 @@ def _claim_thm2i(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
-    """Completeness of the flag-momentum family F from two ranks: rank W + rank dF_c.
+    """rank W + rank dF_c, with W the gradient span of the flag-momentum family F and F_c its leading flag-shift rows.
 
-    W is the span of F's gradients and F_c the flag-shift family, F's leading
-    members.  F_c commutes and is diag(K)-invariant (the ``thm2i``
-    certificates), so dF_c lies in W meet its Poisson-orthogonal, and the sum
-    bounds dim W + dim ker(bivector on W) from below; for any family that
-    dimension is at most ``completeness_target``, so reaching the target
-    proves it.  Both ranks come from singular values alone.
+    Given ``thm2i``, it bounds dim W + dim ker(bivector on W) from below, and
+    that sum is at most ``completeness_target`` for any family (README).
     """
     shift = generic_point(ctx.space.base, [ctx.seed, 104729], "k", policy=ctx.policy)
     central = ctx._points.flag_shift
     family = flag_momentum_family(ctx.space, shift, central)
 
     def measure(Xs, entropies):
-        for gens in ctx._points.gradients(family, entropies, Xs):
+        for gens, entropy in zip(ctx._points.gradients(family, entropies, Xs), entropies):
             rows = _unit_rows(gens)
             ddim, marginal = numerical_rank(rows, ctx.policy)
-            central_rank, central_marginal = numerical_rank(rows[: len(central)], ctx.policy)
+            central_rank, central_marginal = ctx._points.rank(central, entropy, rows[: len(central)])
             yield ddim + central_rank, marginal or central_marginal, {"ddim": ddim, "central_rank": central_rank}
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)

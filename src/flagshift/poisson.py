@@ -61,13 +61,9 @@ def bivector_on_span(
 
 
 def _span_in_v(space: ProductSpace, X: np.ndarray, policy: RankPolicy, rows) -> tuple[np.ndarray, bool]:
-    """Directions in v that the ``rows`` of the module points annihilate, as a (dim, n, d) stack.
+    """Directions eta = nu^T xi in v, as a (dim, n, d) stack, with xi in the kernel of ``hstack(rows(ads(nu X)))``.
 
-    v is parametrised by its module basis: eta = nu^T xi with nu the (n - 1, n)
-    ``module_directions``, whose rows are orthonormal, so an orthonormal kernel
-    basis of xi maps to an orthonormal basis of eta.  Every condition is linear
-    in the blocks of X, so it reads the module points nu X, and
-    ``rows(ads(nu X))`` is the (d, (n - 1) d) matrix to take the kernel of.
+    The rows of nu are orthonormal, so an orthonormal basis of xi maps to one of eta.
     """
     nu = space.module_directions()
     basis, marginal = nullspace(np.hstack(rows(space.base.ads(nu @ X))), policy)

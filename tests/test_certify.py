@@ -461,6 +461,21 @@ def test_thm2ii_reads_the_two_ranks_the_bivector_route_measures(m, n):
     assert ranks == [(w["trial"], w["retries"], w["ddim"], w["dind"]) for w in full.witnesses]
 
 
+def test_dimb_reads_the_flag_shift_rank_thm2ii_decided(monkeypatch):
+    # rank dF_c of thm2ii is dimB's rank at the same g points: one SVD per point per run
+    from flagshift import certify
+
+    ctx = ClaimContext(ProductSpace(build_algebra("su", 3), 3), trials=3)
+    alone = run_claims(ctx, ["dimB"])
+    calls = []
+    monkeypatch.setattr(certify, "numerical_rank", lambda *args: calls.append(1) or numerical_rank(*args))
+    run_claims(ctx, ["thm2ii"])
+    before = len(calls)
+    _, dimb = run_claims(ctx, ["thm2ii", "dimB"])
+    assert len(calls) == 2 * before
+    assert dimb == alone[0]
+
+
 def test_thm2ii_fails_when_the_degree_m_members_are_dropped(monkeypatch):
     # Control: without its degree-3 members the flag-shift family no longer
     # spans enough of W meet its orthogonal, and the two ranks fall short.
