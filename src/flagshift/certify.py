@@ -702,7 +702,7 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     and the certificates of one claim share each family's gradients at each
     point.  A claim that finds no generic point, or whose linear algebra
     fails to converge, gives one failed report with the error message; the
-    other claims still run.  A request no point could certify is refused
+    other claims still run.  Requests whose targets cannot hold are refused
     before any draw: slice claims at n = 2, and ``gaudin`` with repeated
     weights, whose blocks share a pole that its rank target does not allow for.
     """
