@@ -10,10 +10,13 @@ certificate loudly instead of being averaged away.  A certificate measures
 all of its open trials at once: each retry round gates the fresh draws as
 one stack and measures the accepted points as one stack, while every rank
 is still decided on its own matrix.  Within one run every seeded point is
-drawn and gated once and shared by the certificates that read it.  Only
+drawn and gated once and shared by the certificates that read it: each
+``ClaimContext`` owns one table, a single memo of draws, invariant tangent
+spans and gradient ranks, and every new context starts a fresh one.  Only
 the sampling layer names a point's seed entropy: a gate or measurement
 call on a stack that raises a LinAlgError runs again one point at a time,
-in trial order, and the first point that fails is named.
+in trial order, and the first point that fails is named.  Every report is
+built by one constructor, which reads algebra, n and seed from the context.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "verify_span_inclusion",
     "ClaimContext",
     "CLAIM_IDS",
+    "BRACKET_CLAIMS",
     "run_claims",
     "lemma1_targets",
     "flag_rank_target",
@@ -109,8 +113,8 @@ class ClaimContext:
     ``seed``, decides ranks under ``policy`` and holds bracket residuals to
     ``tol_bracket``; the ``gaudin`` claim reads ``gaudin_weights``, checked by
     ``spectral_weights`` (None reads 1..n).  ``_points`` is not a setting: it is
-    the table of generic points drawn so far (``_Points``), fresh for each new
-    space or policy, shared by ``replace`` otherwise, and fresh for each ``run_claims``.
+    the table of generic points drawn so far (``_Points``), owned by this context;
+    every new context, ``replace`` included, starts a fresh one.
     """
 
     space: ProductSpace
@@ -119,7 +123,7 @@ class ClaimContext:
     policy: RankPolicy = DEFAULT_POLICY
     tol_bracket: float = 1e-9
     gaudin_weights: tuple[float, ...] | None = None
-    _points: _Points | None = field(default=None, compare=False, repr=False)
+    _points: _Points = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -141,8 +145,7 @@ class ClaimContext:
                 f"value reaches the largest, so no kept singular value could clear the cutoff by the margin"
             )
         self.weights()  # invalid spectral weights are refused before any claim runs
-        if self._points is None or not self._points.serves(self.space, self.policy):
-            object.__setattr__(self, "_points", _Points(self.space, self.policy))
+        object.__setattr__(self, "_points", _Points(self.space, self.policy))
 
     def weights(self) -> tuple[float, ...]:
         return spectral_weights(self.space.n, self.gaudin_weights)
@@ -226,51 +229,47 @@ def _naming_entropy(fn: Callable, Xs: np.ndarray, entropies: list) -> list:
 class _Points:
     """The seeded points drawn in ``context`` under ``policy``, each drawn and gated once.
 
-    A (domain, entropy) key holds the accepted point, read-only, or the name
-    of the gate that rejected it.  A v point also keeps its invariant tangent
-    span, a point keeps the rank of each family's unit gradient rows there
-    (``thm2ii`` and ``dimB`` both read the flag-shift rank), and the
-    flag-shift family is built once.  Gradient stacks, the large arrays, are
-    shared only inside ``claim()`` and dropped when it ends.
+    One memo holds every per-point quantity under a key tagged by its kind:
+    ("draw", domain, entropy) holds the accepted point, read-only, or the name
+    of the gate that rejected it; ("span", entropy) a v point's invariant
+    tangent span; ("rank", family id, entropy) the rank of the family's unit
+    gradient rows there (``thm2ii`` and ``dimB`` both read the flag-shift
+    rank).  The flag-shift family is built once.  Gradient stacks, the large
+    arrays, are shared only inside ``claim()`` and dropped when it ends.
     """
 
     def __init__(self, context, policy: RankPolicy):
         self.context, self.policy = context, policy
-        self._draws: dict = {}
-        self._spans: dict = {}
-        self._ranks: dict = {}
+        self._memo: dict = {}
         self._gradients: dict | None = None
-
-    def serves(self, context, policy: RankPolicy) -> bool:
-        return self.context is context and self.policy == policy
 
     def draw(self, entropies: list, domain: str) -> list[tuple[np.ndarray | None, str | None]]:
         """For each entropy, (point, None) for an accepted draw, (None, gate) for a rejected one."""
-        keys = [(domain, tuple(entropy)) for entropy in entropies]
-        new = [entropy for entropy, key in zip(entropies, keys) if key not in self._draws]
+        keys = [("draw", domain, tuple(entropy)) for entropy in entropies]
+        new = [entropy for entropy, key in zip(entropies, keys) if key not in self._memo]
         if new:
             Xs = np.stack([_draw(self.context, entropy, domain) for entropy in new])
             Xs.flags.writeable = False
             gates = _naming_entropy(lambda stack, _: _failed_gates(self.context, stack, domain, self.policy), Xs, new)
             for entropy, X, gate in zip(new, Xs, gates):
-                self._draws[domain, tuple(entropy)] = (None, gate) if gate else (X, None)
-        return [self._draws[key] for key in keys]
+                self._memo["draw", domain, tuple(entropy)] = (None, gate) if gate else (X, None)
+        return [self._memo[key] for key in keys]
 
     def tangent_span(self, entropy: list[int], X: np.ndarray) -> tuple[np.ndarray, bool]:
         """``invariant_tangent_span`` at the v point drawn from ``entropy``."""
-        key = tuple(entropy)
-        if key not in self._spans:
+        key = ("span", tuple(entropy))
+        if key not in self._memo:
             span, marginal = invariant_tangent_span(self.context, X, self.policy)
             span.flags.writeable = False
-            self._spans[key] = span, marginal
-        return self._spans[key]
+            self._memo[key] = span, marginal
+        return self._memo[key]
 
     def rank(self, family: PolynomialFamily, entropy: list[int], rows: np.ndarray) -> RankResult:
         """``numerical_rank`` of ``family``'s unit gradient ``rows`` at the point drawn from ``entropy``, decided once."""
-        key = (id(family), tuple(entropy))
-        if key not in self._ranks:
-            self._ranks[key] = family, numerical_rank(rows, self.policy)  # the family held keeps its id unique
-        return self._ranks[key][1]
+        key = ("rank", id(family), tuple(entropy))
+        if key not in self._memo:
+            self._memo[key] = family, numerical_rank(rows, self.policy)  # the family held keeps its id unique
+        return self._memo[key][1]
 
     @cached_property
     def flag_shift(self) -> PolynomialFamily:
@@ -385,23 +384,26 @@ def _kernel_dim(space: ProductSpace, X, span, policy) -> tuple[int, bool]:
 # -- reports ------------------------------------------------------------------
 
 
+def _report(ctx, claim_id, trials, formula, measured, tol, passed, witnesses=(), error=None) -> CertificateReport:
+    """The one way a report is built: algebra, n and seed come from ``ctx``."""
+    return CertificateReport(
+        claim_id, ctx.space.base.name, ctx.space.n, ctx.seed, trials,
+        formula, measured, tol, passed, tuple(witnesses), error,
+    )
+
+
 def _residual_report(ctx, claim_id, values, tol, witnesses, ok=True) -> CertificateReport:
     """Worst residual over the trials against a tolerance (NaN if any trial is); ``ok`` can veto a pass."""
     worst = float(np.max(values))
-    return CertificateReport(
-        claim_id, ctx.space.base.name, ctx.space.n, ctx.seed, len(values),
-        0.0, worst, tol, bool(ok and worst <= tol), tuple(witnesses),
-    )
+    return _report(ctx, claim_id, len(values), 0.0, worst, tol, bool(ok and worst <= tol), witnesses)
 
 
 def _int_report(ctx, claim_id, formula, values, witnesses) -> CertificateReport:
     """Modal integer over the trials against a closed form; trials must agree."""
     counts = Counter(values)
     value, _ = counts.most_common(1)[0]
-    return CertificateReport(
-        claim_id, ctx.space.base.name, ctx.space.n, ctx.seed, len(values),
-        int(formula), int(value), 0.0, len(counts) == 1 and int(value) == int(formula), tuple(witnesses),
-    )
+    passed = len(counts) == 1 and int(value) == int(formula)
+    return _report(ctx, claim_id, len(values), int(formula), int(value), 0.0, passed, witnesses)
 
 
 # -- involutivity and invariance ------------------------------------------------
@@ -646,7 +648,7 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
             residual = space.norm(via_sum - via_euler) / (1.0 + space.norm(via_euler))
             yield residual, False, {"residual": residual}
 
-    values, witnesses = _measure_at_generic_points(replace(ctx, trials=10), "g", measure)
+    values, witnesses = _rounds(ctx._points, [[ctx.seed, t] for t in range(10)], "g", measure)
     reports = [
         _residual_report(ctx, "gaudin.field_identity", values, 1e-11, witnesses),
         check_involutive(ctx, family, "gaudin.involutive"),
@@ -681,7 +683,7 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 _REGISTRY: dict[str, Callable[[ClaimContext], Sequence[CertificateReport]]] = {
-    "lemma1": verify_lemma1,
+    "lemma1": lambda ctx: verify_lemma1(ctx),  # looked up at each call, so a wrapper installed on the module runs
     "thm2i": _claim_thm2i,
     "thm2ii": _claim_thm2ii,
     "dimB": _claim_dimb,
@@ -694,6 +696,8 @@ CLAIM_IDS = tuple(_REGISTRY)
 # At n = 2 the zero-momentum slice holds only (x, -x), whose blocks share a
 # centralizer, so these claims can never draw a generic point there.
 _SLICE_CLAIMS = ("lemma1", "thm3", "gaudin")
+# The claims whose certificates hold a residual to ``tol_bracket``; the others read no bracket tolerance.
+BRACKET_CLAIMS = ("thm2i", "thm3", "gaudin")
 
 def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> list[CertificateReport]:
     """Run the requested claims (all of them by default) in registry order.
@@ -728,7 +732,7 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
             f"claim gaudin needs distinct gaudin_weights (its rank target assumes one pole per block); "
             f"weight {repeated[0]:g} repeats at blocks {blocks}, which share one pole"
         )
-    ctx = replace(ctx, _points=None)
+    ctx = replace(ctx)  # a table of its own
     reports: list[CertificateReport] = []
     for claim in CLAIM_IDS:
         if claim in claim_ids:
@@ -736,12 +740,6 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
                 with ctx._points.claim():
                     reports.extend(_REGISTRY[claim](ctx))
             except (GenericityError, np.linalg.LinAlgError) as exc:
-                detail = exc if isinstance(exc, GenericityError) else f"LinAlgError: {exc}"
-                nan = float("nan")
-                reports.append(
-                    CertificateReport(
-                        claim, ctx.space.base.name, ctx.space.n, ctx.seed, ctx.trials,
-                        nan, nan, 0.0, False, (), error=f"claim {claim}: {detail}",
-                    )
-                )
+                error = f"claim {claim}: " + (str(exc) if isinstance(exc, GenericityError) else f"LinAlgError: {exc}")
+                reports.append(_report(ctx, claim, ctx.trials, np.nan, np.nan, 0.0, False, error=error))
     return reports

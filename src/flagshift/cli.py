@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dynamics
 from .algebra import build_algebra
-from .certify import ClaimContext, generic_point, run_claims, CLAIM_IDS
+from .certify import BRACKET_CLAIMS, CLAIM_IDS, ClaimContext, generic_point, run_claims
 from .errors import ConfigurationError, GenericityError
 from .families import flag_shift_family, gaudin_family
 from .product import ProductSpace
@@ -123,10 +123,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigurationError(f"expected comma separated floats, got {text!r}")
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Refuse an output path whose directory does not exist, before any work is done."""
-    for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+def _check_output_paths(*paths: str | None) -> None:
+    """Refuse an output path that is a directory or whose directory does not exist, before any work is done."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigurationError(f"cannot write {path}: its directory does not exist")
 
 
@@ -157,18 +159,20 @@ def _fmt(value) -> str:
     return format(float(value), ".3e")
 
 
-def _print_claim_table(rows: list[dict], stream) -> None:
+def _print_claims(rows: list[dict]) -> int:
+    """Print the claim table and the "k/N certificates passed" line; the exit code is 1 if any row failed."""
     header = f"{'claim':34} {'algebra':8} {'n':>2} {'measured':>12} {'target':>12} {'tol':>9} status"
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
+    print(header)
+    print("-" * len(header))
     for row in rows:
-        status = "PASS" if row["pass"] else "FAIL"
         print(
             f"{row['claim_id']:34} {row['algebra']:8} {row['n']:>2} "
             f"{_fmt(row['measured_value']):>12} {_fmt(row['formula_value']):>12} "
-            f"{_fmt(row['tolerance']):>9} {status}",
-            file=stream,
+            f"{_fmt(row['tolerance']):>9} {'PASS' if row['pass'] else 'FAIL'}"
         )
+    failed = sum(1 for row in rows if not row["pass"])
+    print(f"{len(rows) - failed}/{len(rows)} certificates passed")
+    return 1 if failed else 0
 
 
 # -- certify ------------------------------------------------------------------
@@ -176,7 +180,7 @@ def _print_claim_table(rows: list[dict], stream) -> None:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "certify", _CERTIFY_KEYS)
-    _check_output_dirs(args.out)
+    _check_output_paths(args.out)
     algebra = _pick(args.algebra, config, "algebra", "su2", str)
     n = _pick(args.n, config, "n", 3, int)
     claims = _pick(args.claims, config, "claims", "all")
@@ -205,6 +209,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         tol_bracket=_pick(args.tol_bracket, config, "tol_bracket", 1e-9, float),
         gaudin_weights=weights,
     )
+    if (args.tol_bracket is not None or "tol_bracket" in config) and not set(claims) & set(BRACKET_CLAIMS):
+        source = "--tol-bracket" if args.tol_bracket is not None else "config key 'tol_bracket'"
+        raise ConfigurationError(
+            f"{source} is read only by claims {', '.join(BRACKET_CLAIMS)}, none of which is selected"
+        )
     reports = run_claims(ctx, claims)
     rows = [report.to_dict() for report in reports]
     for report in reports:
@@ -228,11 +237,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         document["config"]["gaudin_weights"] = list(weights)
     if args.out:
         _write_json(args.out, document)
-
-    _print_claim_table(rows, sys.stdout)
-    failed = [row for row in rows if not row["pass"]]
-    print(f"{len(rows) - len(failed)}/{len(rows)} certificates passed")
-    return 1 if failed else 0
+    return _print_claims(rows)
 
 
 # -- flow ---------------------------------------------------------------------
@@ -285,7 +290,7 @@ def _flow_hamiltonian(args, space: ProductSpace, config: dict):
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     config = _load_config(args.config, "flow", _FLOW_KEYS)
-    _check_output_dirs(args.csv, args.summary)
+    _check_output_paths(args.csv, args.summary)
     algebra = _pick(args.algebra, config, "algebra", "su2", str)
     n = _pick(args.n, config, "n", 3, int)
     seed = _pick_seed(args, config)
@@ -399,10 +404,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("no claims found", file=sys.stderr)
         return 2
     rows.sort(key=lambda row: (row["pass"], row["claim_id"]))
-    _print_claim_table(rows, sys.stdout)
-    failed = sum(1 for row in rows if not row["pass"])
-    print(f"{len(rows) - failed}/{len(rows)} certificates passed")
-    return 1 if failed else 0
+    return _print_claims(rows)
 
 
 # -- parser --------------------------------------------------------------------

@@ -92,3 +92,17 @@ def test_every_sampled_witness_counts_its_retries():
         for witness in report.witnesses:
             retries = witness.get("retries")
             assert type(retries) is int and retries >= 0, (report.claim_id, witness)
+
+
+def test_every_certify_span_sees_its_calls():
+    # A span wraps the module attribute; a caller that bound the function
+    # object before the wrapper was installed would charge its time elsewhere.
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    installed = spans.install(tracer)
+    try:
+        run_claims(ClaimContext(ProductSpace(build_algebra("su", 2), 3), trials=2), ["all"])
+    finally:
+        installed.uninstall()
+    names = [f"certify.{fn}" for module, fn in spans.FUNCTIONS if module == "certify"]
+    assert len(names) == 6 and [name for name in names if not tracer.calls[name]] == []

@@ -9,6 +9,7 @@ import pytest
 from flagshift import ProductSpace, build_algebra
 from flagshift.algebra import LieAlgebra
 from flagshift.certify import (
+    BRACKET_CLAIMS,
     CLAIM_IDS,
     CertificateReport,
     ClaimContext,
@@ -280,20 +281,57 @@ def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monke
     # thm3.ddim, thm3.involutive and thm3.span_inclusion read one gradient
     # stack for the four points; lemma1 and thm3.span_inclusion one span per point
     assert calls == {"flag_shift_v": 1, "span": 4}
-    # outside a claim nothing is shared, and the run left nothing behind
+    # the run drew in a table of its own and left nothing behind in ctx's
+    assert not ctx._points._memo
+    # outside a claim no gradient stack is shared; the table keeps only the draws
     calls.clear()
     check_involutive(ctx, flag_shift_family(su2n3))
     check_involutive(ctx, flag_shift_family(su2n3))
     assert calls == {"flag_shift": 2}
-    assert ctx._points._gradients is None and not ctx._points._spans
+    assert ctx._points._gradients is None and {kind for kind, *_ in ctx._points._memo} == {"draw"}
 
 
 def test_the_point_table_is_not_a_setting(su2n3):
+    # every context, and every replace() of one, owns a fresh table for its own space and policy
     ctx = ClaimContext(su2n3)
-    assert ctx == ClaimContext(su2n3) and "_points" not in repr(ctx)
-    assert replace(ctx, trials=10)._points is ctx._points
-    assert replace(ctx, policy=RankPolicy(rel_tol=1e-6))._points is not ctx._points
-    assert replace(ctx, space=ProductSpace(su2n3.base, 4))._points is not ctx._points
+    policy, space = RankPolicy(rel_tol=1e-6), ProductSpace(su2n3.base, 4)
+    copies = [ClaimContext(su2n3), replace(ctx), replace(ctx, trials=10), replace(ctx, policy=policy),
+              replace(ctx, space=space)]
+    tables = [ctx._points] + [copy._points for copy in copies]
+    assert len(set(map(id, tables))) == len(tables) and not any(table._memo for table in tables)
+    assert [(t.context, t.policy) for t in tables[-2:]] == [(su2n3, policy), (space, ctx.policy)]
+    # the table is in neither equality nor repr, and it cannot be passed in
+    assert ctx == copies[0] == copies[1] and repr(ctx) == repr(copies[1]) and "_points" not in repr(ctx)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(ctx, _points=ctx._points)
+
+
+def test_gaudin_draws_each_g_entropy_once(su2n3, monkeypatch):
+    # field_identity's ten trials and the involutive certificates' seven read
+    # the same table, so the draws [42, t, r] with t < 7 are shared
+    from flagshift import certify
+
+    draw, draws = certify._draw, Counter()
+
+    def counted_draw(context, entropy, domain):
+        draws[domain, tuple(entropy)] += 1
+        return draw(context, entropy, domain)
+
+    monkeypatch.setattr(certify, "_draw", counted_draw)
+    reports = run_claims(ClaimContext(su2n3), ["gaudin"])
+    assert [r.trials for r in reports] == [10, 7, 7, 7, 1] and all(r.passed for r in reports)
+    g = {entropy: count for (domain, entropy), count in draws.items() if domain == "g"}
+    assert {(42, t, 0) for t in range(10)} <= set(g) and set(g.values()) == {1}
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_only_the_bracket_claims_read_tol_bracket(claim, su2n3):
+    # a claim outside BRACKET_CLAIMS reports the same at any tol_bracket; one inside holds a row to it
+    reports = [run_claims(ClaimContext(su2n3, trials=2, tol_bracket=tol), [claim]) for tol in (1e-9, 1e-300)]
+    held = [a.claim_id for a, b in zip(*reports) if a.tolerance == 1e-9 and b.tolerance == 1e-300]
+    assert bool(held) == (claim in BRACKET_CLAIMS)
+    if not held:
+        assert [r.to_dict() for r in reports[0]] == [r.to_dict() for r in reports[1]]
 
 
 @pytest.mark.parametrize("seed", [42, 7])

@@ -465,23 +465,80 @@ def test_non_finite_residuals_witnesses_and_drifts_are_null(tmp_path, monkeypatc
     assert _strict_json(summary.read_text())["momentum_drift"] is None
 
 
-@pytest.mark.parametrize(
+def _never(*args, **kwargs):
+    raise AssertionError("no space is built and no claim or flow runs")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Building a space, running claims or integrating a flow fails the test."""
+    for name in ("_build_space", "run_claims"):
+        monkeypatch.setattr(cli, name, _never)
+    monkeypatch.setattr(cli.dynamics, "integrate", _never)
+
+
+_OUTPUT_FLAGS = pytest.mark.parametrize(
     "argv",
     [["certify", "--claims", "lemma1", "--out"], ["flow", "--t-end", "0.01", "--csv"],
      ["flow", "--t-end", "0.01", "--summary"]],
     ids=["certify-out", "flow-csv", "flow-summary"],
 )
-def test_an_output_directory_that_does_not_exist_is_refused_first(argv, tmp_path, capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("no space is built and no claim or flow runs")
 
-    for name in ("_build_space", "run_claims"):
-        monkeypatch.setattr(cli, name, never)
-    monkeypatch.setattr(cli.dynamics, "integrate", never)
+
+@_OUTPUT_FLAGS
+def test_an_output_directory_that_does_not_exist_is_refused_first(argv, tmp_path, capsys, no_work):
     path = tmp_path / "missing" / "dir" / "out.file"
     assert main(argv + [str(path)]) == 2
     assert capsys.readouterr().err == f"configuration error: cannot write {path}: its directory does not exist\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@_OUTPUT_FLAGS
+def test_an_output_path_that_is_a_directory_is_refused_first(argv, tmp_path, capsys, no_work):
+    assert main(argv + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: cannot write {tmp_path}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["1e-3", "1e-300"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tol_bracket_is_refused_when_no_selected_claim_reads_it(source, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_claims", _never)
+    out, config = tmp_path / "cert.json", tmp_path / "config.json"
+    argv = ["certify", "--claims", "dimB,lemma1", "--algebra", "su2", "--n", "3", "--trials", "2", "--out", str(out)]
+    if source == "flag":
+        argv += ["--tol-bracket", value]
+    else:
+        config.write_text(json.dumps({"tol_bracket": float(value)}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    named = "--tol-bracket" if source == "flag" else "config key 'tol_bracket'"
+    assert capsys.readouterr().err == (
+        f"configuration error: {named} is read only by claims thm2i, thm3, gaudin, none of which is selected\n"
+    )
+    assert not out.exists()
+    # any one claim that reads it lets it through
+    monkeypatch.setattr(cli, "run_claims", lambda ctx, claims: [])
+    for claim in ("thm2i", "thm3", "gaudin"):
+        assert main(argv[:2] + [f"dimB,{claim}"] + argv[3:]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--claims", "lemma1,thm2i", "--trials", "2"], 0),
+     (["--claims", "lemma1,thm2i", "--trials", "2", "--tol-bracket", "1e-300"], 1)],
+    ids=["passing", "failing"],
+)
+def test_report_prints_the_table_count_and_exit_code_certify_printed(argv, code, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--out", str(out)] + argv) == code
+    certified = capsys.readouterr().out.splitlines()
+    assert main(["report", str(out)]) == code
+    reported = capsys.readouterr().out.splitlines()
+    # report lists failures first and then by claim id; the lines themselves are the same
+    # (a failure record's NaN, which a document stores as null, would print as n/a)
+    assert reported[:2] == certified[:2] and reported[-1] == certified[-1]
+    assert sorted(reported[2:-1]) == sorted(certified[2:-1]) and len(reported) > 3
 
 
 def test_report_all_passing(tmp_path, capsys):
