@@ -22,7 +22,8 @@ J[i, j, k, l] = sum_m c[j, k, m] c[i, m, l] + c[k, i, m] c[j, m, l]
 (a, b, m) with an entry (p, m, q), so J is accumulated over the pairs of
 exactly nonzero constants that share m: a skipped product has an exact-zero
 factor and is exactly zero.  About 2 000 of the 250 000 constants of su(8)
-are nonzero, and no dim^4 array is formed.
+are nonzero, and no dim^4 array is formed.  The ad data is then stored once, as
+the rows ``_ad_rows`` that ``ads`` multiplies; ``structure`` is a view of them.
 
 The gap gate decides regularity without an SVD.  If rho(x) has eigenvalues
 i lam_j, then ad_x, which is normal in this basis, has eigenvalues
@@ -111,17 +112,17 @@ class LieAlgebra:
             raise ConfigurationError("structure constants must be antisymmetric")
         self._validate_jacobi()
 
-        # ad matrices act on coordinates: (ad_a)_{kj} = structure[a, j, k].
-        self.ad_basis = self.structure.transpose(0, 2, 1).copy()
-        gram = -np.einsum("aij,bji->ab", self.ad_basis, self.ad_basis)
+        # The ad data, stored once as rows: (ad_a)_{kj} = structure[a, j, k] = _ad_rows[a, k dim + j].
+        self._ad_rows = self.structure.transpose(0, 2, 1).reshape(self.dim, -1)  # a copy; structure becomes its view
+        self.structure = self._ad_rows.reshape((self.dim,) * 3).transpose(0, 2, 1)
+        gram = -np.einsum("aji,bij->ab", self.structure, self.structure)  # tr(ad_a ad_b), read row by row
         self.gram = 0.5 * (gram + gram.T)
         if np.linalg.eigvalsh(self.gram).min() <= 0:
             raise ConfigurationError("pairing must be positive definite")
         self.gram_inv = np.linalg.inv(self.gram)
 
-        for arr in (self.basis, self.structure, self.ad_basis, self.gram, self.gram_inv, self.trace_basis):
+        for arr in (self.basis, self._ad_rows, self.structure, self.gram, self.gram_inv, self.trace_basis):
             arr.setflags(write=False)
-        self._ad_rows = self.ad_basis.reshape(self.dim, self.dim * self.dim)  # a read-only view
 
     def _validate_jacobi(self) -> None:
         """The Jacobi identity to 1e-12, summed over exactly nonzero constants (module docstring)."""
@@ -160,7 +161,10 @@ class LieAlgebra:
         return self.ads(self._check(x))
 
     def ads(self, xs: np.ndarray) -> np.ndarray:
-        """ad matrices of a stack (..., dim) -> (..., dim, dim): [x, y] = ads(x) @ y."""
+        """ad matrices of a stack (..., dim) -> (..., dim, dim): [x, y] = ads(x) @ y, the one bracket kernel.
+
+        Only the two RK4 steppers of ``dynamics`` read ``_ad_rows`` directly, into buffers allocated once per
+        flow: a call here would add Python overhead to each of a flow's 40 000 field evaluations."""
         xs = np.asarray(xs, dtype=float)
         return (xs.reshape(-1, self.dim) @ self._ad_rows).reshape(*xs.shape[:-1], self.dim, self.dim)
 

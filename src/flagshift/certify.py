@@ -10,13 +10,16 @@ certificate loudly instead of being averaged away.  A certificate measures
 all of its open trials at once: each retry round gates the fresh draws as
 one stack and measures the accepted points as one stack, while every rank
 is still decided on its own matrix.  Within one run every seeded point is
-drawn and gated once and shared by the certificates that read it: each
-``ClaimContext`` owns one table, a single memo of draws, invariant tangent
-spans and gradient ranks, and every new context starts a fresh one.  Only
-the sampling layer names a point's seed entropy: a gate or measurement
-call on a stack that raises a LinAlgError runs again one point at a time,
-in trial order, and the first point that fails is named.  Every report is
-built by one constructor, which reads algebra, n and seed from the context.
+drawn and gated once, in a ``ProductSpace``, and shared by the certificates
+that read it: each ``ClaimContext`` owns one table, a single memo of draws,
+invariant tangent spans and gradient ranks, and every new context starts a
+fresh one.  Every rank of unit gradient rows is decided in that table, once
+per family and point.  Only the sampling layer names a point's seed entropy:
+a gate or measurement call on a stack that raises a LinAlgError runs again
+one point at a time, in trial order, and the first point that fails is
+named.  Every report is built by one constructor, which reads algebra, n and
+seed from the context.  ``check_request`` refuses a run from n alone, before
+any space is built.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import dynamics
-from .algebra import LieAlgebra
 from .errors import ConfigurationError, GenericityError
 from .families import (
     PolynomialFamily,
@@ -45,7 +47,7 @@ from .poisson import (
     invariant_tangent_span,
     tangent_span_orthocomplement,
 )
-from .product import ProductSpace
+from .product import ProductSpace, check_factors
 from .ranks import DEFAULT_POLICY, RankPolicy, RankResult, numerical_rank, row_space
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "CLAIM_IDS",
     "BRACKET_CLAIMS",
     "run_claims",
+    "check_request",
     "lemma1_targets",
     "flag_rank_target",
     "restricted_rank_target",
@@ -111,10 +114,10 @@ class ClaimContext:
 
     Each certificate measures at ``trials`` generic points drawn from
     ``seed``, decides ranks under ``policy`` and holds bracket residuals to
-    ``tol_bracket``; the ``gaudin`` claim reads ``gaudin_weights``, checked by
-    ``spectral_weights`` (None reads 1..n).  ``_points`` is not a setting: it is
-    the table of generic points drawn so far (``_Points``), owned by this context;
-    every new context, ``replace`` included, starts a fresh one.
+    ``tol_bracket``; the ``gaudin`` claim reads ``gaudin_weights`` (None reads
+    1..n).  ``check_request`` refuses settings no certificate can use.  ``_points``
+    is not a setting: it is the table of generic points drawn so far (``_Points``),
+    owned by this context; every new context, ``replace`` included, starts a fresh one.
     """
 
     space: ProductSpace
@@ -126,25 +129,7 @@ class ClaimContext:
     _points: _Points = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
-        # finite, too: a document writes a number that is not finite as null, which only a failed row may hold
-        if not 0 < self.tol_bracket < np.inf:
-            raise ConfigurationError(f"tol_bracket must be positive and finite, got {self.tol_bracket}")
-        if not 0 < self.policy.rel_tol < np.inf:
-            raise ConfigurationError(
-                f"policy.rel_tol (tol_rank) must be positive and finite, got {self.policy.rel_tol}"
-            )
-        rel_tol, margin = self.policy.rel_tol, self.policy.margin
-        if rel_tol * margin >= 1.0:
-            raise ConfigurationError(
-                f"policy.rel_tol (tol_rank) must be below 1 / margin = {1.0 / margin:g}, got {rel_tol:g}: "
-                f"its marginal band ({rel_tol / margin:g}, {rel_tol * margin:g}) times the largest singular "
-                f"value reaches the largest, so no kept singular value could clear the cutoff by the margin"
-            )
-        self.weights()  # invalid spectral weights are refused before any claim runs
+        check_request(self.space.n, None, self.seed, self.trials, self.policy, self.tol_bracket, self.gaudin_weights)
         object.__setattr__(self, "_points", _Points(self.space, self.policy))
 
     def weights(self) -> tuple[float, ...]:
@@ -176,24 +161,19 @@ def completeness_target(space: ProductSpace) -> int:
 # -- generic point sampling ------------------------------------------------------
 
 
-def _draw(context, entropy: list[int], domain: str) -> np.ndarray:
-    rng = np.random.default_rng(entropy)
-    if domain == "k":
-        algebra = context if isinstance(context, LieAlgebra) else context.base
-        return algebra.random_element(rng)
-    if domain == "g":
-        return context.random_point(rng)
-    return context.random_v_point(rng)
+def _draw(space: ProductSpace, entropy: list[int], domain: str) -> np.ndarray:
+    sampler = {"k": space.base.random_element, "g": space.random_point, "v": space.random_v_point}[domain]
+    return sampler(np.random.default_rng(entropy))
 
 
-def _failed_gates(context, Xs: np.ndarray, domain: str, policy: RankPolicy) -> list[str | None]:
+def _failed_gates(space: ProductSpace, Xs: np.ndarray, domain: str, policy: RankPolicy) -> list[str | None]:
     """The first genericity gate each point of a stack fails, or None.
 
     Every block must be regular; on the product the blocks must also share
     no centralizer.  Regularity is one gap gate on the whole stack, the
     centralizer one SVD per point.
     """
-    algebra = context if isinstance(context, LieAlgebra) else context.base
+    algebra = space.base
     dims, marginal = algebra.isotropy(Xs, policy)
     irregular = (marginal | (dims != algebra.rank)).reshape(len(Xs), -1).any(axis=1)
     gates = []
@@ -226,20 +206,27 @@ def _naming_entropy(fn: Callable, Xs: np.ndarray, entropies: list) -> list:
         raise
 
 
+def _unit_rows(gens: np.ndarray) -> np.ndarray:
+    """(count, n, dim) gradients at one point as unit rows: degree 2 and degree m gradients differ by decades."""
+    rows = gens.reshape(len(gens), -1)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
+
+
 class _Points:
-    """The seeded points drawn in ``context`` under ``policy``, each drawn and gated once.
+    """The seeded points drawn in ``space`` under ``policy``, each drawn and gated once.
 
     One memo holds every per-point quantity under a key tagged by its kind:
     ("draw", domain, entropy) holds the accepted point, read-only, or the name
     of the gate that rejected it; ("span", entropy) a v point's invariant
     tangent span; ("rank", family id, entropy) the rank of the family's unit
-    gradient rows there (``thm2ii`` and ``dimB`` both read the flag-shift
-    rank).  The flag-shift family is built once.  Gradient stacks, the large
-    arrays, are shared only inside ``claim()`` and dropped when it ends.
+    gradient rows there, decided only in ``rank`` (``thm2ii`` and ``dimB`` both
+    read the flag-shift rank).  The flag-shift family is built once.  Gradient
+    stacks, the large arrays, are shared only inside ``claim()`` and dropped when it ends.
     """
 
-    def __init__(self, context, policy: RankPolicy):
-        self.context, self.policy = context, policy
+    def __init__(self, space: ProductSpace, policy: RankPolicy):
+        self.space, self.policy = space, policy
         self._memo: dict = {}
         self._gradients: dict | None = None
 
@@ -248,9 +235,9 @@ class _Points:
         keys = [("draw", domain, tuple(entropy)) for entropy in entropies]
         new = [entropy for entropy, key in zip(entropies, keys) if key not in self._memo]
         if new:
-            Xs = np.stack([_draw(self.context, entropy, domain) for entropy in new])
+            Xs = np.stack([_draw(self.space, entropy, domain) for entropy in new])
             Xs.flags.writeable = False
-            gates = _naming_entropy(lambda stack, _: _failed_gates(self.context, stack, domain, self.policy), Xs, new)
+            gates = _naming_entropy(lambda stack, _: _failed_gates(self.space, stack, domain, self.policy), Xs, new)
             for entropy, X, gate in zip(new, Xs, gates):
                 self._memo["draw", domain, tuple(entropy)] = (None, gate) if gate else (X, None)
         return [self._memo[key] for key in keys]
@@ -259,21 +246,21 @@ class _Points:
         """``invariant_tangent_span`` at the v point drawn from ``entropy``."""
         key = ("span", tuple(entropy))
         if key not in self._memo:
-            span, marginal = invariant_tangent_span(self.context, X, self.policy)
+            span, marginal = invariant_tangent_span(self.space, X, self.policy)
             span.flags.writeable = False
             self._memo[key] = span, marginal
         return self._memo[key]
 
-    def rank(self, family: PolynomialFamily, entropy: list[int], rows: np.ndarray) -> RankResult:
-        """``numerical_rank`` of ``family``'s unit gradient ``rows`` at the point drawn from ``entropy``, decided once."""
+    def rank(self, family: PolynomialFamily, entropy: list[int], gens: np.ndarray) -> RankResult:
+        """Rank of the unit rows of ``family``'s gradients ``gens`` at the point drawn from ``entropy``, decided once."""
         key = ("rank", id(family), tuple(entropy))
         if key not in self._memo:
-            self._memo[key] = family, numerical_rank(rows, self.policy)  # the family held keeps its id unique
+            self._memo[key] = family, numerical_rank(_unit_rows(gens), self.policy)  # the family keeps its id unique
         return self._memo[key][1]
 
     @cached_property
     def flag_shift(self) -> PolynomialFamily:
-        return flag_shift_family(self.context)
+        return flag_shift_family(self.space)
 
     @contextmanager
     def claim(self):
@@ -352,9 +339,12 @@ def generic_point(
     domain: str = "g",
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Seeded point passing the genericity gates, resampled as needed; read-only."""
+    """Seeded point of a ``ProductSpace`` passing the genericity gates, resampled as needed; read-only."""
+    if not isinstance(context, ProductSpace) and domain != "k":
+        raise ConfigurationError(f"domain {domain!r} draws on a ProductSpace, got {context!r}")
+    space = context if isinstance(context, ProductSpace) else ProductSpace(context, 2)  # n enters no "k" draw or gate
     accept_all = lambda Xs, entropies: [(X, False, {}) for X in Xs]  # noqa: E731
-    values, _ = _rounds(_Points(context, policy), [[int(p) for p in seed_parts]], domain, accept_all)
+    values, _ = _rounds(_Points(space, policy), [[int(p) for p in seed_parts]], domain, accept_all)
     return values[0]
 
 
@@ -494,13 +484,6 @@ def verify_lemma1(ctx: ClaimContext) -> tuple[CertificateReport, CertificateRepo
     )
 
 
-def _unit_rows(gens: np.ndarray) -> np.ndarray:
-    """(count, n, dim) gradients at one point as unit rows: degree 2 and degree m gradients differ by decades."""
-    rows = gens.reshape(len(gens), -1)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.where(norms > 0.0, norms, 1.0)
-
-
 def verify_completeness(
     ctx: ClaimContext,
     family: PolynomialFamily,
@@ -520,12 +503,11 @@ def verify_completeness(
 
     def measure(Xs, entropies):
         for gens, X, entropy in zip(ctx._points.gradients(family, entropies, Xs), Xs, entropies):
-            rows = _unit_rows(gens)
             if mode == "ddim":  # the rank alone: singular values, no basis
-                span_dim, marginal = ctx._points.rank(family, entropy, rows)
+                span_dim, marginal = ctx._points.rank(family, entropy, gens)
                 yield span_dim, marginal, {"ddim": span_dim}
                 continue
-            basis, marginal = row_space(rows, policy)
+            basis, marginal = row_space(_unit_rows(gens), policy)
             if marginal:
                 yield 0, True, {}
                 continue
@@ -605,15 +587,14 @@ def _claim_thm2ii(ctx: ClaimContext) -> list[CertificateReport]:
     Given ``thm2i``, it bounds dim W + dim ker(bivector on W) from below, and
     that sum is at most ``completeness_target`` for any family (README).
     """
-    shift = generic_point(ctx.space.base, [ctx.seed, 104729], "k", policy=ctx.policy)
+    shift = generic_point(ctx.space, [ctx.seed, 104729], "k", policy=ctx.policy)
     central = ctx._points.flag_shift
     family = flag_momentum_family(ctx.space, shift, central)
 
     def measure(Xs, entropies):
         for gens, entropy in zip(ctx._points.gradients(family, entropies, Xs), entropies):
-            rows = _unit_rows(gens)
-            ddim, marginal = numerical_rank(rows, ctx.policy)
-            central_rank, central_marginal = ctx._points.rank(central, entropy, rows[: len(central)])
+            ddim, marginal = ctx._points.rank(family, entropy, gens)
+            central_rank, central_marginal = ctx._points.rank(central, entropy, gens[: len(central)])
             yield ddim + central_rank, marginal or central_marginal, {"ddim": ddim, "central_rank": central_rank}
 
     values, witnesses = _measure_at_generic_points(ctx, family.domain, measure)
@@ -699,32 +680,48 @@ _SLICE_CLAIMS = ("lemma1", "thm3", "gaudin")
 # The claims whose certificates hold a residual to ``tol_bracket``; the others read no bracket tolerance.
 BRACKET_CLAIMS = ("thm2i", "thm3", "gaudin")
 
-def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> list[CertificateReport]:
-    """Run the requested claims (all of them by default) in registry order.
 
-    The run draws and gates each seeded point once, in a table of its own,
-    and the certificates of one claim share each family's gradients at each
-    point.  A claim that finds no generic point, or whose linear algebra
-    fails to converge, gives one failed report with the error message; the
-    other claims still run.  Requests whose targets cannot hold are refused
-    before any draw: slice claims at n = 2, and ``gaudin`` with repeated
-    weights, whose blocks share a pole that its rank target does not allow for.
+def check_request(n: int, claim_ids: Sequence[str] | None, seed: int, trials: int, policy: RankPolicy,
+                  tol_bracket: float, gaudin_weights: Sequence[float] | None) -> None:
+    """Refuse, from n alone and before any space is built, a run that cannot give certificates.
+
+    The settings of a ``ClaimContext`` on n factors are checked first.  Then,
+    unless ``claim_ids`` is None, the selection: unknown or no claim ids, slice
+    claims at n = 2, and ``gaudin`` with repeated weights, whose blocks share a
+    pole that its rank target does not allow for.
     """
-    if claim_ids is None or list(claim_ids) == ["all"]:
-        claim_ids = list(CLAIM_IDS)
+    check_factors(n)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
+    # finite, too: a document writes a number that is not finite as null, which only a failed row may hold
+    if not 0 < tol_bracket < np.inf:
+        raise ConfigurationError(f"tol_bracket must be positive and finite, got {tol_bracket}")
+    if not 0 < policy.rel_tol < np.inf:
+        raise ConfigurationError(f"policy.rel_tol (tol_rank) must be positive and finite, got {policy.rel_tol}")
+    rel_tol, margin = policy.rel_tol, policy.margin
+    if rel_tol * margin >= 1.0:
+        raise ConfigurationError(
+            f"policy.rel_tol (tol_rank) must be below 1 / margin = {1.0 / margin:g}, got {rel_tol:g}: "
+            f"its marginal band ({rel_tol / margin:g}, {rel_tol * margin:g}) times the largest singular "
+            f"value reaches the largest, so no kept singular value could clear the cutoff by the margin"
+        )
+    weights = spectral_weights(n, gaudin_weights)
+    if claim_ids is None:
+        return
     if not claim_ids:
         raise ConfigurationError(f"no claims selected; choose from {', '.join(CLAIM_IDS)} or 'all'")
     unknown = [c for c in claim_ids if c not in _REGISTRY]
     if unknown:
         raise ConfigurationError(f"unknown claim ids: {', '.join(unknown)}")
     on_slice = [c for c in _SLICE_CLAIMS if c in claim_ids]
-    if ctx.space.n < 3 and on_slice:
+    if n < 3 and on_slice:
         apply = ", ".join(c for c in CLAIM_IDS if c not in _SLICE_CLAIMS)
         raise ConfigurationError(
             f"claims {', '.join(on_slice)} need n >= 3 (at n = 2 the zero-momentum slice "
             f"has no generic point); at n = 2 only {apply} apply"
         )
-    weights = ctx.weights()
     repeated = [a for a in dict.fromkeys(weights) if weights.count(a) > 1]
     if "gaudin" in claim_ids and repeated:
         blocks = ", ".join(str(i) for i, a in enumerate(weights) if a == repeated[0])
@@ -732,6 +729,21 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
             f"claim gaudin needs distinct gaudin_weights (its rank target assumes one pole per block); "
             f"weight {repeated[0]:g} repeats at blocks {blocks}, which share one pole"
         )
+
+
+def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> list[CertificateReport]:
+    """Run the requested claims (all of them by default) in registry order.
+
+    The run draws and gates each seeded point once, in a table of its own,
+    and the certificates of one claim share each family's gradients at each
+    point.  A claim that finds no generic point, or whose linear algebra
+    fails to converge, gives one failed report with the error message; the
+    other claims still run.  A request ``check_request`` refuses is refused
+    before any draw.
+    """
+    if claim_ids is None or list(claim_ids) == ["all"]:
+        claim_ids = list(CLAIM_IDS)
+    check_request(ctx.space.n, claim_ids, ctx.seed, ctx.trials, ctx.policy, ctx.tol_bracket, ctx.gaudin_weights)
     ctx = replace(ctx)  # a table of its own
     reports: list[CertificateReport] = []
     for claim in CLAIM_IDS:

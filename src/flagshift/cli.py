@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dynamics
 from .algebra import build_algebra
-from .certify import BRACKET_CLAIMS, CLAIM_IDS, ClaimContext, generic_point, run_claims
+from .certify import BRACKET_CLAIMS, CLAIM_IDS, ClaimContext, check_request, generic_point, run_claims
 from .errors import ConfigurationError, GenericityError
 from .families import flag_shift_family, gaudin_family
 from .product import ProductSpace
@@ -150,8 +150,9 @@ def _write_json(path: str, document: dict) -> None:
 
 
 def _fmt(value) -> str:
-    # Non-finite values (a failed cross-check reports inf) print as inf / nan;
-    # a document stores them as null, which prints as n/a.
+    # A number that is not finite is null in a document and in the rows
+    # certify prints, and prints as n/a; a hand-written document may still
+    # hold Infinity or NaN, which print as inf / nan.
     if value is None:
         return "n/a"
     if isinstance(value, (int, np.integer)) or (np.isfinite(value) and float(value) == int(value)):
@@ -201,21 +202,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if not isinstance(weights, list):
             raise ConfigurationError(f"config key 'gaudin_weights' must be a list, got {weights!r}")
         weights = tuple(_convert(w, float, "config key 'gaudin_weights'") for w in weights)
-    ctx = ClaimContext(
-        space=_build_space(algebra, n),
-        seed=_pick_seed(args, config),
-        trials=_pick(args.trials, config, "trials", 7, int),
-        policy=RankPolicy(rel_tol=_pick(args.tol_rank, config, "tol_rank", 1e-8, float)),
-        tol_bracket=_pick(args.tol_bracket, config, "tol_bracket", 1e-9, float),
-        gaudin_weights=weights,
+    settings = (
+        _pick_seed(args, config),
+        _pick(args.trials, config, "trials", 7, int),
+        RankPolicy(rel_tol=_pick(args.tol_rank, config, "tol_rank", 1e-8, float)),
+        _pick(args.tol_bracket, config, "tol_bracket", 1e-9, float),
+        weights,
     )
+    check_request(n, claims, *settings)  # before the algebra is built
     if (args.tol_bracket is not None or "tol_bracket" in config) and not set(claims) & set(BRACKET_CLAIMS):
         source = "--tol-bracket" if args.tol_bracket is not None else "config key 'tol_bracket'"
         raise ConfigurationError(
             f"{source} is read only by claims {', '.join(BRACKET_CLAIMS)}, none of which is selected"
         )
+    ctx = ClaimContext(_build_space(algebra, n), *settings)
     reports = run_claims(ctx, claims)
-    rows = [report.to_dict() for report in reports]
+    rows = _finite_or_null([report.to_dict() for report in reports])
     for report in reports:
         if report.error is not None:
             print(f"not measured: {report.error}", file=sys.stderr)

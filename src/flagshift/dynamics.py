@@ -1,17 +1,17 @@
 """Quadratic Hamiltonians and fixed-step integration of their Euler flows.
 
-All flows here are of Euler type: dx_i/dt = [x_i, grad_i h].  Every built-in
-Hamiltonian is a quadratic form with constant blockwise coefficients C, so
-its gradient is C acting on the blocks.  The integrator is classical RK4
-with a fixed step in Butcher-tableau form.  One eigh splits C = d I +
-U S U^T (``_coupling``), and since [y_i, d y_i] = 0 the field brackets
-each block with the r rows S U^T Y only.  Up to n r = ``COUPLED_MAX_ROWS``
-the tableau carries those rows, and each stage is at most three
-two-dimensional BLAS calls.  Larger flows, where the n r terms cost more
-than the calls they save, evaluate the Euler-field kernel of three BLAS
-calls per stage, with one GEMV per stage input.  The step loop never
-evaluates a conserved quantity: after it, the energy and the monitor
-family are evaluated on the stack of recorded states, ``MONITOR_CHUNK``
+All flows here are of Euler type: dx_i/dt = [x_i, grad_i h] = ads(x_i) @ grad_i h
+(``euler_field``).  Every built-in Hamiltonian is a quadratic form with constant
+blockwise coefficients C, so its gradient is C acting on the blocks.  The
+integrator is classical RK4 with a fixed step in Butcher-tableau form.  One eigh
+splits C = d I + U S U^T (``_coupling``), and since [y_i, d y_i] = 0 the field
+brackets each block with the r rows S U^T Y only.  Up to n r = ``COUPLED_MAX_ROWS``
+the tableau carries those rows, and each stage is at most three two-dimensional
+BLAS calls.  Larger flows, where the n r terms cost more than the calls they
+save, evaluate the Euler field by three BLAS calls per stage, with one GEMV per
+stage input; both steppers read the ad rows into buffers allocated once per flow.
+The step loop never evaluates a conserved quantity: after it, the energy and the
+monitor family are evaluated on the stack of recorded states, ``MONITOR_CHUNK``
 states per call, and reported as relative drifts.
 """
 
@@ -191,26 +191,9 @@ def einstein_parameters(n: int) -> tuple[float, float]:
 # -- vector fields ------------------------------------------------------------
 
 
-def _euler_kernel(space: ProductSpace, hamiltonian: QuadraticHamiltonian):
-    """Euler field ``field(Y, out)``: out[i] = ads(y_i) @ (coeff @ Y)[i] as an
-    (n, dim, 1) array, by three BLAS calls into buffers allocated once."""
-    n, dim = space.n, space.base.dim
-    rows, coeff = space.base._ad_rows, hamiltonian.coeff
-    ads, grad = np.empty((n, dim * dim)), np.empty((n, dim))
-    ads3, grad3 = ads.reshape(n, dim, dim), grad.reshape(n, dim, 1)
-
-    def field(Y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        Y.dot(rows, out=ads)
-        coeff.dot(Y, out=grad)
-        return np.matmul(ads3, grad3, out=out)
-
-    return field
-
-
 def euler_field(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X: np.ndarray) -> np.ndarray:
-    """dx_i/dt = [x_i, grad_i h] blockwise."""
-    out = np.empty((space.n, space.base.dim, 1))
-    return _euler_kernel(space, hamiltonian)(np.asarray(X, dtype=float), out)[:, :, 0]
+    """dx_i/dt = [x_i, grad_i h] blockwise: ads(x_i) @ grad_i h."""
+    return (space.base.ads(X) @ hamiltonian.gradient(X)[:, :, None])[:, :, 0]
 
 
 def gaudin_field(space: ProductSpace, weights: Sequence[float], X: np.ndarray) -> np.ndarray:
@@ -283,7 +266,7 @@ class Trajectory:
 
 
 def _kernel_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np.ndarray, dt: float):
-    """RK4 steps through ``_euler_kernel``: yield the state after each step.
+    """RK4 steps of ``euler_field``, by three BLAS calls into buffers allocated once: yield each step's state.
 
     The stages k1..k4 and the state X are the rows of one zeroed (5, n dim)
     tableau.  Each stage input X + sum_j a_ij k_j and the update X + dt (k1
@@ -293,7 +276,15 @@ def _kernel_steps(space: ProductSpace, hamiltonian: QuadraticHamiltonian, X0: np
     textbook sum does.
     """
     n, dim = space.n, space.base.dim
-    field = _euler_kernel(space, hamiltonian)
+    rows, coeff = space.base._ad_rows, hamiltonian.coeff
+    ads, grad = np.empty((n, dim * dim)), np.empty((n, dim))
+    ads3, grad3 = ads.reshape(n, dim, dim), grad.reshape(n, dim, 1)
+
+    def field(Y: np.ndarray, out: np.ndarray) -> None:
+        Y.dot(rows, out=ads)
+        coeff.dot(Y, out=grad)
+        np.matmul(ads3, grad3, out=out)
+
     # rows [k1, k2, k3, k4, X], zeroed so the zero weights never meet
     # uninitialised memory (0 * nan is nan)
     tableaux = np.zeros((2, 5, n * dim))
@@ -418,8 +409,8 @@ def integrate(flow: FlowSpec) -> Trajectory:
     with U of r columns (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS``
     a step is ``_coupled_steps``: 12 two-dimensional BLAS calls, with the
     r coupling rows S U^T X carried in the tableau.  Larger flows step
-    through ``_kernel_steps``, whose stages call the ``_euler_kernel``
-    field.  The two differ by round-off only.
+    through ``_kernel_steps``, three BLAS calls per field evaluation.
+    The two differ by round-off only.
     """
     h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
     n, dim = flow.space.n, flow.space.base.dim

@@ -17,14 +17,19 @@ from .errors import ConfigurationError
 __all__ = ["ProductSpace"]
 
 
+def check_factors(n: int) -> int:
+    """The factor count n as an int, refused below 2."""
+    if n < 2:
+        raise ConfigurationError(f"product needs n >= 2 factors, got n={n}")
+    return int(n)
+
+
 class ProductSpace:
     """n-fold product of a compact algebra with diagonal/complement structure."""
 
     def __init__(self, base: LieAlgebra, n: int):
-        if n < 2:
-            raise ConfigurationError(f"product needs n >= 2 factors, got n={n}")
         self.base = base
-        self.n = int(n)
+        self.n = check_factors(n)
 
     @property
     def dim(self) -> int:

@@ -116,6 +116,16 @@ def test_ads_stack_matches_structure_constants(m):
     assert np.abs(ads[1] - singles).max() <= 1e-13 * np.abs(oracle).max()
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_the_ad_data_is_stored_once(m):
+    # structure is a read-only view of the ad rows that ads multiplies; no second copy is kept
+    k = build_algebra("su", m)
+    assert k._ad_rows.shape == (k.dim, k.dim * k.dim)
+    assert np.shares_memory(k.structure, k._ad_rows)
+    assert not k.structure.flags.writeable and not k._ad_rows.flags.writeable
+    assert not hasattr(k, "ad_basis")
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_jacobi_identity(seed):

@@ -68,6 +68,24 @@ def _accepted_draw(ctx, trial, domain):
             return entropy, X
 
 
+def test_generic_point_on_a_bare_algebra_draws_in_k_alone(su3):
+    # n enters neither a "k" draw nor a "k" gate, so a bare algebra stands for any product of it
+    x = generic_point(su3, [5, 4], "k")
+    for n in (2, 3):
+        space = ProductSpace(su3, n)
+        assert np.array_equal(x, generic_point(space, [5, 4], "k")) and np.array_equal(x, _draw(space, [5, 4, 0], "k"))
+    impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
+    errors = []
+    for context in (su3, ProductSpace(su3, 3)):
+        with pytest.raises(GenericityError) as caught:
+            generic_point(context, [5, 4], "k", policy=impossible)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and "domain 'k'" in errors[0]
+    for domain in ("g", "v"):
+        with pytest.raises(ConfigurationError, match=f"domain '{domain}' draws on a ProductSpace"):
+            generic_point(su3, [5, 4], domain)
+
+
 def test_sampler_resamples_marginal_measurements(su2n3):
     # The first k gated draws are flagged marginal; the witness records the
     # burned retries and the accepted point is the draw for [seed, trial, k].
@@ -299,7 +317,7 @@ def test_the_point_table_is_not_a_setting(su2n3):
               replace(ctx, space=space)]
     tables = [ctx._points] + [copy._points for copy in copies]
     assert len(set(map(id, tables))) == len(tables) and not any(table._memo for table in tables)
-    assert [(t.context, t.policy) for t in tables[-2:]] == [(su2n3, policy), (space, ctx.policy)]
+    assert [(t.space, t.policy) for t in tables[-2:]] == [(su2n3, policy), (space, ctx.policy)]
     # the table is in neither equality nor repr, and it cannot be passed in
     assert ctx == copies[0] == copies[1] and repr(ctx) == repr(copies[1]) and "_points" not in repr(ctx)
     with pytest.raises(ValueError, match="init=False"):
@@ -322,6 +340,36 @@ def test_gaudin_draws_each_g_entropy_once(su2n3, monkeypatch):
     assert [r.trials for r in reports] == [10, 7, 7, 7, 1] and all(r.passed for r in reports)
     g = {entropy: count for (domain, entropy), count in draws.items() if domain == "g"}
     assert {(42, t, 0) for t in range(10)} <= set(g) and set(g.values()) == {1}
+
+
+def test_every_unit_row_rank_is_decided_once_in_the_point_table(su2n3, monkeypatch):
+    # thm2ii (W and F_c), dimB, thm3 and gaudin form unit gradient rows only inside _Points.rank,
+    # and each (family, entropy) pair is decided once: dimB reads the F_c rank thm2ii decided
+    from flagshift import certify
+
+    rank, unit_rows = certify._Points.rank, certify._unit_rows
+    inside, calls, decided = [], Counter(), Counter()
+
+    def counted_rank(self, family, entropy, gens):
+        inside.append((family.name, id(family), tuple(entropy)))
+        calls[family.name] += 1
+        try:
+            return rank(self, family, entropy, gens)
+        finally:
+            inside.pop()
+
+    def counted_unit_rows(gens):
+        assert inside, "unit rows formed outside _Points.rank"
+        decided[inside[-1]] += 1
+        return unit_rows(gens)
+
+    monkeypatch.setattr(certify._Points, "rank", counted_rank)
+    monkeypatch.setattr(certify, "_unit_rows", counted_unit_rows)
+    reports = run_claims(ClaimContext(su2n3), ["all"])
+    assert len(reports) == 14 and all(r.passed for r in reports)
+    assert set(decided.values()) == {1}
+    assert Counter(name for name, *_ in decided) == {name: 7 for name in calls}
+    assert calls["flag_shift"] == 14
 
 
 @pytest.mark.parametrize("claim", CLAIM_IDS)

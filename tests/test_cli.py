@@ -524,10 +524,30 @@ def test_tol_bracket_is_refused_when_no_selected_claim_reads_it(source, value, t
 
 
 @pytest.mark.parametrize(
+    "argv, gaudin_weights, message",
+    [
+        (["--claims", "dimB", "--tol-bracket", "1e-3"], None, "--tol-bracket is read only by claims"),
+        (["--n", "2", "--claims", "thm3"], None, "claims thm3 need n >= 3"),
+        (["--claims", "gaudin"], [1, 1, 2], "weight 1 repeats at blocks 0, 1, which share one pole"),
+    ],
+    ids=["tol-bracket", "slice-at-n-2", "repeated-weights"],
+)
+def test_certify_refuses_a_request_before_building_the_algebra(argv, gaudin_weights, message, tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setattr(cli, "_build_space", _never)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 3} if gaudin_weights is None else {"gaudin_weights": gaudin_weights}))
+    assert main(["certify", "--algebra", "su10", "--config", str(config)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [(["--claims", "lemma1,thm2i", "--trials", "2"], 0),
-     (["--claims", "lemma1,thm2i", "--trials", "2", "--tol-bracket", "1e-300"], 1)],
-    ids=["passing", "failing"],
+     (["--claims", "lemma1,thm2i", "--trials", "2", "--tol-bracket", "1e-300"], 1),
+     (["--claims", "lemma1,thm2i,dimB", "--trials", "2", "--tol-rank", "0.09"], 1)],
+    ids=["passing", "failing", "not-measured"],
 )
 def test_report_prints_the_table_count_and_exit_code_certify_printed(argv, code, tmp_path, capsys):
     out = tmp_path / "cert.json"
@@ -536,7 +556,6 @@ def test_report_prints_the_table_count_and_exit_code_certify_printed(argv, code,
     assert main(["report", str(out)]) == code
     reported = capsys.readouterr().out.splitlines()
     # report lists failures first and then by claim id; the lines themselves are the same
-    # (a failure record's NaN, which a document stores as null, would print as n/a)
     assert reported[:2] == certified[:2] and reported[-1] == certified[-1]
     assert sorted(reported[2:-1]) == sorted(certified[2:-1]) and len(reported) > 3
 

@@ -97,7 +97,7 @@ def test_isotropy_dimensions(su3n3, su3):
     tiled = np.tile(x, (3, 1))
     # equal blocks are each regular but share their rank-2 centralizer
     assert su3.isotropy_dim(x) == 2
-    assert _failed_gates(su3, x[None], "k", DEFAULT_POLICY) == [None]
+    assert _failed_gates(su3n3, x[None], "k", DEFAULT_POLICY) == [None]
     assert su3.dim - numerical_rank(np.vstack(su3.ads(tiled))).rank == 2
     # one stack gates each point on its own
     stack = np.stack([X, tiled, np.tile(np.zeros(su3.dim), (3, 1)), X])
