@@ -340,6 +340,8 @@ def generic_point(
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Seeded point of a ``ProductSpace`` passing the genericity gates, resampled as needed; read-only."""
+    if domain not in ("k", "g", "v"):
+        raise ConfigurationError(f"unknown domain {domain!r}, expected 'k', 'g' or 'v'")
     if not isinstance(context, ProductSpace) and domain != "k":
         raise ConfigurationError(f"domain {domain!r} draws on a ProductSpace, got {context!r}")
     space = context if isinstance(context, ProductSpace) else ProductSpace(context, 2)  # n enters no "k" draw or gate

@@ -124,12 +124,17 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _check_output_paths(*paths: str | None) -> None:
-    """Refuse an output path that is a directory or whose directory does not exist, before any work is done."""
+    """Refuse, before any work is done, an output path that is a directory, whose directory does not
+    exist, or that names the same file as another output path."""
+    seen = set()
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigurationError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigurationError(f"cannot write {path}: its directory does not exist")
+        if os.path.realpath(path) in seen:
+            raise ConfigurationError(f"cannot write {path}: another output names the same file")
+        seen.add(os.path.realpath(path))
 
 
 def _finite_or_null(value):
@@ -324,7 +329,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         stride=stride,
         monitors=monitor_family,
     )
-    trajectory = dynamics.integrate(flow)
+    trajectory = dynamics.integrate(flow, csv_path=args.csv)
 
     summary = {
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -352,8 +357,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         summary["closed_form_residual"] = float(residuals.max())
         summary["momentum_norm_max"] = dynamics.momentum_norm_max(space, trajectory)
 
-    if args.csv:
-        dynamics.trajectory_to_csv(trajectory, args.csv)
     if args.summary:
         _write_json(args.summary, summary)
 

@@ -10,16 +10,27 @@ the tableau carries those rows, and each stage is at most three two-dimensional
 BLAS calls.  Larger flows, where the n r terms cost more than the calls they
 save, evaluate the Euler field by three BLAS calls per stage, with one GEMV per
 stage input; both steppers read the ad rows into buffers allocated once per flow.
-The step loop never evaluates a conserved quantity: after it, the energy and the
-monitor family are evaluated on the stack of recorded states, ``MONITOR_CHUNK``
-states per call, and reported as relative drifts.
+The step loop never evaluates a conserved quantity.  One chunk consumer,
+``_consume``, evaluates the energy and the monitor family on ``MONITOR_CHUNK``
+recorded states per call, for the relative drifts, and writes their CSV rows
+when a CSV is asked for.  Without a CSV it runs after the loop, in this process.
+With one, ``integrate`` forks a writer process (``os.fork`` and two pipes): the
+parent only steps, and sends each complete chunk of raw float64 states as a
+length-prefixed frame, then an end frame; the writer consumes each frame as it
+arrives, with the chunk boundaries of the in-process pass, so every output bit
+is the same, and sends the monitor series back.  On two cores its work overlaps
+the stepping; on one core the two processes take turns and the fork is pure
+cost.  Where ``os.fork`` does not exist (it is POSIX only), the consumer writes
+the CSV in this process after the loop.  Python 3.12 and later emit a
+DeprecationWarning when a process with more than one thread forks, and BLAS
+threads count.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -397,18 +408,22 @@ def _coupled_steps(space: ProductSpace, U: np.ndarray, s: np.ndarray, X0: np.nda
         yield cur[0]
 
 
-def integrate(flow: FlowSpec) -> Trajectory:
+def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
     """Classical RK4 with fixed step, in Butcher-tableau form.
 
     The energy is always the first monitor, labeled "energy", followed by
     ``flow.monitors``, if any.  The step loop only advances the state and
     copies it at each record; a non-finite record aborts the run, keeping
-    the last valid one.  After the loop, the monitors are evaluated on the
-    recorded states, ``MONITOR_CHUNK`` states per call.  The stepper
-    follows from one eigh of the coefficient matrix, C = d I + U S U^T
-    with U of r columns (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS``
-    a step is ``_coupled_steps``: 12 two-dimensional BLAS calls, with the
-    r coupling rows S U^T X carried in the tableau.  Larger flows step
+    the last valid one.  The monitors are evaluated by ``_consume`` on the
+    recorded states, ``MONITOR_CHUNK`` states per call.  Without a
+    ``csv_path`` that runs after the loop.  With one, a forked writer
+    process (``_Writer``) runs it on each chunk as the loop completes it
+    and writes the CSV as ``trajectory_to_csv`` would; without ``os.fork``
+    it runs after the loop, here.  The stepper follows from one eigh of
+    the coefficient matrix, C = d I + U S U^T with U of r columns
+    (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS`` a step is
+    ``_coupled_steps``: 12 two-dimensional BLAS calls, with the r
+    coupling rows S U^T X carried in the tableau.  Larger flows step
     through ``_kernel_steps``, three BLAS calls per field evaluation.
     The two differ by round-off only.
     """
@@ -420,32 +435,173 @@ def integrate(flow: FlowSpec) -> Trajectory:
     else:
         stepper = _kernel_steps(flow.space, h, flow.initial, dt)
 
-    record_steps = np.r_[0:steps:stride, steps]
-    states = np.empty((len(record_steps), n, dim))
+    times = np.r_[0:steps:stride, steps] * dt
+    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
+    states = np.empty((len(times), n, dim))
     states[0] = flow.initial
     recorded = 1
-    for step, X in zip(range(1, steps + 1), stepper):
-        if step % stride == 0 or step == steps:
-            if not np.isfinite(X).all():
-                break
-            states[recorded] = X
-            recorded += 1
-
-    aborted, states = recorded < len(states), states[:recorded]
-    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
-    series = np.empty((recorded, len(labels)))
-    for start in range(0, recorded, MONITOR_CHUNK):
-        chunk = slice(start, start + MONITOR_CHUNK)
-        series[chunk, 0] = h.value(states[chunk])
-        if flow.monitors is not None:
-            series[chunk, 1:] = flow.monitors.values(states[chunk])
+    writer = _Writer() if csv_path is not None and hasattr(os, "fork") else None
+    try:
+        if writer is not None:
+            writer.start(flow, labels, times, csv_path)
+        for step, X in zip(range(1, steps + 1), stepper):
+            if step % stride == 0 or step == steps:
+                if not np.isfinite(X).all():
+                    break
+                states[recorded] = X
+                recorded += 1
+                if writer is not None and recorded % MONITOR_CHUNK == 0:
+                    writer.send(states[recorded - MONITOR_CHUNK:recorded])
+        aborted, states = recorded < len(states), states[:recorded]
+        if writer is None:
+            chunks = (states[start:start + MONITOR_CHUNK] for start in range(0, recorded, MONITOR_CHUNK))
+            series = _consume(chunks, flow, labels, times, csv_path)
+        else:
+            series = writer.finish(states[recorded - recorded % MONITOR_CHUNK:], recorded)
+    finally:
+        if writer is not None:
+            writer.close()
     return Trajectory(
-        times=record_steps[:recorded] * dt,
+        times=times[:recorded],
         states=states,
         monitor_labels=labels,
         monitor_series=series,
         aborted=aborted,
     )
+
+
+def _consume(chunks, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path=None) -> np.ndarray:
+    """The chunk consumer: the energy and the monitors on each chunk of recorded states, in order.
+
+    With a ``csv_path``, the header and then each chunk's rows go to a file
+    written atomically, which replaces ``csv_path`` once every chunk is
+    consumed.  Returns the monitor series of the states consumed.
+    """
+    series = np.empty((len(times), len(labels)))
+    done = 0
+    with atomic_open(csv_path) if csv_path is not None else nullcontext() as handle:
+        if handle is not None:
+            _write_header(handle, flow.space.n, flow.space.base.dim, labels)
+        for states in chunks:
+            rows = slice(done, done + len(states))
+            series[rows, 0] = flow.hamiltonian.value(states)
+            if flow.monitors is not None:
+                series[rows, 1:] = flow.monitors.values(states)
+            if handle is not None:
+                handle.writelines(_csv_rows(times[rows], states, series[rows]))
+            done += len(states)
+    return series[:done]
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_into(fd: int, out: np.ndarray) -> None:
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError("the chunk stream ended without its end frame")
+        view = view[got:]
+
+
+def _read_chunks(fd: int, n: int, dim: int):
+    """The chunks of the frames ``_Writer.send`` writes, read into one buffer, up to the end frame."""
+    count, buffer = np.empty(1, dtype=np.int64), np.empty((MONITOR_CHUNK, n, dim))
+    while True:
+        _read_into(fd, count)
+        if count[0] == 0:
+            return
+        chunk = buffer[:count[0]]
+        _read_into(fd, chunk)
+        yield chunk
+
+
+def _serve(fds: list[int], flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path) -> None:
+    """The body of the writer process: ``_consume`` the chunk stream into the CSV, answer, and exit.
+
+    The answer is the monitor series as float64, sent after the CSV is in
+    place, with exit code 0; or an error text, after the temporary file is
+    discarded, with exit code 1.  It leaves only through ``os._exit``, so no
+    cleanup or buffered output of the parent runs twice.
+    """
+    chunks, parents_chunks, parents_answers, answers = fds
+    code, answer = 1, b""
+    try:
+        os.close(parents_chunks)  # else the writer would never see the parent close the stream
+        os.close(parents_answers)
+        answer = _consume(_read_chunks(chunks, flow.space.n, flow.space.base.dim), flow, labels, times, csv_path)
+        code = 0
+    except BaseException as exc:
+        answer = f"{type(exc).__name__}: {exc}".encode()
+    finally:
+        try:
+            _write_all(answers, answer)
+        except BaseException:
+            code = 1
+        os._exit(code)
+
+
+class _Writer:
+    """The parent's side of the forked CSV writer process (``_serve``).
+
+    Two pipes join them.  ``send`` writes one chunk of records down the
+    first as a frame: the record count as 8 bytes, then the float64 states;
+    a count of 0 is the end frame.  ``finish`` reads the writer's answer
+    from the second to its end and reaps the writer.  ``close`` closes both
+    pipes and reaps the writer, whatever happened before; closing the first
+    pipe without an end frame makes the writer discard the CSV and exit.
+    """
+
+    def __init__(self) -> None:
+        self.fds: list[int] = []
+        self.pid = self.code = None
+
+    def start(self, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path) -> None:
+        self.fds += os.pipe()
+        self.fds += os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _serve(self.fds, flow, labels, times, csv_path)  # never returns
+        chunks, self._chunks, self._answers, answers = self.fds
+        self.fds = [self._chunks, self._answers]
+        os.close(chunks)
+        os.close(answers)
+
+    def send(self, states: np.ndarray) -> None:
+        try:
+            _write_all(self._chunks, np.int64(len(states)))
+            if len(states):
+                _write_all(self._chunks, states)
+        except BrokenPipeError:  # the writer has exited; its answer says why
+            self._answer(None)
+
+    def finish(self, tail: np.ndarray, recorded: int) -> np.ndarray:
+        """Send the last chunk, if any, and the end frame; return the monitor series of the ``recorded`` states."""
+        if len(tail):
+            self.send(tail)
+        self.send(tail[:0])  # the end frame
+        return self._answer(recorded)
+
+    def _answer(self, recorded: int | None) -> np.ndarray:
+        parts = []
+        while part := os.read(self._answers, 1 << 16):
+            parts.append(part)
+        self.close()
+        answer = b"".join(parts)
+        if self.code != 0 or recorded is None:
+            text = answer.decode(errors="replace") or "no answer"
+            raise RuntimeError(f"the CSV writer process (pid {self.pid}) exited with code {self.code}: {text}")
+        return np.frombuffer(bytearray(answer)).reshape(recorded, -1)
+
+    def close(self) -> None:
+        while self.fds:
+            os.close(self.fds.pop())
+        if self.pid is not None and self.code is None:
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 # -- reduced closed-form flow ---------------------------------------------------
@@ -512,23 +668,28 @@ def atomic_open(path):
             os.unlink(tmp)
 
 
+def _write_header(handle, n_blocks: int, dim: int, labels: Sequence[str]) -> None:
+    header = ["t"]
+    header += [f"b{i + 1}_{a + 1}" for i in range(n_blocks) for a in range(dim)]
+    header += [f"monitor:{label}" for label in labels]
+    csv.writer(handle).writerow(header)  # monitor labels may need quoting
+
+
+def _csv_rows(times: np.ndarray, states: np.ndarray, series: np.ndarray):
+    """The CSV row formatter: one line per time, with round-trip float formatting."""
+    table = np.column_stack([times, states.reshape(len(times), -1), series])
+    # row by row: one tolist() of a whole table would hold every value as
+    # a Python float at once (2.6 MB for the su3^4 flow of 1001 rows)
+    return (",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+
+
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write recorded states and monitors with round-trip float formatting.
 
     Columns: t, then b<i>_<a> for block i and coordinate a (both 1-based),
     then one monitor:<label> column per monitor.  Written atomically.
+    ``integrate`` with a ``csv_path`` writes the same bytes.
     """
-    n_blocks, dim = trajectory.states.shape[1], trajectory.states.shape[2]
-    header = ["t"]
-    header += [f"b{i + 1}_{a + 1}" for i in range(n_blocks) for a in range(dim)]
-    header += [f"monitor:{label}" for label in trajectory.monitor_labels]
-    table = np.column_stack([
-        trajectory.times,
-        trajectory.states.reshape(trajectory.times.size, -1),
-        trajectory.monitor_series,
-    ])
     with atomic_open(path) as handle:
-        csv.writer(handle).writerow(header)  # monitor labels may need quoting
-        # row by row: one tolist() of the whole table would hold every value
-        # as a Python float at once (2.6 MB for the su3^4 flow of 1001 rows)
-        handle.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+        _write_header(handle, *trajectory.states.shape[1:], trajectory.monitor_labels)
+        handle.writelines(_csv_rows(trajectory.times, trajectory.states, trajectory.monitor_series))

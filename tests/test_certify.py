@@ -53,6 +53,13 @@ def test_generic_point_domains(su2n3, su2):
     assert su2.isotropy_dim(x) == 1
 
 
+@pytest.mark.parametrize("context", ["space", "algebra"])
+def test_generic_point_refuses_an_unknown_domain(su2n3, context):
+    where = su2n3 if context == "space" else su2n3.base
+    with pytest.raises(ConfigurationError, match="unknown domain 'x', expected 'k', 'g' or 'v'"):
+        generic_point(where, [1], "x")
+
+
 def test_generic_point_exhausts_retries(su2n3):
     impossible = RankPolicy(rel_tol=1e-8, margin=1e12, max_retries=2)
     with pytest.raises(GenericityError):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end, run in process."""
 
 import json
+import os
 
 import pytest
 
@@ -498,6 +499,32 @@ def test_an_output_path_that_is_a_directory_is_refused_first(argv, tmp_path, cap
     assert main(argv + [str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"configuration error: cannot write {tmp_path}: it is a directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("summary", ["same.out", "./same.out", "link.out"])
+def test_csv_and_summary_naming_one_file_are_refused_first(summary, tmp_path, capsys, monkeypatch, no_work):
+    # the summary would replace the CSV, and the writer process would race it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+    argv = ["flow", "--algebra", "su2", "--n", "3", "--t-end", "0.1", "--csv", "same.out", "--summary", summary]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: cannot write {summary}: another output names the same file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
+
+
+def test_flow_with_a_csv_forks_one_writer_and_leaves_no_child(tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["flow", "--model", "einstein", "--restrict-v", "--algebra", "su3", "--n", "4", "--t-end", "1"]
+    assert main(argv + ["--csv", str(tmp_path / "forked.csv")]) == 0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # without os.fork the same chunk consumer writes the same bytes in-process
+    monkeypatch.delattr(os, "fork")
+    assert main(argv + ["--csv", str(tmp_path / "in_process.csv")]) == 0
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.csv", "in_process.csv"]
 
 
 @pytest.mark.parametrize("value", ["1e-3", "1e-300"])

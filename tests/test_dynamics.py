@@ -6,6 +6,7 @@ route that the implementation uses.
 """
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -672,3 +673,178 @@ def test_csv_bytes_match_a_literal_csv_writer(tmp_path):
     assert path.read_bytes() == literal.read_bytes()
     assert b'"monitor:I[1,2]"' in path.read_bytes()
     assert b"-0.0,1e-300,1e+16" in path.read_bytes()
+
+
+# -- the forked CSV writer ------------------------------------------------------
+
+
+def _einstein_slice_flow():
+    space = ProductSpace(build_algebra("su", 3), 4)
+    ham = einstein_hamiltonian(space, *einstein_parameters(4))
+    return FlowSpec(space, ham, generic_point(space, [42, 17], "v"), t_end=10.0, monitors=flag_shift_family(space))
+
+
+def _overflow_flow(n):
+    space = ProductSpace(build_algebra("su", 2), n)
+    if n == 3:
+        ham = gaudin_hamiltonian(space, (1.0, 2.0, 3.0))
+    else:
+        ham = novi_hamiltonian(space, np.linspace(1.0, 1.5, n - 1), np.linspace(0.5, 0.9, n - 1))
+    return FlowSpec(space, ham, space.random_point(np.random.default_rng(7)) * 1e200, t_end=1.0)
+
+
+def _gaudin_flow():
+    space, weights = ProductSpace(build_algebra("su", 2), 3), (1.0, 2.0, 3.0)
+    return FlowSpec(space, gaudin_hamiltonian(space, weights), generic_point(space, [42, 17], "g"),
+                    t_end=2.0, monitors=gaudin_family(space, weights))
+
+
+def _novi_flow():
+    space = ProductSpace(build_algebra("su", 2), 12)  # n r = 132: the Euler-kernel stepper
+    ham = novi_hamiltonian(space, [1.0] * 11, [0.5] * 11)
+    return FlowSpec(space, ham, generic_point(space, [42, 17], "g"), t_end=1.0, monitors=flag_shift_family(space))
+
+
+def _odd_stride_flow():
+    # 1000 steps at stride 7: 143 records up to step 994, then the final step,
+    # two full chunks and 16 records
+    flow = _gaudin_flow()
+    return FlowSpec(flow.space, flow.hamiltonian, flow.initial, t_end=1.0, stride=7, monitors=flow.monitors)
+
+
+_FLOWS = {
+    "einstein-su3^4": _einstein_slice_flow,
+    "gaudin-su2^3": _gaudin_flow,
+    "novi-su2^12": _novi_flow,
+    "odd-stride": _odd_stride_flow,
+    "overflow-coupled": lambda: _overflow_flow(3),
+    "overflow-kernel": lambda: _overflow_flow(16),
+    "nan-after-chunks": _einstein_slice_flow,
+}
+
+
+def _failing_after(steps, limit, fail):
+    """The stepper ``steps``, with ``fail`` applied to each state after the first ``limit`` steps."""
+
+    def stepper(*args):
+        for step, X in enumerate(steps(*args), 1):
+            yield fail(X) if step > limit else X
+
+    return stepper
+
+
+@pytest.mark.parametrize("case", list(_FLOWS))
+def test_integrate_with_a_csv_gives_the_in_process_bytes(case, tmp_path, monkeypatch):
+    # the forked writer and the in-process consumer, against integrate and
+    # then trajectory_to_csv: the same CSV bytes and the same arrays, bit
+    # for bit
+    flow = _FLOWS[case]()
+    if case == "nan-after-chunks":  # 71 valid records up to step 700, then a NaN one
+        stepper = _failing_after(dynamics._coupled_steps, 700, lambda X: X * np.nan)
+        monkeypatch.setattr(dynamics, "_coupled_steps", stepper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = integrate(flow)
+        trajectory_to_csv(expected, tmp_path / "expected.csv")
+        runs = {"forked": integrate(flow, csv_path=tmp_path / "forked.csv")}
+        monkeypatch.delattr(os, "fork")
+        runs["in_process"] = integrate(flow, csv_path=tmp_path / "in_process.csv")
+    if case == "odd-stride":
+        assert len(expected.times) == 144 and expected.times[-2:].tolist() == [0.994, 1.0]
+    if case == "nan-after-chunks":
+        assert len(expected.times) == 71
+    assert expected.aborted == (case.startswith("overflow") or case == "nan-after-chunks")
+    assert expected.aborted or len(expected.times) > MONITOR_CHUNK
+    for name, trajectory in runs.items():
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes(), name
+        assert trajectory.monitor_labels == expected.monitor_labels
+        assert trajectory.aborted == expected.aborted
+        for field in ("times", "states", "monitor_series"):
+            ours, theirs = getattr(trajectory, field), getattr(expected, field)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), (name, field)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "forked.csv", "in_process.csv"]
+
+
+def test_the_chunk_stream_is_framed_and_needs_its_end_frame():
+    chunk = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
+    for end_frame in (True, False):
+        read_end, write_end = os.pipe()
+        try:
+            dynamics._write_all(write_end, np.int64(len(chunk)))
+            dynamics._write_all(write_end, chunk)
+            if end_frame:
+                dynamics._write_all(write_end, np.int64(0))
+            os.close(write_end)
+            write_end = None
+            chunks = dynamics._read_chunks(read_end, 3, 4)
+            assert np.array_equal(next(chunks), chunk)
+            if end_frame:
+                assert next(chunks, None) is None
+            else:
+                with pytest.raises(EOFError, match="without its end frame"):
+                    next(chunks)
+        finally:
+            os.close(read_end)
+            if write_end is not None:
+                os.close(write_end)
+
+
+def _writer_codes(monkeypatch):
+    """The exit code of each writer process ``integrate`` reaps."""
+    codes, close = [], dynamics._Writer.close
+
+    def spy(writer):
+        reaped = writer.code is not None
+        close(writer)
+        if not reaped:
+            codes.append(writer.code)
+
+    monkeypatch.setattr(dynamics._Writer, "close", spy)
+    return codes
+
+
+def _assert_nothing_left(tmp_path, path):
+    assert path.read_bytes() == b"t,old\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]  # no .tmp-*.part file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("t_end", [0.1, 10.0])
+def test_a_writer_failure_leaves_nothing_behind(t_end, tmp_path, monkeypatch):
+    # at t_end 0.1 the parent learns of the failure from the answer after its
+    # end frame; at 10 the writer fails on the first of 16 chunks, and the
+    # parent may first meet the closed pipe
+    flow = _einstein_slice_flow()
+    flow = FlowSpec(flow.space, flow.hamiltonian, flow.initial, t_end=t_end, monitors=flow.monitors)
+    path = tmp_path / "flow.csv"
+    path.write_bytes(b"t,old\r\n")
+    codes = _writer_codes(monkeypatch)
+
+    def broken(*args):
+        raise RuntimeError("cannot format this chunk")
+
+    monkeypatch.setattr(dynamics, "_csv_rows", broken)
+    message = r"the CSV writer process \(pid \d+\) exited with code 1: RuntimeError: cannot format this chunk"
+    with pytest.raises(RuntimeError, match=message):
+        integrate(flow, csv_path=path)
+    assert codes == [1]
+    _assert_nothing_left(tmp_path, path)
+
+
+def test_a_parent_failure_leaves_nothing_behind(tmp_path, monkeypatch):
+    flow = _einstein_slice_flow()
+    path = tmp_path / "flow.csv"
+    path.write_bytes(b"t,old\r\n")
+    codes = _writer_codes(monkeypatch)
+
+    def fail(X):
+        raise FloatingPointError("the stepper failed")
+
+    # three chunks are sent before it fails
+    stepper = _failing_after(dynamics._coupled_steps, 3 * MONITOR_CHUNK * flow.stride, fail)
+    monkeypatch.setattr(dynamics, "_coupled_steps", stepper)
+    with pytest.raises(FloatingPointError, match="the stepper failed"):
+        integrate(flow, csv_path=path)
+    # the stream closed without its end frame: the writer discarded its file
+    assert codes == [1]
+    _assert_nothing_left(tmp_path, path)
