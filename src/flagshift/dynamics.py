@@ -14,22 +14,29 @@ The step loop never evaluates a conserved quantity.  One chunk consumer,
 ``_consume``, evaluates the energy and the monitor family on ``MONITOR_CHUNK``
 recorded states per call, for the relative drifts, and writes their CSV rows
 when a CSV is asked for.  Without a CSV it runs after the loop, in this process.
-With one, ``integrate`` forks a writer process (``os.fork`` and two pipes): the
-parent only steps, and sends each complete chunk of raw float64 states as a
+With one, ``integrate`` forks a writer process: the parent only steps, and
+sends each complete chunk of raw float64 states down a pipe as a
 length-prefixed frame, then an end frame; the writer consumes each frame as it
 arrives, with the chunk boundaries of the in-process pass, so every output bit
-is the same, and sends the monitor series back.  On two cores its work overlaps
-the stepping; on one core the two processes take turns and the fork is pure
-cost.  Where ``os.fork`` does not exist (it is POSIX only), the consumer writes
-the CSV in this process after the loop.  Python 3.12 and later emit a
-DeprecationWarning when a process with more than one thread forks, and BLAS
-threads count.
+is the same, and sends the monitor series back.  Every forked child here goes
+through one helper, ``_Child``: ``os.fork``, the pickled answer on a pipe,
+``os._exit``, the reaping, and a RuntimeError naming the child's pid, exit code
+and error text when it fails.  ``background`` runs any function in such a
+child and hands back its result or its exception; ``certify`` runs its Gaudin
+flow that way.  A child is forked only where it can overlap this process: where
+``os.fork`` exists and at least two CPUs are ours (``_overlaps``).  On one CPU
+the two processes would take turns and the fork would be pure cost, so the
+same function runs in this process instead, with the same bytes.  Python 3.12
+and later emit a DeprecationWarning when a process with more than one thread
+forks, and BLAS threads count.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import pickle
+import signal
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -57,6 +64,7 @@ __all__ = [
     "momentum_norm_max",
     "trajectory_to_csv",
     "atomic_open",
+    "background",
 ]
 
 # Recorded states per monitor evaluation: one batched call per chunk, and a
@@ -418,8 +426,10 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
     recorded states, ``MONITOR_CHUNK`` states per call.  Without a
     ``csv_path`` that runs after the loop.  With one, a forked writer
     process (``_Writer``) runs it on each chunk as the loop completes it
-    and writes the CSV as ``trajectory_to_csv`` would; without ``os.fork``
-    it runs after the loop, here.  The stepper follows from one eigh of
+    and writes the CSV as ``trajectory_to_csv`` would; where no child can
+    overlap this process (``_overlaps``) it runs after the loop, here.  A
+    flow whose record table cannot be allocated is refused before any
+    process is forked or any step taken.  The stepper follows from one eigh of
     the coefficient matrix, C = d I + U S U^T with U of r columns
     (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS`` a step is
     ``_coupled_steps``: 12 two-dimensional BLAS calls, with the r
@@ -429,21 +439,18 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
     """
     h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
     n, dim = flow.space.n, flow.space.base.dim
+    times, states = _record_table(steps, stride, dt, (n, dim))
     _, U, s = _coupling(h.coeff)
     if n * s.size <= COUPLED_MAX_ROWS:
         stepper = _coupled_steps(flow.space, U, s, flow.initial, dt)
     else:
         stepper = _kernel_steps(flow.space, h, flow.initial, dt)
 
-    times = np.r_[0:steps:stride, steps] * dt
     labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
-    states = np.empty((len(times), n, dim))
     states[0] = flow.initial
     recorded = 1
-    writer = _Writer() if csv_path is not None and hasattr(os, "fork") else None
+    writer = _Writer(flow, labels, times, csv_path) if csv_path is not None and _overlaps() else None
     try:
-        if writer is not None:
-            writer.start(flow, labels, times, csv_path)
         for step, X in zip(range(1, steps + 1), stepper):
             if step % stride == 0 or step == steps:
                 if not np.isfinite(X).all():
@@ -457,7 +464,7 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
             chunks = (states[start:start + MONITOR_CHUNK] for start in range(0, recorded, MONITOR_CHUNK))
             series = _consume(chunks, flow, labels, times, csv_path)
         else:
-            series = writer.finish(states[recorded - recorded % MONITOR_CHUNK:], recorded)
+            series = writer.finish(states[recorded - recorded % MONITOR_CHUNK:])
     finally:
         if writer is not None:
             writer.close()
@@ -468,6 +475,31 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
         monitor_series=series,
         aborted=aborted,
     )
+
+
+def _record_table(steps: int, stride: int, dt: float, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The record times of a flow of ``steps`` steps and an empty table of its recorded states.
+
+    A flow whose times and states need more than this machine's memory, or
+    more than can be allocated, is refused with a ConfigurationError that
+    names the record count and the bytes needed.
+    """
+    records = -(-steps // stride) + 1
+    need = records * (1 + shape[0] * shape[1]) * 8
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot tell
+        memory = float("inf")
+    try:
+        if need > memory:
+            raise MemoryError
+        states = np.empty((records, *shape))  # untouched, so only the times are written
+        return np.r_[0:steps:stride, steps] * dt, states
+    except MemoryError:
+        raise ConfigurationError(
+            f"the flow records {records} states ({steps} steps at stride {stride}), whose times and states "
+            f"need {need} bytes ({need / 2**30:.4g} GiB), more than can be allocated; raise stride or lower t_end"
+        ) from None
 
 
 def _consume(chunks, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path=None) -> np.ndarray:
@@ -520,88 +552,160 @@ def _read_chunks(fd: int, n: int, dim: int):
         yield chunk
 
 
-def _serve(fds: list[int], flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path) -> None:
-    """The body of the writer process: ``_consume`` the chunk stream into the CSV, answer, and exit.
+# -- forked children -------------------------------------------------------------
 
-    The answer is the monitor series as float64, sent after the CSV is in
-    place, with exit code 0; or an error text, after the temporary file is
-    discarded, with exit code 1.  It leaves only through ``os._exit``, so no
-    cleanup or buffered output of the parent runs twice.
+
+def _overlaps() -> bool:
+    """Whether a forked child can run beside this process: ``os.fork`` exists and two or more CPUs are ours.
+
+    On one CPU the two processes take turns, and the fork, the pipes and the
+    copy-on-write faults are pure cost.
     """
-    chunks, parents_chunks, parents_answers, answers = fds
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _child_main(reply: int, parents: list[int], body, args) -> None:
+    """The body of a forked child: close the parent's pipe ends, run ``body(*args)``, answer, and exit.
+
+    The answer is the pickled result, with exit code 0, or the text of the
+    exception raised, with exit code 1.  It leaves only through ``os._exit``,
+    so no cleanup or buffered output of the parent runs twice.
+    """
     code, answer = 1, b""
     try:
-        os.close(parents_chunks)  # else the writer would never see the parent close the stream
-        os.close(parents_answers)
-        answer = _consume(_read_chunks(chunks, flow.space.n, flow.space.base.dim), flow, labels, times, csv_path)
+        for fd in parents:  # else the child would never see the parent close its stream
+            os.close(fd)
+        answer = pickle.dumps(body(*args), pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException as exc:
         answer = f"{type(exc).__name__}: {exc}".encode()
     finally:
         try:
-            _write_all(answers, answer)
+            _write_all(reply, answer)
         except BaseException:
             code = 1
         os._exit(code)
 
 
-class _Writer:
-    """The parent's side of the forked CSV writer process (``_serve``).
+class _Child:
+    """A forked process that runs ``body(*args)`` (``_child_main``); the parent's side of it.
 
-    Two pipes join them.  ``send`` writes one chunk of records down the
-    first as a frame: the record count as 8 bytes, then the float64 states;
-    a count of 0 is the end frame.  ``finish`` reads the writer's answer
-    from the second to its end and reaps the writer.  ``close`` closes both
-    pipes and reaps the writer, whatever happened before; closing the first
-    pipe without an end frame makes the writer discard the CSV and exit.
+    An answer pipe runs from the child to the parent.  With ``stream``, a
+    second pipe runs the other way: ``body`` gets its read end as its first
+    argument, and the parent writes to ``self.stream``.  ``answer`` reads the
+    answer to its end, reaps the child and returns the result, or raises a
+    RuntimeError naming the child's pid, exit code and error text.  ``close``
+    closes the parent's pipe ends and reaps the child, killing it first with
+    ``kill``, whatever happened before; a reaped child is not reaped again.
     """
 
-    def __init__(self) -> None:
-        self.fds: list[int] = []
-        self.pid = self.code = None
-
-    def start(self, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path) -> None:
-        self.fds += os.pipe()
-        self.fds += os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            _serve(self.fds, flow, labels, times, csv_path)  # never returns
-        chunks, self._chunks, self._answers, answers = self.fds
-        self.fds = [self._chunks, self._answers]
-        os.close(chunks)
-        os.close(answers)
-
-    def send(self, states: np.ndarray) -> None:
+    def __init__(self, name: str, body, *args, stream: bool = False) -> None:
+        self.name, self.pid, self.code, self.fds = name, None, None, []
         try:
-            _write_all(self._chunks, np.int64(len(states)))
-            if len(states):
-                _write_all(self._chunks, states)
-        except BrokenPipeError:  # the writer has exited; its answer says why
-            self._answer(None)
+            self.fds += os.pipe()
+            if stream:
+                self.fds += os.pipe()
+            self.pid = os.fork()
+        except BaseException:
+            self.close()
+            raise
+        answers, reply, *streams = self.fds
+        if self.pid == 0:
+            _child_main(reply, [answers, *streams[1:]], body, (*streams[:1], *args))  # never returns
+        self.fds = [answers, *streams[1:]]
+        for fd in (reply, *streams[:1]):
+            os.close(fd)
+        self.stream = streams[1] if stream else None
 
-    def finish(self, tail: np.ndarray, recorded: int) -> np.ndarray:
-        """Send the last chunk, if any, and the end frame; return the monitor series of the ``recorded`` states."""
-        if len(tail):
-            self.send(tail)
-        self.send(tail[:0])  # the end frame
-        return self._answer(recorded)
-
-    def _answer(self, recorded: int | None) -> np.ndarray:
+    def answer(self):
         parts = []
-        while part := os.read(self._answers, 1 << 16):
+        while part := os.read(self.fds[0], 1 << 16):
             parts.append(part)
         self.close()
         answer = b"".join(parts)
-        if self.code != 0 or recorded is None:
+        if self.code != 0:
             text = answer.decode(errors="replace") or "no answer"
-            raise RuntimeError(f"the CSV writer process (pid {self.pid}) exited with code {self.code}: {text}")
-        return np.frombuffer(bytearray(answer)).reshape(recorded, -1)
+            raise RuntimeError(f"the {self.name} process (pid {self.pid}) exited with code {self.code}: {text}")
+        return pickle.loads(answer)
 
-    def close(self) -> None:
+    def close(self, kill: bool = False) -> None:
         while self.fds:
             os.close(self.fds.pop())
         if self.pid is not None and self.code is None:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _outcome(body, *args) -> tuple[bool, object]:
+    """(True, ``body(*args)``), or (False, the exception it raised), so that a child's answer carries the exception."""
+    try:
+        return True, body(*args)
+    except Exception as exc:
+        return False, exc
+
+
+@contextmanager
+def background(name: str, body, *args):
+    """Run ``body(*args)`` in a forked child where one can overlap this process (``_overlaps``).
+
+    Yields a function that returns what ``body(*args)`` returns, or raises
+    the exception it raises, with its type and text: the child's answer, or,
+    where no child was forked, ``body(*args)`` called in this process when
+    the function is called.  Leaving the block kills and reaps a child whose
+    answer was never read, so no child outlives it.
+    """
+    if not _overlaps():
+        yield lambda: body(*args)
+        return
+    child = _Child(name, _outcome, body, *args)
+
+    def result():
+        ok, value = child.answer()
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        child.close(kill=True)
+
+
+class _Writer(_Child):
+    """The forked CSV writer: a ``_Child`` that ``_consume``s the recorded states sent down its stream.
+
+    ``send`` writes one chunk of records as a frame: the record count as 8
+    bytes, then the float64 states; a count of 0 is the end frame.  The
+    writer's answer is the monitor series, sent once the CSV is in place.
+    A stream closed without an end frame, or anything raised in the
+    writer, discards the temporary file before the writer answers.
+    """
+
+    def __init__(self, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path) -> None:
+        def serve(chunks: int) -> np.ndarray:
+            return _consume(_read_chunks(chunks, flow.space.n, flow.space.base.dim), flow, labels, times, csv_path)
+
+        super().__init__("CSV writer", serve, stream=True)
+
+    def send(self, states: np.ndarray) -> None:
+        try:
+            _write_all(self.stream, np.int64(len(states)))
+            if len(states):
+                _write_all(self.stream, states)
+        except BrokenPipeError:  # the writer has exited; its answer says why
+            self.answer()
+            raise
+
+    def finish(self, tail: np.ndarray) -> np.ndarray:
+        """Send the last chunk, if any, and the end frame; return the monitor series."""
+        if len(tail):
+            self.send(tail)
+        self.send(tail[:0])  # the end frame
+        return self.answer()
 
 
 # -- reduced closed-form flow ---------------------------------------------------

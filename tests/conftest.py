@@ -1,8 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
 from flagshift import ProductSpace, build_algebra
 from flagshift.families import FamilyMember, PolynomialFamily, flag_shift_family
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` makes this process see k CPUs, which decide whether ``dynamics`` forks a child (two or more)."""
+
+    def set_count(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_count
 
 
 @pytest.fixture(scope="session")

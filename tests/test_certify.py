@@ -1,12 +1,14 @@
 """Certification layer: sampling gates, rank estimates, claim reports."""
 
+import json
+import os
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flagshift import ProductSpace, build_algebra
+from flagshift import ProductSpace, build_algebra, dynamics
 from flagshift.algebra import LieAlgebra
 from flagshift.certify import (
     BRACKET_CLAIMS,
@@ -865,3 +867,157 @@ def test_certificate_report_is_frozen(su2n3):
     assert isinstance(report, CertificateReport)
     with pytest.raises(AttributeError):
         report.passed = False
+
+
+# -- the background Gaudin flow ---------------------------------------------------
+
+
+def _forks(monkeypatch) -> list:
+    """The pids of the children ``os.fork`` gives from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _documents(reports) -> list[str]:
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in reports]  # NaN compares equal as text
+
+
+def _with_and_without_fork(monkeypatch, ctx, claims=("all",)) -> tuple[list[str], list[str], int]:
+    """The reports of ``run_claims`` with a forked Gaudin flow, then in-process, and the forks made."""
+    pids = _forks(monkeypatch)
+    forked = _documents(run_claims(ctx, list(claims)))
+    _no_child_left()
+    forks = len(pids)
+    monkeypatch.delattr(os, "fork")
+    return forked, _documents(run_claims(ctx, list(claims))), forks
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_background_gaudin_flow_gives_the_in_process_reports(m, seed, cpus, monkeypatch):
+    cpus(2)
+    ctx = ClaimContext(ProductSpace(build_algebra("su", m), 3), seed=seed)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx)
+    assert forks == 1
+    assert forked == in_process
+    assert [json.loads(doc)["claim_id"] for doc in forked][-1] == "gaudin.momentum_drift"
+
+
+def test_the_background_gaudin_flow_reads_explicit_weights(su2n3, cpus, monkeypatch):
+    cpus(2)
+    ctx = ClaimContext(su2n3, seed=7, trials=3, gaudin_weights=(0.5, -1.5, 4.0))
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["gaudin"])
+    assert forks == 1
+    assert forked == in_process
+    default = _documents(run_claims(replace(ctx, gaudin_weights=None), ["gaudin"]))
+    assert forked[-1] != default[-1]  # the weights reach the flow
+
+
+def _rejecting_draws_at(monkeypatch, prefix):
+    """Every draw from seed entropy [*prefix, r] gives the zero point, which no gate accepts."""
+    from flagshift import certify
+
+    draw = certify._draw
+    monkeypatch.setattr(
+        certify, "_draw", lambda space, entropy, domain: draw(space, entropy, domain) * (entropy[:2] != prefix)
+    )
+
+
+@pytest.mark.parametrize("failure", ["genericity", "linalg"])
+def test_a_failure_in_the_background_flow_gives_the_in_process_fail_record(failure, su2n3, cpus, monkeypatch):
+    cpus(2)
+    if failure == "genericity":
+        _rejecting_draws_at(monkeypatch, [42, 271])
+    else:
+        def diverged(flow):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(dynamics, "integrate", diverged)
+    ctx = ClaimContext(su2n3, trials=2)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["dimB", "gaudin"])
+    assert forks == 1
+    assert forked == in_process
+    error = json.loads(forked[-1])["error"]
+    if failure == "genericity":
+        assert error.startswith("claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 271, r]")
+    else:
+        assert error == "claim gaudin: LinAlgError: Eigenvalues did not converge"
+
+
+def test_an_earlier_gaudin_failure_discards_the_background_flow(su2n3, cpus, monkeypatch):
+    # the draws of gaudin.field_identity's trial 0 all fail: that error decides
+    # the FAIL record, and the flow's answer is never read
+    cpus(2)
+    _rejecting_draws_at(monkeypatch, [42, 0])
+    answers, kills, answer, close = [], [], dynamics._Child.answer, dynamics._Child.close
+    monkeypatch.setattr(dynamics._Child, "answer", lambda child: answers.append(1) or answer(child))
+    monkeypatch.setattr(dynamics._Child, "close", lambda child, kill=False: kills.append(kill) or close(child, kill))
+    ctx = ClaimContext(su2n3, trials=2)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["gaudin"])
+    assert forks == 1 and answers == [] and kills == [True]
+    assert forked == in_process
+    assert json.loads(forked[-1])["error"].startswith(
+        "claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 0, r]"
+    )
+
+
+def test_an_uncaught_claim_error_kills_and_reaps_the_background_flow(su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(2)
+    pids = _forks(monkeypatch)
+
+    def broken(ctx):
+        raise KeyError("a defect in lemma1")
+
+    monkeypatch.setitem(certify._REGISTRY, "lemma1", broken)
+    with pytest.raises(KeyError, match="a defect in lemma1"):
+        run_claims(ClaimContext(su2n3, trials=2), ["all"])
+    assert len(pids) == 1
+    _no_child_left()
+
+
+def test_claims_without_gaudin_fork_nothing(su2n3, cpus, monkeypatch):
+    cpus(2)
+    pids = _forks(monkeypatch)
+    assert len(run_claims(ClaimContext(su2n3, trials=2), ["lemma1", "thm2ii"])) == 3
+    assert pids == []
+    _no_child_left()
+
+
+def test_one_cpu_runs_the_gaudin_flow_in_process(su2n3, cpus, monkeypatch):
+    cpus(1)
+    pids = _forks(monkeypatch)
+    reports = _documents(run_claims(ClaimContext(su2n3, trials=2), ["gaudin"]))
+    assert pids == []
+    cpus(2)
+    assert _documents(run_claims(ClaimContext(su2n3, trials=2), ["gaudin"])) == reports
+    assert len(pids) == 1
+    _no_child_left()
+
+
+def test_an_uncaught_error_in_the_background_flow_is_raised_with_its_text(su2n3, cpus, monkeypatch):
+    cpus(2)
+
+    def broken(flow):
+        raise ValueError("a defect in integrate")
+
+    monkeypatch.setattr(dynamics, "integrate", broken)
+    pids = _forks(monkeypatch)
+    with pytest.raises(ValueError, match="^a defect in integrate$"):
+        run_claims(ClaimContext(su2n3, trials=2), ["gaudin"])
+    assert len(pids) == 1
+    _no_child_left()

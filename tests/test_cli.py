@@ -512,7 +512,8 @@ def test_csv_and_summary_naming_one_file_are_refused_first(summary, tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
 
 
-def test_flow_with_a_csv_forks_one_writer_and_leaves_no_child(tmp_path, monkeypatch):
+def test_flow_with_a_csv_forks_one_writer_and_leaves_no_child(tmp_path, monkeypatch, cpus):
+    cpus(2)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     argv = ["flow", "--model", "einstein", "--restrict-v", "--algebra", "su3", "--n", "4", "--t-end", "1"]
@@ -525,6 +526,22 @@ def test_flow_with_a_csv_forks_one_writer_and_leaves_no_child(tmp_path, monkeypa
     assert main(argv + ["--csv", str(tmp_path / "in_process.csv")]) == 0
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.csv", "in_process.csv"]
+
+
+def test_a_flow_whose_records_cannot_be_allocated_is_refused_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    for stepper in ("_coupled_steps", "_kernel_steps"):
+        monkeypatch.setattr(cli.dynamics, stepper, lambda *args: pytest.fail("stepped"))
+    argv = ["flow", "--algebra", "su2", "--n", "3", "--t-end", "1e9", "--csv", str(tmp_path / "flow.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "configuration error: the flow records 100000000001 states (1000000000000 steps at stride 10), "
+        "whose times and states need 8000000000080 bytes (7451 GiB), more than can be allocated; "
+        "raise stride or lower t_end\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["1e-3", "1e-300"])

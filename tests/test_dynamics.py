@@ -734,10 +734,11 @@ def _failing_after(steps, limit, fail):
 
 
 @pytest.mark.parametrize("case", list(_FLOWS))
-def test_integrate_with_a_csv_gives_the_in_process_bytes(case, tmp_path, monkeypatch):
+def test_integrate_with_a_csv_gives_the_in_process_bytes(case, tmp_path, monkeypatch, cpus):
     # the forked writer and the in-process consumer, against integrate and
     # then trajectory_to_csv: the same CSV bytes and the same arrays, bit
     # for bit
+    cpus(2)
     flow = _FLOWS[case]()
     if case == "nan-after-chunks":  # 71 valid records up to step 700, then a NaN one
         stepper = _failing_after(dynamics._coupled_steps, 700, lambda X: X * np.nan)
@@ -810,10 +811,11 @@ def _assert_nothing_left(tmp_path, path):
 
 
 @pytest.mark.parametrize("t_end", [0.1, 10.0])
-def test_a_writer_failure_leaves_nothing_behind(t_end, tmp_path, monkeypatch):
+def test_a_writer_failure_leaves_nothing_behind(t_end, tmp_path, monkeypatch, cpus):
     # at t_end 0.1 the parent learns of the failure from the answer after its
     # end frame; at 10 the writer fails on the first of 16 chunks, and the
     # parent may first meet the closed pipe
+    cpus(2)
     flow = _einstein_slice_flow()
     flow = FlowSpec(flow.space, flow.hamiltonian, flow.initial, t_end=t_end, monitors=flow.monitors)
     path = tmp_path / "flow.csv"
@@ -831,7 +833,8 @@ def test_a_writer_failure_leaves_nothing_behind(t_end, tmp_path, monkeypatch):
     _assert_nothing_left(tmp_path, path)
 
 
-def test_a_parent_failure_leaves_nothing_behind(tmp_path, monkeypatch):
+def test_a_parent_failure_leaves_nothing_behind(tmp_path, monkeypatch, cpus):
+    cpus(2)
     flow = _einstein_slice_flow()
     path = tmp_path / "flow.csv"
     path.write_bytes(b"t,old\r\n")
@@ -848,3 +851,66 @@ def test_a_parent_failure_leaves_nothing_behind(tmp_path, monkeypatch):
     # the stream closed without its end frame: the writer discarded its file
     assert codes == [1]
     _assert_nothing_left(tmp_path, path)
+
+
+def test_one_cpu_writes_the_csv_in_process(tmp_path, monkeypatch, cpus):
+    flow = _gaudin_flow()
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+    cpus(1)
+    in_process = integrate(flow, csv_path=tmp_path / "in_process.csv")
+    assert forks == []
+    trajectory_to_csv(integrate(flow), tmp_path / "expected.csv")
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert in_process.monitor_series.tobytes() == integrate(flow).monitor_series.tobytes()
+
+
+def test_without_sched_getaffinity_the_cpu_count_decides(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, overlaps in [(None, False), (1, False), (2, True), (8, True)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert dynamics._overlaps() is overlaps
+    monkeypatch.delattr(os, "fork")
+    assert dynamics._overlaps() is False
+
+
+@pytest.mark.parametrize("where", ["child", "here"])
+def test_background_gives_the_result_or_the_exception(where, cpus):
+    cpus(2 if where == "child" else 1)
+
+    def body(x):
+        if x < 0:
+            raise np.linalg.LinAlgError(f"negative {x}")
+        return x * 0.1, x > 1
+
+    with dynamics.background("test", body, 3) as result:
+        assert result() == (3 * 0.1, True)
+    with dynamics.background("test", body, -2) as result:
+        with pytest.raises(np.linalg.LinAlgError, match="^negative -2$"):
+            result()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_cannot_answer_names_its_pid_code_and_error(cpus):
+    cpus(2)
+    with dynamics.background("test", lambda: (lambda: None)) as result:  # a lambda does not pickle
+        with pytest.raises(RuntimeError, match=r"^the test process \(pid \d+\) exited with code 1: \w+: Can't pickle"):
+            result()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_record_table_numpy_cannot_allocate_is_refused(su2n3, monkeypatch):
+    # the CLI test refuses a table larger than the machine's memory; here the
+    # machine's memory is unknown and numpy's allocation fails
+    ham = gaudin_hamiltonian(su2n3, (1.0, 2.0, 3.0))
+    flow = FlowSpec(su2n3, ham, su2n3.random_point(np.random.default_rng(0)), t_end=1e9)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.delattr(os, "sysconf")
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(ConfigurationError, match=r"^the flow records 100000000001 states .* \(7451 GiB\), more than"):
+        integrate(flow)

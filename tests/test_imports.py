@@ -92,9 +92,12 @@ def test_checker_flags_a_dangling_export():
 
 
 NO_SCIPY_SNIPPET = """
-import sys
+import os, sys
 def loaded(*packages):
     return sorted(name for name in sys.modules if name.split(".")[0] in packages)
+os.sched_getaffinity = lambda pid: {0, 1}  # fork on a one-CPU runner too
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 from flagshift.cli import main
 PROCESS_PACKAGES = ("multiprocessing", "concurrent", "subprocess")
 at_import = loaded(*PROCESS_PACKAGES)
@@ -103,17 +106,22 @@ codes = [
     main(["certify", "--algebra", "su2", "--n", "3", "--claims", "all", "--out", out + "/cert.json"]),
     main(["flow", "--algebra", "su2", "--n", "3", "--csv", out + "/flow.csv"]),
 ]
-print(codes, loaded("scipy"), at_import, loaded(*PROCESS_PACKAGES))
+try:
+    left = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = "no child left"
+print(codes, loaded("scipy"), at_import, loaded(*PROCESS_PACKAGES), len(forks), left)
 """
 
 
 def test_cli_loads_no_scipy(tmp_path):
-    # A fresh process: this one has scipy loaded by the tests' oracles.  The
-    # flow's CSV writer is a bare os.fork, so neither the import nor a run
-    # loads a process-pool or subprocess module, which would cost start-up.
+    # A fresh process: this one has scipy loaded by the tests' oracles.
+    # certify's Gaudin flow and the flow's CSV writer are bare os.forks, so
+    # neither the import nor a run loads a process-pool or subprocess
+    # module, which would cost start-up, and no child outlives its command.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SNIPPET, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "[0, 0] [] [] []"
+    assert done.stdout.splitlines()[-1] == "[0, 0] [] [] [] 2 no child left"
