@@ -439,14 +439,14 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
     """
     h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
     n, dim = flow.space.n, flow.space.base.dim
-    times, states = _record_table(steps, stride, dt, (n, dim))
+    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
+    times, states = _record_table(steps, stride, dt, (n, dim), len(labels))
     _, U, s = _coupling(h.coeff)
     if n * s.size <= COUPLED_MAX_ROWS:
         stepper = _coupled_steps(flow.space, U, s, flow.initial, dt)
     else:
         stepper = _kernel_steps(flow.space, h, flow.initial, dt)
 
-    labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
     states[0] = flow.initial
     recorded = 1
     writer = _Writer(flow, labels, times, csv_path) if csv_path is not None and _overlaps() else None
@@ -477,15 +477,15 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
     )
 
 
-def _record_table(steps: int, stride: int, dt: float, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _record_table(steps: int, stride: int, dt: float, shape: tuple[int, int], monitors: int):
     """The record times of a flow of ``steps`` steps and an empty table of its recorded states.
 
-    A flow whose times and states need more than this machine's memory, or
-    more than can be allocated, is refused with a ConfigurationError that
-    names the record count and the bytes needed.
+    A flow whose times, states and series of ``monitors`` monitors need more
+    than this machine's memory, or more than can be allocated, is refused
+    with a ConfigurationError that names the record count and the bytes needed.
     """
     records = -(-steps // stride) + 1
-    need = records * (1 + shape[0] * shape[1]) * 8
+    need = records * (1 + shape[0] * shape[1] + monitors) * 8
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot tell
@@ -497,8 +497,9 @@ def _record_table(steps: int, stride: int, dt: float, shape: tuple[int, int]) ->
         return np.r_[0:steps:stride, steps] * dt, states
     except MemoryError:
         raise ConfigurationError(
-            f"the flow records {records} states ({steps} steps at stride {stride}), whose times and states "
-            f"need {need} bytes ({need / 2**30:.4g} GiB), more than can be allocated; raise stride or lower t_end"
+            f"the flow records {records} states ({steps} steps at stride {stride}), whose times, states and "
+            f"monitor series need {need} bytes ({need / 2**30:.1f} GiB), more than can be allocated; "
+            "raise stride or lower t_end"
         ) from None
 
 

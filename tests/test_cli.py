@@ -538,8 +538,8 @@ def test_a_flow_whose_records_cannot_be_allocated_is_refused_first(tmp_path, cap
     assert out == ""
     assert err == (
         "configuration error: the flow records 100000000001 states (1000000000000 steps at stride 10), "
-        "whose times and states need 8000000000080 bytes (7451 GiB), more than can be allocated; "
-        "raise stride or lower t_end\n"
+        "whose times, states and monitor series need 16000000000160 bytes (14901.2 GiB), more than can be "
+        "allocated; raise stride or lower t_end\n"
     )
     assert list(tmp_path.iterdir()) == []
 

@@ -912,5 +912,5 @@ def test_a_record_table_numpy_cannot_allocate_is_refused(su2n3, monkeypatch):
 
     monkeypatch.delattr(os, "sysconf")
     monkeypatch.setattr(np, "empty", no_memory)
-    with pytest.raises(ConfigurationError, match=r"^the flow records 100000000001 states .* \(7451 GiB\), more than"):
+    with pytest.raises(ConfigurationError, match=r"^the flow records 100000000001 states .* \(8195.6 GiB\), more than"):
         integrate(flow)
