@@ -952,7 +952,9 @@ def test_a_failure_in_the_background_flow_gives_the_in_process_fail_record(failu
     assert forked == in_process
     error = json.loads(forked[-1])["error"]
     if failure == "genericity":
-        assert error.startswith("claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 271, r]")
+        assert error.startswith(
+            "claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 271, r]"
+        )
     else:
         assert error == "claim gaudin: LinAlgError: Eigenvalues did not converge"
 
