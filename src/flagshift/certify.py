@@ -10,20 +10,25 @@ certificate loudly instead of being averaged away.  A certificate measures
 all of its open trials at once: each retry round gates the fresh draws as
 one stack and measures the accepted points as one stack, while every rank
 is still decided on its own matrix.  Within one run every seeded point is
-drawn and gated once, in a ``ProductSpace``, and shared by the certificates
-that read it: each ``ClaimContext`` owns one table, a single memo of draws,
-invariant tangent spans and gradient ranks, and every new context starts a
-fresh one.  Every rank of unit gradient rows is decided in that table, once
-per family and point.  Only the sampling layer names a point's seed entropy:
+drawn and gated once per process, in a ``ProductSpace``, and shared by the
+certificates that read it there: each ``ClaimContext`` owns one table, a
+single memo of draws, invariant tangent spans and gradient ranks, and every
+new context starts a fresh one.  Every rank of unit gradient rows is decided
+in that table, once per family and point.  Only the sampling layer names a point's seed entropy:
 a gate or measurement call on a stack that raises a LinAlgError runs again
 one point at a time, in trial order, and the first point that fails is
 named.  Every report is built by one constructor, which reads algebra, n and
 seed from the context.  ``check_request`` refuses a run from n alone, before
-any space is built.  The ``gaudin`` claim's momentum flow, most of a run's
-time, reads nothing the other claims draw, so ``run_claims`` runs it in a
-forked child beside them where two CPUs allow (``dynamics.background``); the
-claim reads the flow's answer, or the exception it raised, where it would
-otherwise integrate, and every report stays byte for byte the same.
+any space is built.  ``run_claims`` keeps the machine's second CPU busy with
+one forked child where two CPUs allow (``dynamics.background``).  With
+``gaudin`` selected the child integrates its momentum flow, most of a run's
+time, which reads nothing the other claims draw; the claim reads the flow's
+answer, or the exception it raised, where it would otherwise integrate.
+Without ``gaudin``, and with ``thm3`` beside other claims, the child runs
+``thm3``, the costliest claim on the rank path, in its own copy of the
+table, and its reports are read where it would run: last.  So a v point
+that ``lemma1`` and ``thm3`` both read is drawn in both processes.  Either
+way every report stays byte for byte the same.
 """
 
 from __future__ import annotations
@@ -746,35 +751,55 @@ def check_request(n: int, claim_ids: Sequence[str] | None, seed: int, trials: in
         )
 
 
+def _run_claim(
+    ctx: ClaimContext, claim: str, run: Callable[[ClaimContext], Sequence[CertificateReport]]
+) -> list[CertificateReport]:
+    """The reports of ``run(ctx)``, whose certificates share gradients (``_Points.claim``).
+
+    A GenericityError or LinAlgError gives one FAIL record instead, the same one in this process and in a forked child.
+    """
+    try:
+        with ctx._points.claim():
+            return list(run(ctx))
+    except (GenericityError, np.linalg.LinAlgError) as exc:
+        error = str(exc) if isinstance(exc, GenericityError) else f"LinAlgError: {exc}"
+        return [_report(ctx, claim, ctx.trials, np.nan, np.nan, 0.0, False, error=f"claim {claim}: {error}")]
+
+
 def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> list[CertificateReport]:
     """Run the requested claims (all of them by default) in registry order.
 
-    The run draws and gates each seeded point once, in a table of its own,
-    and the certificates of one claim share each family's gradients at each
-    point.  A claim that finds no generic point, or whose linear algebra
-    fails to converge, gives one failed report with the error message; the
-    other claims still run.  A request ``check_request`` refuses is refused
-    before any draw.  With ``gaudin`` selected, its momentum flow
-    (``_gaudin_flow``) starts right after that check, in the background
-    (``dynamics.background``), and ``_claim_gaudin`` reads its answer where
-    the flow would run; a child whose answer is not read, because an
-    earlier certificate raised, is killed and reaped before this returns.
+    The run draws and gates each seeded point once per process, in a table
+    of its own, and the certificates of one claim share each family's
+    gradients at each point.  A claim that finds no generic point, or whose
+    linear algebra fails to converge, gives one failed report with the error
+    message (``_run_claim``); the other claims still run.  A request
+    ``check_request`` refuses is refused before any draw.  Then at most one
+    piece of work starts in the background (``dynamics.background``): with
+    ``gaudin`` selected, its momentum flow (``_gaudin_flow``), which
+    ``_claim_gaudin`` reads where the flow would run; otherwise, with
+    ``thm3`` and another claim selected, the ``thm3`` claim, whose reports,
+    last in registry order, are read where it would run.  A child whose
+    answer is not read, because an earlier certificate raised, is killed and
+    reaped before this returns.
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
     check_request(ctx.space.n, claim_ids, ctx.seed, ctx.trials, ctx.policy, ctx.tol_bracket, ctx.gaudin_weights)
-    gaudin = "gaudin" in claim_ids
-    with dynamics.background("Gaudin flow", _gaudin_flow, ctx) if gaudin else nullcontext() as gaudin_flow:
-        ctx = replace(ctx)  # a table of its own
+    ctx = replace(ctx)  # a table of its own
+    background, work = None, ()  # the claim whose work runs in the background, and that work
+    if "gaudin" in claim_ids:
+        background, work = "gaudin", ("Gaudin flow", _gaudin_flow, ctx)
+    elif "thm3" in claim_ids and len(set(claim_ids)) > 1:
+        background, work = "thm3", ("thm3 claim", _run_claim, ctx, "thm3", _REGISTRY["thm3"])
+    with dynamics.background(*work) if background else nullcontext() as answer:
         reports: list[CertificateReport] = []
         for claim in CLAIM_IDS:
-            if claim in claim_ids:
-                run = partial(_claim_gaudin, flow=gaudin_flow) if claim == "gaudin" else _REGISTRY[claim]
-                try:
-                    with ctx._points.claim():
-                        reports.extend(run(ctx))
-                except (GenericityError, np.linalg.LinAlgError) as exc:
-                    error = str(exc) if isinstance(exc, GenericityError) else f"LinAlgError: {exc}"
-                    error = f"claim {claim}: {error}"
-                    reports.append(_report(ctx, claim, ctx.trials, np.nan, np.nan, 0.0, False, error=error))
+            if claim not in claim_ids:
+                continue
+            if claim == background == "thm3":
+                reports.extend(answer())
+            else:
+                run = partial(_claim_gaudin, flow=answer) if claim == "gaudin" else _REGISTRY[claim]
+                reports.extend(_run_claim(ctx, claim, run))
     return reports

@@ -22,11 +22,12 @@ is the same, and sends the monitor series back.  Every forked child here goes
 through one helper, ``_Child``: ``os.fork``, the pickled answer on a pipe,
 ``os._exit``, the reaping, and a RuntimeError naming the child's pid, exit code
 and error text when it fails.  ``background`` runs any function in such a
-child and hands back its result or its exception; ``certify`` runs its Gaudin
-flow that way.  A child is forked only where it can overlap this process: where
-``os.fork`` exists and at least two CPUs are ours (``_overlaps``).  On one CPU
-the two processes would take turns and the fork would be pure cost, so the
-same function runs in this process instead, with the same bytes.  Python 3.12
+child and hands back its result or its exception; ``certify.run_claims`` runs
+one piece of work that way, its Gaudin flow or else its ``thm3`` claim.  A
+child is forked only where it can overlap this process: where ``os.fork``
+exists and at least two CPUs are ours (``_overlaps``).  On one CPU the two
+processes would take turns and the fork would be pure cost, so the same
+function runs in this process instead, with the same bytes.  Python 3.12
 and later emit a DeprecationWarning when a process with more than one thread
 forks, and BLAS threads count.
 """
@@ -657,7 +658,9 @@ def background(name: str, body, *args):
     the exception it raises, with its type and text: the child's answer, or,
     where no child was forked, ``body(*args)`` called in this process when
     the function is called.  Leaving the block kills and reaps a child whose
-    answer was never read, so no child outlives it.
+    answer was never read, so no child outlives it.  ``certify.run_claims``
+    opens at most one such block per run: for its Gaudin flow, or else for
+    its ``thm3`` claim.
     """
     if not _overlaps():
         yield lambda: body(*args)

@@ -287,7 +287,7 @@ def test_a_rank_svd_that_raises_at_one_trial_names_its_entropy(su2n3, monkeypatc
     assert report.error == "claim dimB: LinAlgError: SVD did not converge (seed entropy [42, 2, 0])"
 
 
-def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monkeypatch):
+def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, cpus, monkeypatch):
     from flagshift import certify
 
     gradients, spans = PolynomialFamily.gradients, certify.invariant_tangent_span
@@ -304,7 +304,8 @@ def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monke
     monkeypatch.setattr(PolynomialFamily, "gradients", counted_gradients)
     monkeypatch.setattr(certify, "invariant_tangent_span", counted_span)
     ctx = ClaimContext(su2n3, trials=4)
-    run_claims(ctx, ["lemma1", "thm3"])
+    cpus(1)  # one table in one process; on two CPUs thm3 runs in a forked child, whose calls are not counted here
+    shared = _documents(run_claims(ctx, ["lemma1", "thm3"]))
     # thm3.ddim, thm3.involutive and thm3.span_inclusion read one gradient
     # stack for the four points; lemma1 and thm3.span_inclusion one span per point
     assert calls == {"flag_shift_v": 1, "span": 4}
@@ -316,6 +317,10 @@ def test_a_claim_shares_gradients_and_spans_across_its_certificates(su2n3, monke
     check_involutive(ctx, flag_shift_family(su2n3))
     assert calls == {"flag_shift": 2}
     assert ctx._points._gradients is None and {kind for kind, *_ in ctx._points._memo} == {"draw"}
+    # the two-CPU path, with thm3 in a child of its own, gives the same documents
+    cpus(2)
+    assert _documents(run_claims(ctx, ["lemma1", "thm3"])) == shared
+    _no_child_left()
 
 
 def test_the_point_table_is_not_a_setting(su2n3):
@@ -869,7 +874,7 @@ def test_certificate_report_is_frozen(su2n3):
         report.passed = False
 
 
-# -- the background Gaudin flow ---------------------------------------------------
+# -- the background child: the Gaudin flow, or else the thm3 claim ---------------
 
 
 def _forks(monkeypatch) -> list:
@@ -896,7 +901,7 @@ def _documents(reports) -> list[str]:
 
 
 def _with_and_without_fork(monkeypatch, ctx, claims=("all",)) -> tuple[list[str], list[str], int]:
-    """The reports of ``run_claims`` with a forked Gaudin flow, then in-process, and the forks made."""
+    """The reports of ``run_claims`` with a forked child where it forks one, then in-process, and the forks made."""
     pids = _forks(monkeypatch)
     forked = _documents(run_claims(ctx, list(claims)))
     _no_child_left()
@@ -1022,4 +1027,107 @@ def test_an_uncaught_error_in_the_background_flow_is_raised_with_its_text(su2n3,
     with pytest.raises(ValueError, match="^a defect in integrate$"):
         run_claims(ClaimContext(su2n3, trials=2), ["gaudin"])
     assert len(pids) == 1
+    _no_child_left()
+
+
+RANK_PATH_CLAIMS = ("lemma1", "thm2i", "thm2ii", "dimB", "thm3")
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("m", [3, 4])
+def test_the_thm3_child_gives_the_in_process_reports(m, seed, cpus, monkeypatch):
+    cpus(2)
+    ctx = ClaimContext(ProductSpace(build_algebra("su", m), 3), seed=seed)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, RANK_PATH_CLAIMS)
+    assert forks == 1
+    assert forked == in_process
+    thm3 = ["thm3.ddim", "thm3.involutive", "thm3.span_inclusion"]
+    assert [json.loads(doc)["claim_id"] for doc in forked][-3:] == thm3
+
+
+@pytest.mark.parametrize(
+    "claims, count, work, forks",
+    [
+        (["thm3"], 2, None, 0),
+        (["dimB", "thm3"], 2, "thm3 claim", 1),
+        (["thm3", "gaudin"], 2, "Gaudin flow", 1),  # thm3 runs in this process
+        (["lemma1", "thm3"], 1, "thm3 claim", 0),  # in this process, at thm3's place
+    ],
+)
+def test_one_child_runs_the_gaudin_flow_or_else_thm3_beside_other_claims(
+    claims, count, work, forks, su2n3, cpus, monkeypatch
+):
+    cpus(count)
+    works, background = [], dynamics.background
+    monkeypatch.setattr(dynamics, "background", lambda name, *args: works.append(name) or background(name, *args))
+    pids = _forks(monkeypatch)
+    reports = run_claims(ClaimContext(su2n3, trials=2), claims)
+    assert reports and all(r.passed for r in reports)
+    assert works == ([work] if work else []) and len(pids) == forks
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["genericity", "linalg"])
+def test_a_failure_in_the_thm3_child_gives_the_in_process_fail_record(failure, su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(2)
+    if failure == "genericity":
+        # every v draw is the zero point, which no gate accepts; thm2ii draws in g and k only
+        draw = certify._draw
+        monkeypatch.setattr(
+            certify, "_draw", lambda space, entropy, domain: draw(space, entropy, domain) * (domain != "v")
+        )
+    else:
+        def diverged(space, X, policy):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(certify, "tangent_span_orthocomplement", diverged)
+    ctx = ClaimContext(su2n3, trials=2)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["thm2ii", "thm3"])
+    assert forks == 1
+    assert forked == in_process
+    first, last = json.loads(forked[0]), json.loads(forked[-1])
+    assert first["claim_id"] == "thm2ii.completeness_sum" and first["pass"]
+    assert last["claim_id"] == "thm3" and not last["pass"]
+    if failure == "genericity":
+        assert last["error"].startswith(
+            "claim thm3: no generic point in domain 'v' was accepted from seed entropy [42, 0, r]"
+        )
+    else:
+        assert last["error"] == "claim thm3: LinAlgError: SVD did not converge (seed entropy [42, 0, 0])"
+
+
+def test_an_uncaught_error_in_the_thm3_child_is_raised_with_its_text(su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(2)
+
+    def broken(ctx):
+        raise ValueError("a defect in thm3")
+
+    monkeypatch.setitem(certify._REGISTRY, "thm3", broken)
+    pids = _forks(monkeypatch)
+    with pytest.raises(ValueError, match="^a defect in thm3$"):
+        run_claims(ClaimContext(su2n3, trials=2), ["dimB", "thm3"])
+    assert len(pids) == 1
+    _no_child_left()
+
+
+def test_an_uncaught_claim_error_kills_and_reaps_the_thm3_child(su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(2)
+    answers, kills, answer, close = [], [], dynamics._Child.answer, dynamics._Child.close
+    monkeypatch.setattr(dynamics._Child, "answer", lambda child: answers.append(1) or answer(child))
+    monkeypatch.setattr(dynamics._Child, "close", lambda child, kill=False: kills.append(kill) or close(child, kill))
+
+    def broken(ctx):
+        raise KeyError("a defect in lemma1")
+
+    monkeypatch.setitem(certify._REGISTRY, "lemma1", broken)
+    pids = _forks(monkeypatch)
+    with pytest.raises(KeyError, match="a defect in lemma1"):
+        run_claims(ClaimContext(su2n3, trials=2), ["lemma1", "thm3"])
+    assert len(pids) == 1 and answers == [] and kills == [True]
     _no_child_left()

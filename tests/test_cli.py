@@ -528,6 +528,36 @@ def test_flow_with_a_csv_forks_one_writer_and_leaves_no_child(tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.csv", "in_process.csv"]
 
 
+def test_a_thm3_fail_record_prints_the_same_with_and_without_the_fork(tmp_path, capsys, monkeypatch, cpus):
+    # thm3's span cross-check fails to converge in the forked thm3 child, and then in-process
+    import numpy as np
+
+    from flagshift import certify
+
+    def diverged(space, X, policy):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(certify, "tangent_span_orthocomplement", diverged)
+    cpus(2)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--algebra", "su2", "--n", "3", "--claims", "dimB,thm3", "--trials", "2", "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        runs.append((code, *capsys.readouterr(), _strip_timestamp(_read_json(out))))
+        monkeypatch.delattr(os, "fork", raising=False)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert runs[0] == runs[1]
+    code, _, err, document = runs[0]
+    assert code == 1
+    assert err == "not measured: claim thm3: LinAlgError: SVD did not converge (seed entropy [42, 0, 0])\n"
+    assert [row["claim_id"] for row in document["claims"]] == ["dimB.ddim", "thm3"]
+
+
 def test_a_flow_whose_records_cannot_be_allocated_is_refused_first(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     for stepper in ("_coupled_steps", "_kernel_steps"):

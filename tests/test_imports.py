@@ -104,6 +104,7 @@ at_import = loaded(*PROCESS_PACKAGES)
 out = sys.argv[1]
 codes = [
     main(["certify", "--algebra", "su2", "--n", "3", "--claims", "all", "--out", out + "/cert.json"]),
+    main(["certify", "--algebra", "su2", "--n", "3", "--claims", "lemma1,thm3", "--out", out + "/slice.json"]),
     main(["flow", "--algebra", "su2", "--n", "3", "--csv", out + "/flow.csv"]),
 ]
 try:
@@ -116,12 +117,13 @@ print(codes, loaded("scipy"), at_import, loaded(*PROCESS_PACKAGES), len(forks), 
 
 def test_cli_loads_no_scipy(tmp_path):
     # A fresh process: this one has scipy loaded by the tests' oracles.
-    # certify's Gaudin flow and the flow's CSV writer are bare os.forks, so
-    # neither the import nor a run loads a process-pool or subprocess
-    # module, which would cost start-up, and no child outlives its command.
+    # certify's Gaudin flow, its thm3 claim and the flow's CSV writer are
+    # bare os.forks, so neither the import nor a run loads a process-pool or
+    # subprocess module, which would cost start-up, and no child outlives
+    # its command.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SNIPPET, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "[0, 0] [] [] [] 2 no child left"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] [] [] [] 3 no child left"
