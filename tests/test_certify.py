@@ -1053,6 +1053,7 @@ def test_the_thm3_child_gives_the_in_process_reports(m, seed, cpus, monkeypatch)
         (["thm3", "gaudin"], 2, "Gaudin flow", 1),  # thm3 runs in this process
         (["lemma1", "thm3"], 1, "thm3 claim", 0),  # in this process, at thm3's place
     ],
+    ids=["thm3-alone", "thm3-child", "gaudin-child", "one-cpu"],
 )
 def test_one_child_runs_the_gaudin_flow_or_else_thm3_beside_other_claims(
     claims, count, work, forks, su2n3, cpus, monkeypatch
