@@ -20,10 +20,11 @@ one point at a time, in trial order, and the first point that fails is
 named.  Every report is built by one constructor, which reads algebra, n and
 seed from the context.  ``check_request`` refuses a run from n alone, before
 any space is built.  ``run_claims`` keeps the machine's second CPU busy with
-one forked child where two CPUs allow (``dynamics.background``).  With
-``gaudin`` selected the child integrates its momentum flow, most of a run's
-time, which reads nothing the other claims draw; the claim reads the flow's
-answer, or the exception it raised, where it would otherwise integrate.
+one forked child where two CPUs allow (``dynamics.background``), which runs a
+one-yield generator and sends its one answer back.  With ``gaudin`` selected
+the child integrates its momentum flow, most of a run's time, which reads
+nothing the other claims draw; the claim reads the flow's answer, or the
+exception it raised, through ``next`` where it would otherwise integrate.
 Without ``gaudin``, and with ``thm3`` beside other claims, the child runs
 ``thm3``, the costliest claim on the rank path, in its own copy of the
 table, and its reports are read where it would run: last.  So a v point
@@ -37,7 +38,7 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -631,8 +632,8 @@ def _claim_thm3(ctx: ClaimContext) -> list[CertificateReport]:
 _GAUDIN_T_END, _GAUDIN_DT = 10.0, 1e-3
 
 
-def _claim_gaudin(ctx: ClaimContext, flow: Callable[[], tuple[float, bool]] | None = None) -> list[CertificateReport]:
-    """The Gaudin certificates; the momentum flow's (drift, aborted) comes from ``flow()``, else ``_gaudin_flow``."""
+def _claim_gaudin(ctx: ClaimContext, flow: Iterator[tuple[float, bool]] | None = None) -> list[CertificateReport]:
+    """The Gaudin certificates; the momentum flow's (drift, aborted) is ``next(flow)``, else ``_gaudin_flow``'s."""
     space = ctx.space
     weights = ctx.weights()
     family = gaudin_family(space, weights)
@@ -658,7 +659,7 @@ def _claim_gaudin(ctx: ClaimContext, flow: Callable[[], tuple[float, bool]] | No
         ),
     ]
 
-    drift, aborted = flow() if flow is not None else _gaudin_flow(ctx)
+    drift, aborted = next(flow) if flow is not None else _gaudin_flow(ctx)
     reports.append(
         _residual_report(
             ctx, "gaudin.momentum_drift", [drift], 1e-8,
@@ -681,6 +682,11 @@ def _gaudin_flow(ctx: ClaimContext) -> tuple[float, bool]:
     )
     trajectory = dynamics.integrate(flow)
     return dynamics.momentum_drift(trajectory), trajectory.aborted
+
+
+def _once(body: Callable, *args) -> Iterator:
+    """A one-yield generator of ``body(*args)``, for ``dynamics.background``."""
+    yield body(*args)
 
 
 _REGISTRY: dict[str, Callable[[ClaimContext], Sequence[CertificateReport]]] = {
@@ -777,11 +783,11 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     ``check_request`` refuses is refused before any draw.  Then at most one
     piece of work starts in the background (``dynamics.background``): with
     ``gaudin`` selected, its momentum flow (``_gaudin_flow``), which
-    ``_claim_gaudin`` reads where the flow would run; otherwise, with
-    ``thm3`` and another claim selected, the ``thm3`` claim, whose reports,
-    last in registry order, are read where it would run.  A child whose
-    answer is not read, because an earlier certificate raised, is killed and
-    reaped before this returns.
+    ``_claim_gaudin`` reads through ``next`` where the flow would run;
+    otherwise, with ``thm3`` and another claim selected, the ``thm3``
+    claim, whose reports, last in registry order, are read where it would
+    run.  A child whose answer is not read, because an earlier certificate
+    raised, is killed and reaped before this returns.
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
@@ -789,16 +795,16 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     ctx = replace(ctx)  # a table of its own
     background, work = None, ()  # the claim whose work runs in the background, and that work
     if "gaudin" in claim_ids:
-        background, work = "gaudin", ("Gaudin flow", _gaudin_flow, ctx)
+        background, work = "gaudin", ("Gaudin flow", _once, _gaudin_flow, ctx)
     elif "thm3" in claim_ids and len(set(claim_ids)) > 1:
-        background, work = "thm3", ("thm3 claim", _run_claim, ctx, "thm3", _REGISTRY["thm3"])
+        background, work = "thm3", ("thm3 claim", _once, _run_claim, ctx, "thm3", _REGISTRY["thm3"])
     with dynamics.background(*work) if background else nullcontext() as answer:
         reports: list[CertificateReport] = []
         for claim in CLAIM_IDS:
             if claim not in claim_ids:
                 continue
             if claim == background == "thm3":
-                reports.extend(answer())
+                reports.extend(next(answer))
             else:
                 run = partial(_claim_gaudin, flow=answer) if claim == "gaudin" else _REGISTRY[claim]
                 reports.extend(_run_claim(ctx, claim, run))

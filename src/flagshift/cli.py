@@ -55,9 +55,9 @@ def _load_config(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigurationError("config file must hold a JSON object")

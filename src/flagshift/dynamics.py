@@ -10,26 +10,24 @@ the tableau carries those rows, and each stage is at most three two-dimensional
 BLAS calls.  Larger flows, where the n r terms cost more than the calls they
 save, evaluate the Euler field by three BLAS calls per stage, with one GEMV per
 stage input; both steppers read the ad rows into buffers allocated once per flow.
-The step loop never evaluates a conserved quantity.  One chunk consumer,
-``_consume``, evaluates the energy and the monitor family on ``MONITOR_CHUNK``
-recorded states per call, for the relative drifts, and writes their CSV rows
-when a CSV is asked for.  Without a CSV it runs after the loop, in this process.
-With one, ``integrate`` forks a writer process: the parent only steps, and
-sends each complete chunk of raw float64 states down a pipe as a
-length-prefixed frame, then an end frame; the writer consumes each frame as it
-arrives, with the chunk boundaries of the in-process pass, so every output bit
-is the same, and sends the monitor series back.  Every forked child here goes
-through one helper, ``_Child``: ``os.fork``, the pickled answer on a pipe,
-``os._exit``, the reaping, and a RuntimeError naming the child's pid, exit code
-and error text when it fails.  ``background`` runs any function in such a
-child and hands back its result or its exception; ``certify.run_claims`` runs
-one piece of work that way, its Gaudin flow or else its ``thm3`` claim.  A
-child is forked only where it can overlap this process: where ``os.fork``
-exists and at least two CPUs are ours (``_overlaps``).  On one CPU the two
-processes would take turns and the fork would be pure cost, so the same
-function runs in this process instead, with the same bytes.  Python 3.12
-and later emit a DeprecationWarning when a process with more than one thread
-forks, and BLAS threads count.
+The step loop, ``_records``, never evaluates a conserved quantity: it yields
+the recorded states ``MONITOR_CHUNK`` at a time.  One chunk consumer,
+``_consume``, stores each chunk and evaluates the energy and the monitor
+family on it, for the relative drifts, and writes its CSV rows when a CSV is
+asked for.  Without a CSV both run in this process, chunk by chunk.  With
+one, a forked child runs the step loop while this process consumes the chunks
+as they arrive, with the same chunk boundaries, so every output bit is the
+same.  Every forked child here comes from one primitive, ``background``: it
+runs a generator in a forked child and streams back what it yields, one
+pickled record per item on one pipe, or the exception it raised; a child that
+fails otherwise gives a RuntimeError naming its pid, exit code and error
+text.  ``certify.run_claims`` reads one answer from such a child, its Gaudin
+flow or else its ``thm3`` claim.  A child is forked only where it can overlap
+this process: where ``os.fork`` exists and at least two CPUs are ours
+(``_overlaps``).  On one CPU the two processes would take turns and the fork
+would be pure cost, so the generator runs in this process instead, lazily,
+with the same bytes.  Python 3.12 and later emit a DeprecationWarning when a
+process with more than one thread forks, and BLAS threads count.
 """
 
 from __future__ import annotations
@@ -421,61 +419,67 @@ def integrate(flow: FlowSpec, csv_path=None) -> Trajectory:
     """Classical RK4 with fixed step, in Butcher-tableau form.
 
     The energy is always the first monitor, labeled "energy", followed by
-    ``flow.monitors``, if any.  The step loop only advances the state and
-    copies it at each record; a non-finite record aborts the run, keeping
-    the last valid one.  The monitors are evaluated by ``_consume`` on the
-    recorded states, ``MONITOR_CHUNK`` states per call.  Without a
-    ``csv_path`` that runs after the loop.  With one, a forked writer
-    process (``_Writer``) runs it on each chunk as the loop completes it
-    and writes the CSV as ``trajectory_to_csv`` would; where no child can
-    overlap this process (``_overlaps``) it runs after the loop, here.  A
-    flow whose record table cannot be allocated is refused before any
-    process is forked or any step taken.  The stepper follows from one eigh of
-    the coefficient matrix, C = d I + U S U^T with U of r columns
-    (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS`` a step is
-    ``_coupled_steps``: 12 two-dimensional BLAS calls, with the r
-    coupling rows S U^T X carried in the tableau.  Larger flows step
-    through ``_kernel_steps``, three BLAS calls per field evaluation.
-    The two differ by round-off only.
+    ``flow.monitors``, if any.  The step loop, ``_records``, only advances
+    the state and hands on the recorded states, ``MONITOR_CHUNK`` at a time;
+    a non-finite record aborts the run, keeping the last valid one.  The
+    chunk consumer, ``_consume``, stores each chunk and evaluates the
+    monitors on it.  Without a ``csv_path`` both run here, chunk by chunk.
+    With one, a forked child runs the step loop (``background``) while this
+    process consumes the chunks as they arrive and writes the CSV as
+    ``trajectory_to_csv`` would; where no child can overlap this process
+    (``_overlaps``) both run here.  A flow whose record table cannot be
+    allocated is refused before any process is forked or any step taken.
     """
-    h, dt, stride, steps = flow.hamiltonian, flow.dt, flow.stride, int(round(flow.t_end / flow.dt))
-    n, dim = flow.space.n, flow.space.base.dim
+    steps = int(round(flow.t_end / flow.dt))
     labels = ("energy",) + (flow.monitors.labels if flow.monitors is not None else ())
-    times, states = _record_table(steps, stride, dt, (n, dim), len(labels))
-    _, U, s = _coupling(h.coeff)
-    if n * s.size <= COUPLED_MAX_ROWS:
-        stepper = _coupled_steps(flow.space, U, s, flow.initial, dt)
+    times, states = _record_table(steps, flow.stride, flow.dt, (flow.space.n, flow.space.base.dim), len(labels))
+    if csv_path is None:
+        stream = nullcontext(_records(flow, steps))
     else:
-        stepper = _kernel_steps(flow.space, h, flow.initial, dt)
-
-    states[0] = flow.initial
-    recorded = 1
-    writer = _Writer(flow, labels, times, csv_path) if csv_path is not None and _overlaps() else None
-    try:
-        for step, X in zip(range(1, steps + 1), stepper):
-            if step % stride == 0 or step == steps:
-                if not np.isfinite(X).all():
-                    break
-                states[recorded] = X
-                recorded += 1
-                if writer is not None and recorded % MONITOR_CHUNK == 0:
-                    writer.send(states[recorded - MONITOR_CHUNK:recorded])
-        aborted, states = recorded < len(states), states[:recorded]
-        if writer is None:
-            chunks = (states[start:start + MONITOR_CHUNK] for start in range(0, recorded, MONITOR_CHUNK))
-            series = _consume(chunks, flow, labels, times, csv_path)
-        else:
-            series = writer.finish(states[recorded - recorded % MONITOR_CHUNK:])
-    finally:
-        if writer is not None:
-            writer.close()
+        stream = background("flow stepper", _records, flow, steps)
+    with stream as chunks:
+        recorded, series = _consume(chunks, flow, labels, times, states, csv_path)
     return Trajectory(
         times=times[:recorded],
-        states=states,
+        states=states[:recorded],
         monitor_labels=labels,
         monitor_series=series,
-        aborted=aborted,
+        aborted=recorded < len(states),
     )
+
+
+def _records(flow: FlowSpec, steps: int):
+    """The step loop: yield the recorded states, ``MONITOR_CHUNK`` at a time, in one reused buffer.
+
+    The first chunk starts with the initial state; the last may be shorter.
+    It stops before the first non-finite record.  The stepper follows from
+    one eigh of the coefficient matrix, C = d I + U S U^T with U of r
+    columns (``_coupling``).  Up to n r = ``COUPLED_MAX_ROWS`` a step is
+    ``_coupled_steps``: 12 two-dimensional BLAS calls, with the r coupling
+    rows S U^T X carried in the tableau.  Larger flows step through
+    ``_kernel_steps``, three BLAS calls per field evaluation.  The two
+    differ by round-off only.
+    """
+    stride = flow.stride
+    _, U, s = _coupling(flow.hamiltonian.coeff)
+    if flow.space.n * s.size <= COUPLED_MAX_ROWS:
+        stepper = _coupled_steps(flow.space, U, s, flow.initial, flow.dt)
+    else:
+        stepper = _kernel_steps(flow.space, flow.hamiltonian, flow.initial, flow.dt)
+    chunk = np.empty((MONITOR_CHUNK, *flow.initial.shape))
+    chunk[0] = flow.initial
+    count = 1
+    for step, X in zip(range(1, steps + 1), stepper):
+        if step % stride == 0 or step == steps:
+            if not np.isfinite(X).all():
+                break
+            chunk[count] = X
+            count += 1
+            if count == MONITOR_CHUNK:
+                yield chunk
+                count = 0
+    if count:
+        yield chunk[:count]
 
 
 def _record_table(steps: int, stride: int, dt: float, shape: tuple[int, int], monitors: int):
@@ -504,54 +508,30 @@ def _record_table(steps: int, stride: int, dt: float, shape: tuple[int, int], mo
         ) from None
 
 
-def _consume(chunks, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path=None) -> np.ndarray:
-    """The chunk consumer: the energy and the monitors on each chunk of recorded states, in order.
+def _consume(chunks, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, states: np.ndarray,
+             csv_path=None) -> tuple[int, np.ndarray]:
+    """The chunk consumer: store each chunk of recorded states in ``states``, in order, and evaluate the monitors on it.
 
-    With a ``csv_path``, the header and then each chunk's rows go to a file
-    written atomically, which replaces ``csv_path`` once every chunk is
-    consumed.  Returns the monitor series of the states consumed.
+    The energy and the monitor family are evaluated once per chunk.  With a
+    ``csv_path``, the header and then each chunk's rows go to a file written
+    atomically, which replaces ``csv_path`` once every chunk is consumed.
+    Returns the number of states consumed and their monitor series.
     """
     series = np.empty((len(times), len(labels)))
     done = 0
     with atomic_open(csv_path) if csv_path is not None else nullcontext() as handle:
         if handle is not None:
             _write_header(handle, flow.space.n, flow.space.base.dim, labels)
-        for states in chunks:
-            rows = slice(done, done + len(states))
-            series[rows, 0] = flow.hamiltonian.value(states)
+        for chunk in chunks:
+            rows = slice(done, done + len(chunk))
+            states[rows] = chunk
+            series[rows, 0] = flow.hamiltonian.value(states[rows])
             if flow.monitors is not None:
-                series[rows, 1:] = flow.monitors.values(states)
+                series[rows, 1:] = flow.monitors.values(states[rows])
             if handle is not None:
-                handle.writelines(_csv_rows(times[rows], states, series[rows]))
-            done += len(states)
-    return series[:done]
-
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_into(fd: int, out: np.ndarray) -> None:
-    view = memoryview(out).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError("the chunk stream ended without its end frame")
-        view = view[got:]
-
-
-def _read_chunks(fd: int, n: int, dim: int):
-    """The chunks of the frames ``_Writer.send`` writes, read into one buffer, up to the end frame."""
-    count, buffer = np.empty(1, dtype=np.int64), np.empty((MONITOR_CHUNK, n, dim))
-    while True:
-        _read_into(fd, count)
-        if count[0] == 0:
-            return
-        chunk = buffer[:count[0]]
-        _read_into(fd, chunk)
-        yield chunk
+                handle.writelines(_csv_rows(times[rows], states[rows], series[rows]))
+            done += len(chunk)
+    return done, series[:done]
 
 
 # -- forked children -------------------------------------------------------------
@@ -560,7 +540,7 @@ def _read_chunks(fd: int, n: int, dim: int):
 def _overlaps() -> bool:
     """Whether a forked child can run beside this process: ``os.fork`` exists and two or more CPUs are ours.
 
-    On one CPU the two processes take turns, and the fork, the pipes and the
+    On one CPU the two processes take turns, and the fork, the pipe and the
     copy-on-write faults are pure cost.
     """
     if not hasattr(os, "fork"):
@@ -569,147 +549,83 @@ def _overlaps() -> bool:
     return cpus >= 2
 
 
-def _child_main(reply: int, parents: list[int], body, args) -> None:
-    """The body of a forked child: close the parent's pipe ends, run ``body(*args)``, answer, and exit.
-
-    The answer is the pickled result, with exit code 0, or the text of the
-    exception raised, with exit code 1.  It leaves only through ``os._exit``,
-    so no cleanup or buffered output of the parent runs twice.
-    """
-    code, answer = 1, b""
-    try:
-        for fd in parents:  # else the child would never see the parent close its stream
-            os.close(fd)
-        answer = pickle.dumps(body(*args), pickle.HIGHEST_PROTOCOL)
-        code = 0
-    except BaseException as exc:
-        answer = f"{type(exc).__name__}: {exc}".encode()
-    finally:
-        try:
-            _write_all(reply, answer)
-        except BaseException:
-            code = 1
-        os._exit(code)
-
-
-class _Child:
-    """A forked process that runs ``body(*args)`` (``_child_main``); the parent's side of it.
-
-    An answer pipe runs from the child to the parent.  With ``stream``, a
-    second pipe runs the other way: ``body`` gets its read end as its first
-    argument, and the parent writes to ``self.stream``.  ``answer`` reads the
-    answer to its end, reaps the child and returns the result, or raises a
-    RuntimeError naming the child's pid, exit code and error text.  ``close``
-    closes the parent's pipe ends and reaps the child, killing it first with
-    ``kill``, whatever happened before; a reaped child is not reaped again.
-    """
-
-    def __init__(self, name: str, body, *args, stream: bool = False) -> None:
-        self.name, self.pid, self.code, self.fds = name, None, None, []
-        try:
-            self.fds += os.pipe()
-            if stream:
-                self.fds += os.pipe()
-            self.pid = os.fork()
-        except BaseException:
-            self.close()
-            raise
-        answers, reply, *streams = self.fds
-        if self.pid == 0:
-            _child_main(reply, [answers, *streams[1:]], body, (*streams[:1], *args))  # never returns
-        self.fds = [answers, *streams[1:]]
-        for fd in (reply, *streams[:1]):
-            os.close(fd)
-        self.stream = streams[1] if stream else None
-
-    def answer(self):
-        parts = []
-        while part := os.read(self.fds[0], 1 << 16):
-            parts.append(part)
-        self.close()
-        answer = b"".join(parts)
-        if self.code != 0:
-            text = answer.decode(errors="replace") or "no answer"
-            raise RuntimeError(f"the {self.name} process (pid {self.pid}) exited with code {self.code}: {text}")
-        return pickle.loads(answer)
-
-    def close(self, kill: bool = False) -> None:
-        while self.fds:
-            os.close(self.fds.pop())
-        if self.pid is not None and self.code is None:
-            if kill:
-                os.kill(self.pid, signal.SIGKILL)
-            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _outcome(body, *args) -> tuple[bool, object]:
-    """(True, ``body(*args)``), or (False, the exception it raised), so that a child's answer carries the exception."""
-    try:
-        return True, body(*args)
-    except Exception as exc:
-        return False, exc
-
-
 @contextmanager
-def background(name: str, body, *args):
-    """Run ``body(*args)`` in a forked child where one can overlap this process (``_overlaps``).
+def background(name: str, produce, *args):
+    """An iterator over what ``produce(*args)`` yields, from a forked child where one can overlap this process.
 
-    Yields a function that returns what ``body(*args)`` returns, or raises
-    the exception it raises, with its type and text: the child's answer, or,
-    where no child was forked, ``body(*args)`` called in this process when
-    the function is called.  Leaving the block kills and reaps a child whose
-    answer was never read, so no child outlives it.  ``certify.run_claims``
-    opens at most one such block per run: for its Gaudin flow, or else for
-    its ``thm3`` claim.
+    ``produce`` is a generator function.  Where no child can overlap this
+    process (``_overlaps``), the iterator is the generator itself: the work
+    runs here, lazily, as the items are read.  Otherwise a forked child runs
+    the generator and sends each item down one pipe as one record, the
+    pickled (True, item), pickled whole before any of it is written.  An
+    exception is sent as (False, exc) and raised here, with its type and
+    text, where the next item would be read; one that does not pickle is
+    sent as its text.  The child leaves only through ``os._exit``, so no
+    cleanup or buffered output of this process runs twice.  The text, or a
+    stream cut short, raises a RuntimeError naming the child's pid, exit
+    code and text.  A stream read to its end reaps the child; leaving the
+    block kills and reaps a child whose stream was not, so no child
+    outlives it.  This is the only fork, pipe and reap code in the package.
     """
     if not _overlaps():
-        yield lambda: body(*args)
+        yield produce(*args)
         return
-    child = _Child(name, _outcome, body, *args)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child
+        code = 1
+        try:
+            os.close(read_end)
+            records = os.fdopen(write_end, "wb")
+            try:
+                for item in produce(*args):
+                    records.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
+                    records.flush()
+                code = 0
+            except Exception as exc:
+                try:
+                    records.write(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
+                except Exception:  # the exception does not pickle
+                    records.write(pickle.dumps((False, f"{type(exc).__name__}: {exc}")))
+                records.flush()
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    pipe, exit_code = os.fdopen(read_end, "rb"), None
 
-    def result():
-        ok, value = child.answer()
-        if not ok:
-            raise value
-        return value
+    def reap(kill: bool = False) -> int:
+        nonlocal exit_code
+        if exit_code is None:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return exit_code
+
+    def received():
+        while True:
+            try:
+                ok, item = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child closed its end, at a record's end or within one
+                ok, item = False, "its stream was cut short"
+                if reap() == 0:
+                    return
+            if not ok:
+                code = reap()
+                if isinstance(item, BaseException):
+                    raise item
+                raise RuntimeError(f"the {name} process (pid {pid}) exited with code {code}: {item}")
+            yield item
 
     try:
-        yield result
+        yield received()
     finally:
-        child.close(kill=True)
-
-
-class _Writer(_Child):
-    """The forked CSV writer: a ``_Child`` that ``_consume``s the recorded states sent down its stream.
-
-    ``send`` writes one chunk of records as a frame: the record count as 8
-    bytes, then the float64 states; a count of 0 is the end frame.  The
-    writer's answer is the monitor series, sent once the CSV is in place.
-    A stream closed without an end frame, or anything raised in the
-    writer, discards the temporary file before the writer answers.
-    """
-
-    def __init__(self, flow: FlowSpec, labels: tuple[str, ...], times: np.ndarray, csv_path) -> None:
-        def serve(chunks: int) -> np.ndarray:
-            return _consume(_read_chunks(chunks, flow.space.n, flow.space.base.dim), flow, labels, times, csv_path)
-
-        super().__init__("CSV writer", serve, stream=True)
-
-    def send(self, states: np.ndarray) -> None:
-        try:
-            _write_all(self.stream, np.int64(len(states)))
-            if len(states):
-                _write_all(self.stream, states)
-        except BrokenPipeError:  # the writer has exited; its answer says why
-            self.answer()
-            raise
-
-    def finish(self, tail: np.ndarray) -> np.ndarray:
-        """Send the last chunk, if any, and the end frame; return the monitor series."""
-        if len(tail):
-            self.send(tail)
-        self.send(tail[:0])  # the end frame
-        return self.answer()
+        pipe.close()
+        reap(kill=True)
 
 
 # -- reduced closed-form flow ---------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import replace
 
@@ -891,6 +893,14 @@ def _forks(monkeypatch) -> list:
     return pids
 
 
+def _answers_and_kills(monkeypatch) -> tuple[list, list]:
+    """The records read from a child's pipe, and the signals sent to children, from now on."""
+    answers, kills, load, kill = [], [], pickle.load, os.kill
+    monkeypatch.setattr(pickle, "load", lambda pipe: answers.append(1) or load(pipe))
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(sig) or kill(pid, sig))
+    return answers, kills
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -969,12 +979,10 @@ def test_an_earlier_gaudin_failure_discards_the_background_flow(su2n3, cpus, mon
     # the FAIL record, and the flow's answer is never read
     cpus(2)
     _rejecting_draws_at(monkeypatch, [42, 0])
-    answers, kills, answer, close = [], [], dynamics._Child.answer, dynamics._Child.close
-    monkeypatch.setattr(dynamics._Child, "answer", lambda child: answers.append(1) or answer(child))
-    monkeypatch.setattr(dynamics._Child, "close", lambda child, kill=False: kills.append(kill) or close(child, kill))
+    answers, kills = _answers_and_kills(monkeypatch)
     ctx = ClaimContext(su2n3, trials=2)
     forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["gaudin"])
-    assert forks == 1 and answers == [] and kills == [True]
+    assert forks == 1 and answers == [] and kills == [signal.SIGKILL]
     assert forked == in_process
     assert json.loads(forked[-1])["error"].startswith(
         "claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 0, r]"
@@ -1119,9 +1127,7 @@ def test_an_uncaught_claim_error_kills_and_reaps_the_thm3_child(su2n3, cpus, mon
     from flagshift import certify
 
     cpus(2)
-    answers, kills, answer, close = [], [], dynamics._Child.answer, dynamics._Child.close
-    monkeypatch.setattr(dynamics._Child, "answer", lambda child: answers.append(1) or answer(child))
-    monkeypatch.setattr(dynamics._Child, "close", lambda child, kill=False: kills.append(kill) or close(child, kill))
+    answers, kills = _answers_and_kills(monkeypatch)
 
     def broken(ctx):
         raise KeyError("a defect in lemma1")
@@ -1130,5 +1136,5 @@ def test_an_uncaught_claim_error_kills_and_reaps_the_thm3_child(su2n3, cpus, mon
     pids = _forks(monkeypatch)
     with pytest.raises(KeyError, match="a defect in lemma1"):
         run_claims(ClaimContext(su2n3, trials=2), ["lemma1", "thm3"])
-    assert len(pids) == 1 and answers == [] and kills == [True]
+    assert len(pids) == 1 and answers == [] and kills == [signal.SIGKILL]
     _no_child_left()

@@ -186,6 +186,17 @@ def test_config_keys_no_command_reads_are_rejected(tmp_path, capsys):
     assert "'trials'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "flow"])
+def test_a_config_file_that_is_not_utf8_is_a_configuration_error(command, tmp_path, capsys, no_work):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'\xff\xfe{"n": 3}')
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot read config {config}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -503,7 +514,7 @@ def test_an_output_path_that_is_a_directory_is_refused_first(argv, tmp_path, cap
 
 @pytest.mark.parametrize("summary", ["same.out", "./same.out", "link.out"])
 def test_csv_and_summary_naming_one_file_are_refused_first(summary, tmp_path, capsys, monkeypatch, no_work):
-    # the summary would replace the CSV, and the writer process would race it
+    # the summary would replace the CSV
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
     argv = ["flow", "--algebra", "su2", "--n", "3", "--t-end", "0.1", "--csv", "same.out", "--summary", summary]
@@ -512,7 +523,7 @@ def test_csv_and_summary_naming_one_file_are_refused_first(summary, tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
 
 
-def test_flow_with_a_csv_forks_one_writer_and_leaves_no_child(tmp_path, monkeypatch, cpus):
+def test_flow_with_a_csv_forks_one_stepper_and_leaves_no_child(tmp_path, monkeypatch, cpus):
     cpus(2)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())

@@ -7,6 +7,8 @@ route that the implementation uses.
 
 import csv
 import os
+import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -675,7 +677,7 @@ def test_csv_bytes_match_a_literal_csv_writer(tmp_path):
     assert b"-0.0,1e-300,1e+16" in path.read_bytes()
 
 
-# -- the forked CSV writer ------------------------------------------------------
+# -- the forked stepper and the CSV writer ---------------------------------------
 
 
 def _einstein_slice_flow():
@@ -735,7 +737,7 @@ def _failing_after(steps, limit, fail):
 
 @pytest.mark.parametrize("case", list(_FLOWS))
 def test_integrate_with_a_csv_gives_the_in_process_bytes(case, tmp_path, monkeypatch, cpus):
-    # the forked writer and the in-process consumer, against integrate and
+    # the forked stepper and the in-process one, against integrate and
     # then trajectory_to_csv: the same CSV bytes and the same arrays, bit
     # for bit
     cpus(2)
@@ -765,41 +767,16 @@ def test_integrate_with_a_csv_gives_the_in_process_bytes(case, tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "forked.csv", "in_process.csv"]
 
 
-def test_the_chunk_stream_is_framed_and_needs_its_end_frame():
-    chunk = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
-    for end_frame in (True, False):
-        read_end, write_end = os.pipe()
-        try:
-            dynamics._write_all(write_end, np.int64(len(chunk)))
-            dynamics._write_all(write_end, chunk)
-            if end_frame:
-                dynamics._write_all(write_end, np.int64(0))
-            os.close(write_end)
-            write_end = None
-            chunks = dynamics._read_chunks(read_end, 3, 4)
-            assert np.array_equal(next(chunks), chunk)
-            if end_frame:
-                assert next(chunks, None) is None
-            else:
-                with pytest.raises(EOFError, match="without its end frame"):
-                    next(chunks)
-        finally:
-            os.close(read_end)
-            if write_end is not None:
-                os.close(write_end)
+def _exit_codes(monkeypatch):
+    """The exit code of each child ``os.waitpid`` reaps from now on."""
+    codes, waitpid = [], os.waitpid
 
+    def spy(pid, options):
+        reaped = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
 
-def _writer_codes(monkeypatch):
-    """The exit code of each writer process ``integrate`` reaps."""
-    codes, close = [], dynamics._Writer.close
-
-    def spy(writer):
-        reaped = writer.code is not None
-        close(writer)
-        if not reaped:
-            codes.append(writer.code)
-
-    monkeypatch.setattr(dynamics._Writer, "close", spy)
+    monkeypatch.setattr(os, "waitpid", spy)
     return codes
 
 
@@ -810,46 +787,83 @@ def _assert_nothing_left(tmp_path, path):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("t_end", [0.1, 10.0])
-def test_a_writer_failure_leaves_nothing_behind(t_end, tmp_path, monkeypatch, cpus):
-    # at t_end 0.1 the parent learns of the failure from the answer after its
-    # end frame; at 10 the writer fails on the first of 16 chunks, and the
-    # parent may first meet the closed pipe
-    cpus(2)
+def _csv_flow(tmp_path, t_end=10.0):
+    """The su3^4 Einstein slice flow to ``t_end``, and a CSV path that holds an old file."""
     flow = _einstein_slice_flow()
     flow = FlowSpec(flow.space, flow.hamiltonian, flow.initial, t_end=t_end, monitors=flow.monitors)
     path = tmp_path / "flow.csv"
     path.write_bytes(b"t,old\r\n")
-    codes = _writer_codes(monkeypatch)
+    return flow, path
+
+
+def test_the_monitors_run_in_the_calling_process_while_the_child_steps(tmp_path, monkeypatch, cpus):
+    cpus(2)
+    flow, path = _csv_flow(tmp_path)
+    forks, fork, values, value = [], os.fork, [], QuadraticHamiltonian.value
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(QuadraticHamiltonian, "value", lambda h, X: values.append(len(X)) or value(h, X))
+    trajectory = integrate(flow, csv_path=path)
+    # 1001 records: 15 chunks of 64 and one of 41, each consumed here
+    assert len(forks) == 1
+    assert values == [MONITOR_CHUNK] * 15 + [41]
+    assert len(trajectory.times) == 1001 and not trajectory.aborted
+
+
+@pytest.mark.parametrize("t_end", [0.1, 10.0])
+def test_a_writer_failure_leaves_nothing_behind(t_end, tmp_path, monkeypatch, cpus):
+    # the CSV writer is this process; at t_end 0.1 the stepper's one chunk may
+    # be its whole stream, at 10 the stepper still has 15 chunks to send and
+    # is killed
+    cpus(2)
+    flow, path = _csv_flow(tmp_path, t_end)
+    codes = _exit_codes(monkeypatch)
 
     def broken(*args):
         raise RuntimeError("cannot format this chunk")
 
     monkeypatch.setattr(dynamics, "_csv_rows", broken)
-    message = r"the CSV writer process \(pid \d+\) exited with code 1: RuntimeError: cannot format this chunk"
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match="^cannot format this chunk$"):
+        integrate(flow, csv_path=path)
+    assert codes == [-signal.SIGKILL] if t_end == 10.0 else codes in ([0], [-signal.SIGKILL])
+    _assert_nothing_left(tmp_path, path)
+
+
+def test_a_stepper_failure_leaves_nothing_behind(tmp_path, monkeypatch, cpus):
+    cpus(2)
+    flow, path = _csv_flow(tmp_path)
+    codes = _exit_codes(monkeypatch)
+
+    def fail(X):
+        raise FloatingPointError("the stepper failed")
+
+    # three chunks are sent before it fails in the child, which sends the exception
+    stepper = _failing_after(dynamics._coupled_steps, 3 * MONITOR_CHUNK * flow.stride, fail)
+    monkeypatch.setattr(dynamics, "_coupled_steps", stepper)
+    with pytest.raises(FloatingPointError, match="^the stepper failed$"):
         integrate(flow, csv_path=path)
     assert codes == [1]
     _assert_nothing_left(tmp_path, path)
 
 
-def test_a_parent_failure_leaves_nothing_behind(tmp_path, monkeypatch, cpus):
+def test_a_stepper_killed_mid_stream_names_its_pid_and_signal(tmp_path, monkeypatch, cpus):
     cpus(2)
-    flow = _einstein_slice_flow()
-    path = tmp_path / "flow.csv"
-    path.write_bytes(b"t,old\r\n")
-    codes = _writer_codes(monkeypatch)
+    flow, path = _csv_flow(tmp_path)
+    pids, fork, parent = [], os.fork, os.getpid()
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
 
-    def fail(X):
-        raise FloatingPointError("the stepper failed")
+    def kill(X):
+        if os.getpid() == parent:  # never this process, should the stepper run here
+            raise AssertionError("the stepper runs in the calling process")
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    # three chunks are sent before it fails
-    stepper = _failing_after(dynamics._coupled_steps, 3 * MONITOR_CHUNK * flow.stride, fail)
+    # the child sends two chunks, then kills itself
+    stepper = _failing_after(dynamics._coupled_steps, 2 * MONITOR_CHUNK * flow.stride, kill)
     monkeypatch.setattr(dynamics, "_coupled_steps", stepper)
-    with pytest.raises(FloatingPointError, match="the stepper failed"):
+    with pytest.raises(RuntimeError) as raised:
         integrate(flow, csv_path=path)
-    # the stream closed without its end frame: the writer discarded its file
-    assert codes == [1]
+    assert str(raised.value) == (
+        f"the flow stepper process (pid {pids[0]}) exited with code -9: its stream was cut short"
+    )
     _assert_nothing_left(tmp_path, path)
 
 
@@ -876,26 +890,61 @@ def test_without_sched_getaffinity_the_cpu_count_decides(monkeypatch):
 @pytest.mark.parametrize("where", ["child", "here"])
 def test_background_gives_the_result_or_the_exception(where, cpus):
     cpus(2 if where == "child" else 1)
+    ran = []
 
-    def body(x):
-        if x < 0:
-            raise np.linalg.LinAlgError(f"negative {x}")
-        return x * 0.1, x > 1
+    def produce(values):
+        for x in values:
+            ran.append(x)
+            if x < 0:
+                raise np.linalg.LinAlgError(f"negative {x}")
+            yield x * 0.1, x > 1
 
-    with dynamics.background("test", body, 3) as result:
-        assert result() == (3 * 0.1, True)
-    with dynamics.background("test", body, -2) as result:
+    with dynamics.background("test", produce, [3, 1]) as items:
+        assert ran == []  # lazily here; in the child's copy of ``ran`` there
+        assert list(items) == [(3 * 0.1, True), (0.1, False)]
+    with dynamics.background("test", produce, [3, -2, 5]) as items:
+        assert next(items) == (3 * 0.1, True)
         with pytest.raises(np.linalg.LinAlgError, match="^negative -2$"):
-            result()
+            next(items)
+    assert ran == ([] if where == "child" else [3, 1, 3, -2])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_leaving_the_block_kills_a_child_with_unread_items(cpus, monkeypatch):
+    cpus(2)
+    kills, kill = [], os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(sig) or kill(pid, sig))
+
+    def forever():
+        yield from iter(int, 1)
+
+    with dynamics.background("test", forever) as items:
+        assert next(items) == 0
+    assert kills == [signal.SIGKILL]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_child_that_cannot_answer_names_its_pid_code_and_error(cpus):
     cpus(2)
-    with dynamics.background("test", lambda: (lambda: None)) as result:  # a lambda does not pickle
-        with pytest.raises(RuntimeError, match=r"^the test process \(pid \d+\) exited with code 1: \w+: Can't pickle"):
-            result()
+
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    def produce(item):
+        yield item
+        raise Unpicklable("a local error")
+
+    with dynamics.background("test", produce, 1.5) as items:
+        assert next(items) == 1.5
+        message = r"^the test process \(pid \d+\) exited with code 1: Unpicklable: a local error$"
+        with pytest.raises(RuntimeError, match=message):
+            next(items)
+    # an item that does not pickle: the child sends the pickling error, with its type and text
+    with dynamics.background("test", produce, lambda: None) as items:
+        with pytest.raises((AttributeError, pickle.PicklingError), match="Can't pickle"):
+            next(items)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

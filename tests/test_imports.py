@@ -1,6 +1,6 @@
 """Import hygiene: every name a package module imports is used in that module,
-every name a module lists in ``__all__`` is defined there, and the command
-line runs on numpy alone."""
+every name a module lists in ``__all__`` is defined there, the command line
+runs on numpy alone, and one function forks, pipes and reaps."""
 
 import ast
 import importlib
@@ -91,6 +91,41 @@ def test_checker_flags_a_dangling_export():
     assert undefined_exports(probe) == ["probe.removed"]
 
 
+PROCESS_CALLS = ("fork", "pipe", "waitpid")
+
+
+def process_calls(path: Path) -> list[str]:
+    """``module.function: os.call`` for each call of an ``os`` process primitive, by the top-level function it is in."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr in PROCESS_CALLS
+                    and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+                found.append(f"{path.stem}.{where}: os.{func.attr}")
+    return found
+
+
+def test_one_function_forks_pipes_and_reaps():
+    calls = sorted({entry for path in sorted(PACKAGE.glob("*.py")) for entry in process_calls(path)})
+    assert calls == [f"dynamics.background: os.{name}" for name in PROCESS_CALLS]
+
+
+def test_checker_finds_a_process_call_in_a_nested_function(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return os.waitpid(0, 0)\n"
+        "    return inner, os.getpid()\n"
+        "pid = os.fork()\n"
+    )
+    assert process_calls(probe) == ["probe.outer: os.waitpid", "probe.<module>: os.fork"]
+
+
 NO_SCIPY_SNIPPET = """
 import os, sys
 def loaded(*packages):
@@ -117,7 +152,7 @@ print(codes, loaded("scipy"), at_import, loaded(*PROCESS_PACKAGES), len(forks), 
 
 def test_cli_loads_no_scipy(tmp_path):
     # A fresh process: this one has scipy loaded by the tests' oracles.
-    # certify's Gaudin flow, its thm3 claim and the flow's CSV writer are
+    # certify's Gaudin flow, its thm3 claim and the flow's stepper are
     # bare os.forks, so neither the import nor a run loads a process-pool or
     # subprocess module, which would cost start-up, and no child outlives
     # its command.
