@@ -20,16 +20,11 @@ one point at a time, in trial order, and the first point that fails is
 named.  Every report is built by one constructor, which reads algebra, n and
 seed from the context.  ``check_request`` refuses a run from n alone, before
 any space is built.  ``run_claims`` keeps the machine's second CPU busy with
-one forked child where two CPUs allow (``dynamics.background``), which runs a
-one-yield generator and sends its one answer back.  With ``gaudin`` selected
-the child integrates its momentum flow, most of a run's time, which reads
-nothing the other claims draw; the claim reads the flow's answer, or the
-exception it raised, through ``next`` where it would otherwise integrate.
-Without ``gaudin``, and with ``thm3`` beside other claims, the child runs
-``thm3``, the costliest claim on the rank path, in its own copy of the
-table, and its reports are read where it would run: last.  So a v point
-that ``lemma1`` and ``thm3`` both read is drawn in both processes.  Either
-way every report stays byte for byte the same.
+one forked child where two CPUs allow (``dynamics.background``): with two or
+more claims selected, the last one in registry order runs there, in its own
+copy of the table, and its reports are read where it would run: last.  So a
+point that the child's claim and an earlier one both read is drawn in both
+processes.  Either way every report stays byte for byte the same.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -632,8 +627,8 @@ def _claim_thm3(ctx: ClaimContext) -> list[CertificateReport]:
 _GAUDIN_T_END, _GAUDIN_DT = 10.0, 1e-3
 
 
-def _claim_gaudin(ctx: ClaimContext, flow: Iterator[tuple[float, bool]] | None = None) -> list[CertificateReport]:
-    """The Gaudin certificates; the momentum flow's (drift, aborted) is ``next(flow)``, else ``_gaudin_flow``'s."""
+def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
+    """The Gaudin certificates, the drift of the momentum flow last."""
     space = ctx.space
     weights = ctx.weights()
     family = gaudin_family(space, weights)
@@ -659,29 +654,16 @@ def _claim_gaudin(ctx: ClaimContext, flow: Iterator[tuple[float, bool]] | None =
         ),
     ]
 
-    drift, aborted = next(flow) if flow is not None else _gaudin_flow(ctx)
+    initial = generic_point(space, [ctx.seed, 271], "g", ctx.policy)  # the momentum flow starts here
+    trajectory = dynamics.integrate(dynamics.FlowSpec(space, ham, initial, _GAUDIN_T_END, _GAUDIN_DT))
     reports.append(
         _residual_report(
-            ctx, "gaudin.momentum_drift", [drift], 1e-8,
-            [{"t_end": _GAUDIN_T_END, "dt": _GAUDIN_DT, "aborted": aborted}],
-            ok=not aborted,
+            ctx, "gaudin.momentum_drift", [dynamics.momentum_drift(trajectory)], 1e-8,
+            [{"t_end": _GAUDIN_T_END, "dt": _GAUDIN_DT, "aborted": trajectory.aborted}],
+            ok=not trajectory.aborted,
         )
     )
     return reports
-
-
-def _gaudin_flow(ctx: ClaimContext) -> tuple[float, bool]:
-    """(momentum drift, aborted) of the Gaudin flow from the generic point at seed entropy [seed, 271]."""
-    space = ctx.space
-    flow = dynamics.FlowSpec(
-        space=space,
-        hamiltonian=dynamics.gaudin_hamiltonian(space, ctx.weights()),
-        initial=generic_point(space, [ctx.seed, 271], "g", ctx.policy),
-        t_end=_GAUDIN_T_END,
-        dt=_GAUDIN_DT,
-    )
-    trajectory = dynamics.integrate(flow)
-    return dynamics.momentum_drift(trajectory), trajectory.aborted
 
 
 def _once(body: Callable, *args) -> Iterator:
@@ -780,32 +762,18 @@ def run_claims(ctx: ClaimContext, claim_ids: Sequence[str] | None = None) -> lis
     gradients at each point.  A claim that finds no generic point, or whose
     linear algebra fails to converge, gives one failed report with the error
     message (``_run_claim``); the other claims still run.  A request
-    ``check_request`` refuses is refused before any draw.  Then at most one
-    piece of work starts in the background (``dynamics.background``): with
-    ``gaudin`` selected, its momentum flow (``_gaudin_flow``), which
-    ``_claim_gaudin`` reads through ``next`` where the flow would run;
-    otherwise, with ``thm3`` and another claim selected, the ``thm3``
-    claim, whose reports, last in registry order, are read where it would
-    run.  A child whose answer is not read, because an earlier certificate
-    raised, is killed and reaped before this returns.
+    ``check_request`` refuses is refused before any draw.  With two or more
+    claims selected, the last one in registry order runs in the background
+    (``dynamics.background``), on its own copy of the table, and its reports
+    are read where it would run: last.  A child whose reports are not read,
+    because an earlier claim raised, is killed and reaped before this returns.
     """
     if claim_ids is None or list(claim_ids) == ["all"]:
         claim_ids = list(CLAIM_IDS)
     check_request(ctx.space.n, claim_ids, ctx.seed, ctx.trials, ctx.policy, ctx.tol_bracket, ctx.gaudin_weights)
     ctx = replace(ctx)  # a table of its own
-    background, work = None, ()  # the claim whose work runs in the background, and that work
-    if "gaudin" in claim_ids:
-        background, work = "gaudin", ("Gaudin flow", _once, _gaudin_flow, ctx)
-    elif "thm3" in claim_ids and len(set(claim_ids)) > 1:
-        background, work = "thm3", ("thm3 claim", _once, _run_claim, ctx, "thm3", _REGISTRY["thm3"])
-    with dynamics.background(*work) if background else nullcontext() as answer:
-        reports: list[CertificateReport] = []
-        for claim in CLAIM_IDS:
-            if claim not in claim_ids:
-                continue
-            if claim == background == "thm3":
-                reports.extend(next(answer))
-            else:
-                run = partial(_claim_gaudin, flow=answer) if claim == "gaudin" else _REGISTRY[claim]
-                reports.extend(_run_claim(ctx, claim, run))
-    return reports
+    *first, last = [claim for claim in CLAIM_IDS if claim in claim_ids]
+    work = (_run_claim, ctx, last, _REGISTRY[last])
+    with dynamics.background(f"{last} claim", _once, *work) if first else nullcontext(_once(*work)) as answer:
+        reports = [report for claim in first for report in _run_claim(ctx, claim, _REGISTRY[claim])]
+        return reports + next(answer)

@@ -41,7 +41,12 @@ def _build_space(algebra: str, n: int) -> ProductSpace:
     match = re.fullmatch(r"su(\d+)", algebra)
     if not match:
         raise ConfigurationError(f"unsupported algebra {algebra!r}, expected su<m>")
-    return ProductSpace(build_algebra("su", int(match.group(1))), n)
+    m = int(match.group(1))
+    try:
+        base = build_algebra("su", m)
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        raise ConfigurationError(f"algebra su{m} cannot be built: {str(exc) or 'out of memory'}") from None
+    return ProductSpace(base, n)
 
 
 # Config file keys each subcommand reads; any other key is an error.
@@ -230,7 +235,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     document = {
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "config": {
-            "algebra": algebra,
+            "algebra": ctx.space.base.name,
             "n": n,
             "seed": ctx.seed,
             "trials": ctx.trials,
@@ -334,7 +339,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     summary = {
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "config": {
-            "algebra": algebra,
+            "algebra": space.base.name,
             "n": n,
             "model": hamiltonian.kind,
             "params": {k: v for k, v in hamiltonian.params.items()},
@@ -362,7 +367,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
     worst = max(summary["drift"].values()) if summary["drift"] else 0.0
     print(
-        f"{hamiltonian.kind} flow on {algebra}^{n}"
+        f"{hamiltonian.kind} flow on {space.base.name}^{n}"
         f"{' (zero-momentum slice)' if restrict_v else ''}: "
         f"t_end={trajectory.final_time:g}, worst drift={worst:.3e}, "
         f"momentum drift={summary['momentum_drift']:.3e}"

@@ -227,8 +227,10 @@ def test_generic_points_are_read_only(su2n3):
         generic_point(su2n3, [5, 1], "g")[0, 0] = 1.0
 
 
-def test_a_run_draws_and_gates_each_point_once(su2n3, monkeypatch):
+def test_a_run_draws_and_gates_each_point_once(su2n3, cpus, monkeypatch):
     from flagshift import certify
+
+    cpus(1)  # one table in one process; on two CPUs gaudin runs in a forked child, whose draws are not counted here
 
     draw, gate = certify._draw, certify._failed_gates
     draws, gates = Counter(), Counter()
@@ -876,7 +878,7 @@ def test_certificate_report_is_frozen(su2n3):
         report.passed = False
 
 
-# -- the background child: the Gaudin flow, or else the thm3 claim ---------------
+# -- the background child: the last of two or more selected claims -----------------
 
 
 def _forks(monkeypatch) -> list:
@@ -920,221 +922,140 @@ def _with_and_without_fork(monkeypatch, ctx, claims=("all",)) -> tuple[list[str]
     return forked, _documents(run_claims(ctx, list(claims))), forks
 
 
+# The claims of the benchmark's two certify paths, by the claim each runs in the child, and its last report.
+PATHS = {"gaudin": (("all",), "gaudin.momentum_drift"),
+         "thm3": (("lemma1", "thm2i", "thm2ii", "dimB", "thm3"), "thm3.span_inclusion")}
+
+
 @pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("m", [2, 3])
-def test_the_background_gaudin_flow_gives_the_in_process_reports(m, seed, cpus, monkeypatch):
+@pytest.mark.parametrize("last, m", [("gaudin", 2), ("gaudin", 3), ("thm3", 3), ("thm3", 4)])
+def test_the_child_gives_the_in_process_reports(last, m, seed, cpus, monkeypatch):
     cpus(2)
+    claims, last_report = PATHS[last]
     ctx = ClaimContext(ProductSpace(build_algebra("su", m), 3), seed=seed)
-    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, claims)
     assert forks == 1
     assert forked == in_process
-    assert [json.loads(doc)["claim_id"] for doc in forked][-1] == "gaudin.momentum_drift"
+    assert json.loads(forked[-1])["claim_id"] == last_report
 
 
 def test_the_background_gaudin_flow_reads_explicit_weights(su2n3, cpus, monkeypatch):
     cpus(2)
     ctx = ClaimContext(su2n3, seed=7, trials=3, gaudin_weights=(0.5, -1.5, 4.0))
-    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["gaudin"])
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["thm2ii", "gaudin"])
     assert forks == 1
     assert forked == in_process
-    default = _documents(run_claims(replace(ctx, gaudin_weights=None), ["gaudin"]))
+    default = _documents(run_claims(replace(ctx, gaudin_weights=None), ["thm2ii", "gaudin"]))
     assert forked[-1] != default[-1]  # the weights reach the flow
 
 
-def _rejecting_draws_at(monkeypatch, prefix):
-    """Every draw from seed entropy [*prefix, r] gives the zero point, which no gate accepts."""
+def _rejecting_draws_at(monkeypatch, domain, prefix):
+    """Every draw in ``domain`` from seed entropy [*prefix, r] gives the zero point, which no gate accepts."""
     from flagshift import certify
 
     draw = certify._draw
-    monkeypatch.setattr(
-        certify, "_draw", lambda space, entropy, domain: draw(space, entropy, domain) * (entropy[:2] != prefix)
-    )
+
+    def rejecting(space, entropy, dom):
+        return draw(space, entropy, dom) * (dom != domain or entropy[:2] != prefix)
+
+    monkeypatch.setattr(certify, "_draw", rejecting)
 
 
 @pytest.mark.parametrize("failure", ["genericity", "linalg"])
-def test_a_failure_in_the_background_flow_gives_the_in_process_fail_record(failure, su2n3, cpus, monkeypatch):
-    cpus(2)
-    if failure == "genericity":
-        _rejecting_draws_at(monkeypatch, [42, 271])
-    else:
-        def diverged(flow):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(dynamics, "integrate", diverged)
-    ctx = ClaimContext(su2n3, trials=2)
-    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["dimB", "gaudin"])
-    assert forks == 1
-    assert forked == in_process
-    error = json.loads(forked[-1])["error"]
-    if failure == "genericity":
-        assert error.startswith(
-            "claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 271, r]"
-        )
-    else:
-        assert error == "claim gaudin: LinAlgError: Eigenvalues did not converge"
-
-
-def test_an_earlier_gaudin_failure_discards_the_background_flow(su2n3, cpus, monkeypatch):
-    # the draws of gaudin.field_identity's trial 0 all fail: that error decides
-    # the FAIL record, and the flow's answer is never read
-    cpus(2)
-    _rejecting_draws_at(monkeypatch, [42, 0])
-    answers, kills = _answers_and_kills(monkeypatch)
-    ctx = ClaimContext(su2n3, trials=2)
-    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["gaudin"])
-    assert forks == 1 and answers == [] and kills == [signal.SIGKILL]
-    assert forked == in_process
-    assert json.loads(forked[-1])["error"].startswith(
-        "claim gaudin: no generic point in domain 'g' was accepted from seed entropy [42, 0, r]"
-    )
-
-
-def test_an_uncaught_claim_error_kills_and_reaps_the_background_flow(su2n3, cpus, monkeypatch):
+@pytest.mark.parametrize("last", ["gaudin", "thm3"])
+def test_a_failure_in_the_child_gives_the_in_process_fail_record(last, failure, su2n3, cpus, monkeypatch):
     from flagshift import certify
 
     cpus(2)
+    if failure == "genericity":
+        domain, prefix = {"gaudin": ("g", [42, 271]), "thm3": ("v", [42, 0])}[last]  # the flow's start, trial 0
+        _rejecting_draws_at(monkeypatch, domain, prefix)
+        error = f"claim {last}: no generic point in domain '{domain}' was accepted from seed entropy [42, {prefix[1]}, r]"
+    else:
+        message = {"gaudin": "Eigenvalues did not converge", "thm3": "SVD did not converge"}[last]
+
+        def diverged(*args):
+            raise np.linalg.LinAlgError(message)
+
+        module, name = {"gaudin": (dynamics, "integrate"), "thm3": (certify, "tangent_span_orthocomplement")}[last]
+        monkeypatch.setattr(module, name, diverged)
+        error = f"claim {last}: LinAlgError: {message}" + (" (seed entropy [42, 0, 0])" if last == "thm3" else "")
+    ctx = ClaimContext(su2n3, trials=2)
+    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["thm2ii", last])
+    assert forks == 1
+    assert forked == in_process
+    first, record = json.loads(forked[0]), json.loads(forked[-1])
+    assert first["claim_id"] == "thm2ii.completeness_sum" and first["pass"]
+    assert record["claim_id"] == last and not record["pass"] and record["error"].startswith(error)
+
+
+@pytest.mark.parametrize("last", ["gaudin", "thm3"])
+def test_an_uncaught_error_in_the_child_is_raised_with_its_text(last, su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(2)
+
+    def broken(*args):
+        raise ValueError(f"a defect in {last}")
+
+    module, name = {"gaudin": (dynamics, "integrate"), "thm3": (certify, "verify_span_inclusion")}[last]
+    monkeypatch.setattr(module, name, broken)
     pids = _forks(monkeypatch)
+    with pytest.raises(ValueError, match=f"^a defect in {last}$"):
+        run_claims(ClaimContext(su2n3, trials=2), ["dimB", last])
+    assert len(pids) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("last", ["gaudin", "thm3"])
+def test_an_uncaught_claim_error_kills_and_reaps_the_child(last, su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(2)
+    answers, kills = _answers_and_kills(monkeypatch)
 
     def broken(ctx):
         raise KeyError("a defect in lemma1")
 
     monkeypatch.setitem(certify._REGISTRY, "lemma1", broken)
+    pids = _forks(monkeypatch)
     with pytest.raises(KeyError, match="a defect in lemma1"):
-        run_claims(ClaimContext(su2n3, trials=2), ["all"])
-    assert len(pids) == 1
+        run_claims(ClaimContext(su2n3, trials=2), ["lemma1", last])
+    assert len(pids) == 1 and answers == [] and kills == [signal.SIGKILL]
     _no_child_left()
 
 
-def test_claims_without_gaudin_fork_nothing(su2n3, cpus, monkeypatch):
-    cpus(2)
+@pytest.mark.parametrize(
+    "claims, count, child",
+    [
+        (["thm3"], 2, None),
+        (["gaudin"], 2, None),
+        (["dimB", "dimB"], 2, None),
+        (["dimB", "thm3"], 2, "thm3"),
+        (["thm3", "gaudin"], 2, "gaudin"),
+        (["lemma1", "gaudin"], 1, None),  # gaudin runs in this process, last
+    ],
+    ids=["thm3", "gaudin", "dimB-dimB", "dimB-thm3", "thm3-gaudin", "one-cpu"],
+)
+def test_the_last_of_two_or_more_claims_runs_in_the_child(claims, count, child, su2n3, cpus, monkeypatch):
+    from flagshift import certify
+
+    cpus(count)
+    here, run_claim = [], certify._run_claim  # the claims run in this process; the child's appends stay in its copy
+    monkeypatch.setattr(certify, "_run_claim", lambda ctx, claim, run: here.append(claim) or run_claim(ctx, claim, run))
     pids = _forks(monkeypatch)
-    assert len(run_claims(ClaimContext(su2n3, trials=2), ["lemma1", "thm2ii"])) == 3
-    assert pids == []
+    reports = run_claims(ClaimContext(su2n3, trials=2), claims)
+    assert reports and all(r.passed for r in reports)
+    assert here == [c for c in dict.fromkeys(claims) if c != child] and len(pids) == (child is not None)
     _no_child_left()
 
 
 def test_one_cpu_runs_the_gaudin_flow_in_process(su2n3, cpus, monkeypatch):
     cpus(1)
     pids = _forks(monkeypatch)
-    reports = _documents(run_claims(ClaimContext(su2n3, trials=2), ["gaudin"]))
+    reports = _documents(run_claims(ClaimContext(su2n3, trials=2), ["thm2ii", "gaudin"]))
     assert pids == []
     cpus(2)
-    assert _documents(run_claims(ClaimContext(su2n3, trials=2), ["gaudin"])) == reports
+    assert _documents(run_claims(ClaimContext(su2n3, trials=2), ["thm2ii", "gaudin"])) == reports
     assert len(pids) == 1
-    _no_child_left()
-
-
-def test_an_uncaught_error_in_the_background_flow_is_raised_with_its_text(su2n3, cpus, monkeypatch):
-    cpus(2)
-
-    def broken(flow):
-        raise ValueError("a defect in integrate")
-
-    monkeypatch.setattr(dynamics, "integrate", broken)
-    pids = _forks(monkeypatch)
-    with pytest.raises(ValueError, match="^a defect in integrate$"):
-        run_claims(ClaimContext(su2n3, trials=2), ["gaudin"])
-    assert len(pids) == 1
-    _no_child_left()
-
-
-RANK_PATH_CLAIMS = ("lemma1", "thm2i", "thm2ii", "dimB", "thm3")
-
-
-@pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("m", [3, 4])
-def test_the_thm3_child_gives_the_in_process_reports(m, seed, cpus, monkeypatch):
-    cpus(2)
-    ctx = ClaimContext(ProductSpace(build_algebra("su", m), 3), seed=seed)
-    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, RANK_PATH_CLAIMS)
-    assert forks == 1
-    assert forked == in_process
-    thm3 = ["thm3.ddim", "thm3.involutive", "thm3.span_inclusion"]
-    assert [json.loads(doc)["claim_id"] for doc in forked][-3:] == thm3
-
-
-@pytest.mark.parametrize(
-    "claims, count, work, forks",
-    [
-        (["thm3"], 2, None, 0),
-        (["dimB", "thm3"], 2, "thm3 claim", 1),
-        (["thm3", "gaudin"], 2, "Gaudin flow", 1),  # thm3 runs in this process
-        (["lemma1", "thm3"], 1, "thm3 claim", 0),  # in this process, at thm3's place
-    ],
-    ids=["thm3-alone", "thm3-child", "gaudin-child", "one-cpu"],
-)
-def test_one_child_runs_the_gaudin_flow_or_else_thm3_beside_other_claims(
-    claims, count, work, forks, su2n3, cpus, monkeypatch
-):
-    cpus(count)
-    works, background = [], dynamics.background
-    monkeypatch.setattr(dynamics, "background", lambda name, *args: works.append(name) or background(name, *args))
-    pids = _forks(monkeypatch)
-    reports = run_claims(ClaimContext(su2n3, trials=2), claims)
-    assert reports and all(r.passed for r in reports)
-    assert works == ([work] if work else []) and len(pids) == forks
-    _no_child_left()
-
-
-@pytest.mark.parametrize("failure", ["genericity", "linalg"])
-def test_a_failure_in_the_thm3_child_gives_the_in_process_fail_record(failure, su2n3, cpus, monkeypatch):
-    from flagshift import certify
-
-    cpus(2)
-    if failure == "genericity":
-        # every v draw is the zero point, which no gate accepts; thm2ii draws in g and k only
-        draw = certify._draw
-        monkeypatch.setattr(
-            certify, "_draw", lambda space, entropy, domain: draw(space, entropy, domain) * (domain != "v")
-        )
-    else:
-        def diverged(space, X, policy):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(certify, "tangent_span_orthocomplement", diverged)
-    ctx = ClaimContext(su2n3, trials=2)
-    forked, in_process, forks = _with_and_without_fork(monkeypatch, ctx, ["thm2ii", "thm3"])
-    assert forks == 1
-    assert forked == in_process
-    first, last = json.loads(forked[0]), json.loads(forked[-1])
-    assert first["claim_id"] == "thm2ii.completeness_sum" and first["pass"]
-    assert last["claim_id"] == "thm3" and not last["pass"]
-    if failure == "genericity":
-        assert last["error"].startswith(
-            "claim thm3: no generic point in domain 'v' was accepted from seed entropy [42, 0, r]"
-        )
-    else:
-        assert last["error"] == "claim thm3: LinAlgError: SVD did not converge (seed entropy [42, 0, 0])"
-
-
-def test_an_uncaught_error_in_the_thm3_child_is_raised_with_its_text(su2n3, cpus, monkeypatch):
-    from flagshift import certify
-
-    cpus(2)
-
-    def broken(ctx):
-        raise ValueError("a defect in thm3")
-
-    monkeypatch.setitem(certify._REGISTRY, "thm3", broken)
-    pids = _forks(monkeypatch)
-    with pytest.raises(ValueError, match="^a defect in thm3$"):
-        run_claims(ClaimContext(su2n3, trials=2), ["dimB", "thm3"])
-    assert len(pids) == 1
-    _no_child_left()
-
-
-def test_an_uncaught_claim_error_kills_and_reaps_the_thm3_child(su2n3, cpus, monkeypatch):
-    from flagshift import certify
-
-    cpus(2)
-    answers, kills = _answers_and_kills(monkeypatch)
-
-    def broken(ctx):
-        raise KeyError("a defect in lemma1")
-
-    monkeypatch.setitem(certify._REGISTRY, "lemma1", broken)
-    pids = _forks(monkeypatch)
-    with pytest.raises(KeyError, match="a defect in lemma1"):
-        run_claims(ClaimContext(su2n3, trials=2), ["lemma1", "thm3"])
-    assert len(pids) == 1 and answers == [] and kills == [signal.SIGKILL]
     _no_child_left()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -583,6 +584,39 @@ def test_a_flow_whose_records_cannot_be_allocated_is_refused_first(tmp_path, cap
         "allocated; raise stride or lower t_end\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 10.8 GiB for an array with shape (26970, 26970) and "
+                                     "data type complex128", ""], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", [["certify", "--claims", "dimB"], ["flow"]], ids=["certify", "flow"])
+def test_an_algebra_too_large_to_allocate_is_a_configuration_error(command, message, tmp_path, capsys,
+                                                                    monkeypatch):
+    # su30's ad rows alone are a 10.8 GiB array; the MemoryError is simulated, so nothing is allocated
+    def too_large(family, m):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_algebra", too_large)
+    outputs = ["--out", str(tmp_path / "cert.json")] if command[0] == "certify" else ["--csv", str(tmp_path / "f.csv")]
+    assert main(command + ["--algebra", "su30", "--n", "3"] + outputs) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"configuration error: algebra su30 cannot be built: {message or 'out of memory'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_zero_padded_algebra_name_gives_the_same_bytes(tmp_path, capsys):
+    runs = []
+    for name in ("su02", "su2"):
+        cert, summary = tmp_path / f"{name}-cert.json", tmp_path / f"{name}-flow.json"
+        codes = (
+            main(["certify", "--algebra", name, "--n", "3", "--claims", "lemma1,dimB", "--trials", "2",
+                  "--out", str(cert)]),
+            main(["flow", "--algebra", name, "--n", "3", "--t-end", "0.1", "--summary", str(summary)]),
+        )
+        documents = [re.sub(r'"generated_at": "[^"]*"', "", path.read_text()) for path in (cert, summary)]
+        runs.append((codes, capsys.readouterr(), documents))
+    assert runs[0] == runs[1]
+    assert all('"algebra": "su2"' in document for document in runs[0][2])
 
 
 @pytest.mark.parametrize("value", ["1e-3", "1e-300"])

@@ -152,7 +152,7 @@ print(codes, loaded("scipy"), at_import, loaded(*PROCESS_PACKAGES), len(forks), 
 
 def test_cli_loads_no_scipy(tmp_path):
     # A fresh process: this one has scipy loaded by the tests' oracles.
-    # certify's Gaudin flow, its thm3 claim and the flow's stepper are
+    # certify's child, which runs its last claim, and the flow's stepper are
     # bare os.forks, so neither the import nor a run loads a process-pool or
     # subprocess module, which would cost start-up, and no child outlives
     # its command.
