@@ -667,7 +667,7 @@ def _claim_gaudin(ctx: ClaimContext) -> list[CertificateReport]:
 
 
 def _once(body: Callable, *args) -> Iterator:
-    """A one-yield generator of ``body(*args)``, for ``dynamics.background``."""
+    """A one-yield generator of ``body(*args)``, read with ``next`` whether ``dynamics.background`` forks it or not."""
     yield body(*args)
 
 

@@ -22,11 +22,11 @@ runs a generator in a forked child and streams back what it yields, one
 pickled record per item on one pipe, or the exception it raised; a child that
 fails otherwise gives a RuntimeError naming its pid, exit code and error
 text.  ``certify.run_claims`` reads one answer from such a child: the
-reports of the last claim it runs.  A child is forked only where it can overlap
-this process: where ``os.fork`` exists and at least two CPUs are ours
-(``_overlaps``).  On one CPU the two processes would take turns and the fork
-would be pure cost, so the generator runs in this process instead, lazily,
-with the same bytes.  Python 3.12 and later emit a DeprecationWarning when a
+reports of the last claim it runs.  A child is forked only where it can
+overlap this process: where ``os.fork`` exists and at least two CPUs are
+ours (``_overlaps``).  On one CPU the two processes would take turns and the
+fork would be pure cost, so the generator runs in this process instead,
+lazily, with the same bytes.  Python 3.12 and later emit a DeprecationWarning when a
 process with more than one thread forks, and BLAS threads count.
 """
 

@@ -970,7 +970,8 @@ def test_a_failure_in_the_child_gives_the_in_process_fail_record(last, failure, 
     if failure == "genericity":
         domain, prefix = {"gaudin": ("g", [42, 271]), "thm3": ("v", [42, 0])}[last]  # the flow's start, trial 0
         _rejecting_draws_at(monkeypatch, domain, prefix)
-        error = f"claim {last}: no generic point in domain '{domain}' was accepted from seed entropy [42, {prefix[1]}, r]"
+        entropy = ", ".join(map(str, prefix + ["r"]))
+        error = f"claim {last}: no generic point in domain '{domain}' was accepted from seed entropy [{entropy}]"
     else:
         message = {"gaudin": "Eigenvalues did not converge", "thm3": "SVD did not converge"}[last]
 
